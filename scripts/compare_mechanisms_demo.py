@@ -12,9 +12,9 @@ ordering is informative, not a guarantee.
 import argparse
 import math
 
-from plrvo.dpsgd import TrainingRun, calibrate_gaussian_sigma, train
+from plrvo.dpsgd import TrainingRun, calibrate_gaussian_sigma, train, training_job
 from plrvo.optimizer import FeasibilityConfig, solve
-from plrvo.params import AccountingJob, GammaPlrvParams, GaussianParams, PrivacyTarget
+from plrvo.params import GammaPlrvParams, GaussianParams, PrivacyTarget
 
 
 def main():
@@ -30,10 +30,8 @@ def main():
     ap.add_argument("--seeds", default="1,2,3,4,5")
     args = ap.parse_args()
 
-    steps = math.ceil(args.epochs * args.examples / args.batch)
-    job = AccountingJob(steps_T=steps, sampling_rate_zeta=args.batch / args.examples,
-                        model_dim_N=args.dim, clip_C=args.clip, delta=args.delta,
-                        lambda_max=64)
+    job = training_job(args.dim, args.examples, args.epochs, args.batch, args.clip,
+                       args.delta, lambda_max=64)
     sigma = calibrate_gaussian_sigma(args.epsilon, job)
     solved = solve(FeasibilityConfig(
         clip_min=args.clip, clip_max=args.clip,

@@ -39,6 +39,7 @@ from .params import (
     GaussianParams,
     LaplaceParams,
     LogMomentCurve,
+    MechanismParams,
     MgfDomainViolation,
     effective_lambda_max,
     validate,
@@ -48,68 +49,18 @@ _CHUNK_TARGET_ELEMENTS = 8_000_000  # per-chunk eta-by-x workspace budget
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, then PLRV_THREADS, then cpu count."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("PLRV_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def branch_coefficients(eta: int) -> tuple[float, float]:
-    """(b1, b2) mixture weights of the two kernel branches.
-
-    Evaluated symbolically at the degenerate indices so (2*eta - 1) is never
-    used as a divisor where a branch is absent: eta = 0 -> (0, 1) and
-    eta = 1 -> (1, 0).
-    """
-    if eta == 0:
-        return 0.0, 1.0
-    if eta == 1:
-        return 1.0, 0.0
-    d = 2.0 * eta - 1.0
-    return eta / d, (eta - 1.0) / d
-
-
-@dataclass(frozen=True)
-class MomentTermContext:
-    """One eta term of the binomial mixture at evaluation point x."""
-
-    eta: int
-    b1: float
-    b2: float
-    a1: float  # MGF / exponential argument of the first branch, (eta-1) * x
-    a2: float  # second branch, -eta * x
-
-    @classmethod
-    def at(cls, eta: int, x: float) -> "MomentTermContext":
-        b1, b2 = branch_coefficients(eta)
-        return cls(eta=eta, b1=b1, b2=b2, a1=(eta - 1.0) * x, a2=-eta * x)
-
-
-def gamma_mgf_log(params: GammaPlrvParams, t: float) -> float:
-    """log M_u(t) = -k * log(1 - t * theta), defined for t * theta < 1."""
-    arg = t * params.theta
-    if arg >= 1.0:
-        raise MgfDomainViolation(
-            f"gamma-seed MGF undefined at t = {t} (t * theta = {arg:.6g} >= 1)")
-    return -params.k * math.log1p(-arg)
-
-
-def plrv_g_term(params: GammaPlrvParams, x: float, eta: int) -> float:
-    """Linear-space kernel of the gamma-seed mechanism at (x, eta).
-
-    Exactly 1 at eta in {0, 1}: the absent branch has coefficient zero and
-    the surviving branch's MGF argument is zero.
-    """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    ctx = MomentTermContext.at(eta, x)
-    if eta == 0 or eta == 1:
-        return 1.0
-    return (ctx.b1 * math.exp(gamma_mgf_log(params, ctx.a1))
-            + ctx.b2 * math.exp(gamma_mgf_log(params, ctx.a2)))
+    """Worker count: explicit argument, then PLRV_THREADS, then cpu count.
+    A count below 1 is an error, not coerced to 1."""
+    if threads is None:
+        env = os.environ.get("PLRV_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        if not (env.strip().isdigit() and int(env) >= 1):
+            raise ValueError(f"PLRV_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
+    if threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
+    return int(threads)
 
 
 def _log_subsample_weights(zeta: float, lam: int) -> np.ndarray:
@@ -357,13 +308,7 @@ def epsilon_from_delta(curve: LogMomentCurve, delta: float) -> tuple[float, int]
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    best_eps = math.inf
-    best_lam = None
-    for lam, alpha in curve.alpha_per_step.items():
-        eps = _conversion_term(alpha, lam, delta)
-        if eps < best_eps:
-            best_eps, best_lam = eps, lam
-    return best_eps, best_lam
+    return _grid_min(curve.alpha_per_step, delta)
 
 
 def delta_from_epsilon(curve: LogMomentCurve, epsilon: float) -> float:
@@ -409,6 +354,8 @@ def minimize_epsilon_lazy(alpha_total_fn: Callable[[Sequence[int]], dict[int, fl
 
 
 def _grid_min(alphas: dict[int, float], delta: float) -> tuple[float, int]:
+    """(epsilon, argmin) of the conversion over the given orders; the one
+    conversion loop behind every accountant entry point."""
     best_eps, best_lam = math.inf, None
     for lam in sorted(alphas):
         eps = _conversion_term(alphas[lam], lam, delta)
@@ -419,8 +366,6 @@ def _grid_min(alphas: dict[int, float], delta: float) -> tuple[float, int]:
 
 # ---------------------------------------------------------------------------
 # Job-level drivers
-
-MechanismParams = GammaPlrvParams | GaussianParams | LaplaceParams
 
 MECHANISM_TAGS = {
     GammaPlrvParams: "plrvo",
@@ -449,8 +394,7 @@ def build_curve(params: MechanismParams, job: AccountingJob,
     """Per-step log-moment curve on an explicit grid (default: every integer
     order up to the effective cap)."""
     if lambdas is None:
-        gamma = params if isinstance(params, GammaPlrvParams) else None
-        lambdas = range(1, effective_lambda_max(job, gamma) + 1)
+        lambdas = range(1, effective_lambda_max(job, params) + 1)
     alphas = per_step_alpha_batch(params, job, list(lambdas), threads)
     return LogMomentCurve(
         mechanism=MECHANISM_TAGS[type(params)],
@@ -503,13 +447,11 @@ def account(params: MechanismParams, job: AccountingJob,
         raise ValueError(f"lambda_search must be 'full' or 'coarse', got {lambda_search}")
     if mode not in ("exact", "accelerated"):
         raise ValueError(f"mode must be 'exact' or 'accelerated', got {mode}")
-    gamma = params if isinstance(params, GammaPlrvParams) else None
-    lam_cap = effective_lambda_max(job, gamma)
+    lam_cap = effective_lambda_max(job, params)
+    # the moment kernels validate job_eff's MGF domain themselves
     job_eff = job if lam_cap == job.lambda_max else AccountingJob(
         job.steps_T, job.sampling_rate_zeta, job.model_dim_N,
         job.clip_C, job.delta, lam_cap)
-    if gamma is not None:
-        validate(job_eff, gamma)
 
     per_step_cache: dict[int, float] = {}
     accel_errors: list[float] = []

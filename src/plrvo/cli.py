@@ -26,14 +26,12 @@ from .params import (
     LaplaceParams,
     MgfDomainViolation,
     PrivacyTarget,
+    check_json_section,
+    effective_lambda_max,
     from_json_dict,
 )
 
-MECHANISM_PARAM_TYPES = {
-    "plrvo": GammaPlrvParams,
-    "gaussian": GaussianParams,
-    "laplace": LaplaceParams,
-}
+MECHANISM_PARAM_TYPES = {tag: cls for cls, tag in accountant.MECHANISM_TAGS.items()}
 
 _JOBFILE_KEYS = {"mechanism", "params", "job", "target", "optimizer"}
 _OPTIMIZER_KEYS = {"clip_min", "clip_max", "gamma_cdf_tol", "distortion_cap"}
@@ -68,11 +66,8 @@ def load_job_file(path: str) -> dict:
     if "target" in data:
         out["target"] = from_json_dict(PrivacyTarget, data["target"])
     if "optimizer" in data:
-        opt = data["optimizer"]
-        unknown = set(opt) - _OPTIMIZER_KEYS
-        if unknown:
-            raise ValueError(f"optimizer: unknown keys {sorted(unknown)}")
-        out["optimizer"] = opt
+        check_json_section("optimizer", data["optimizer"], _OPTIMIZER_KEYS)
+        out["optimizer"] = data["optimizer"]
     return out
 
 
@@ -97,9 +92,7 @@ def cmd_sweep_t(args) -> int:
     job = spec["job"]
     lambdas = None
     if args.lambda_search == "coarse":
-        gamma = spec["params"] if isinstance(spec["params"], GammaPlrvParams) else None
-        from .params import effective_lambda_max
-        lambdas = accountant.coarse_lambda_ladder(effective_lambda_max(job, gamma))
+        lambdas = accountant.coarse_lambda_ladder(effective_lambda_max(job, spec["params"]))
     curve = accountant.build_curve(spec["params"], job, lambdas=lambdas,
                                    threads=args.threads)
     lines = ["T,epsilon"]
@@ -119,15 +112,8 @@ def cmd_optimize(args) -> int:
     spec = load_job_file(args.job_file)
     if spec["target"] is None or spec["optimizer"] is None:
         raise ValueError("optimize requires 'target' and 'optimizer' sections in the job file")
-    opt = spec["optimizer"]
-    cfg = optimizer.FeasibilityConfig(
-        clip_min=opt["clip_min"],
-        clip_max=opt["clip_max"],
-        target=spec["target"],
-        job_skeleton=spec["job"],
-        gamma_cdf_tol=opt.get("gamma_cdf_tol", 1e-6),
-        distortion_cap=opt.get("distortion_cap", 10.0),
-    )
+    cfg = optimizer.FeasibilityConfig(target=spec["target"], job_skeleton=spec["job"],
+                                      **spec["optimizer"])
     result = optimizer.solve(cfg, threads=args.threads)
     _emit(result.to_json_dict())
     return 0
@@ -160,13 +146,11 @@ def cmd_distortion(args) -> int:
         if args.k is None or args.theta is None:
             raise ValueError("plrvo distortion requires --k and --theta")
         report = distortion.plrv_distortion(GammaPlrvParams(k=args.k, theta=args.theta))
-    elif args.mechanism == "gaussian":
+    else:
         if args.sigma is None or args.clip is None:
             raise ValueError("gaussian distortion requires --sigma and --clip")
         value = distortion.gaussian_distortion(GaussianParams(sigma=args.sigma), args.clip)
         report = distortion.DistortionReport("gaussian", value, True)
-    else:
-        raise ValueError(f"distortion supports plrvo and gaussian, got {args.mechanism!r}")
     if args.csv:
         sys.stdout.write(report.csv_header() + "\n" + report.to_csv_row() + "\n")
     else:
@@ -175,8 +159,11 @@ def cmd_distortion(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    rng = sampler.make_rng(args.seed, secure=args.secure)
+    for flag, value in (("--n", args.n), ("--draws", args.draws)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     n, draws = args.n, args.draws
+    rng = sampler.make_rng(args.seed, secure=args.secure)
     if args.mechanism == "plrvo":
         if args.k is None or args.theta is None:
             raise ValueError("plrvo sampling requires --k and --theta")
@@ -188,13 +175,12 @@ def cmd_sample(args) -> int:
         coords = np.stack([sampler.sample_gaussian_noise(args.sigma_eff, n, rng)
                            for _ in range(draws)])
         scales = np.full(draws, args.sigma_eff)
-    elif args.mechanism == "laplace":
+    else:
         if args.b is None:
             raise ValueError("laplace sampling requires --b")
-        coords = sampler.sample_laplace_vector(args.b, (draws, n), rng)
-        scales = np.full(draws, args.b)
-    else:
-        raise ValueError(f"unknown mechanism {args.mechanism!r}")
+        b = LaplaceParams(b=args.b).b
+        coords = sampler.sample_laplace_vector(b, (draws, n), rng)
+        scales = np.full(draws, b)
 
     header = "draw_index,scale_b," + ",".join(f"coord_{j}" for j in range(n))
     lines = [header]
@@ -211,15 +197,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train_demo(args) -> int:
-    zeta = args.batch / args.examples
-    steps = -(-args.epochs * args.examples // args.batch)
-    job = AccountingJob(steps_T=int(steps), sampling_rate_zeta=zeta,
-                        model_dim_N=args.dim, clip_C=args.clip,
-                        delta=args.delta, lambda_max=args.lambda_max)
+    job = dpsgd.training_job(args.dim, args.examples, args.epochs, args.batch,
+                             args.clip, args.delta, args.lambda_max)
     if args.mechanism == "gaussian":
         sigma = dpsgd.calibrate_gaussian_sigma(args.epsilon, job)
         mechanism = GaussianParams(sigma=sigma)
-    elif args.mechanism == "plrvo":
+    else:
         cfg = optimizer.FeasibilityConfig(
             clip_min=args.clip, clip_max=args.clip,
             target=PrivacyTarget(epsilon_star=args.epsilon, delta_star=args.delta),
@@ -227,8 +210,6 @@ def cmd_train_demo(args) -> int:
         )
         result = optimizer.solve(cfg, threads=args.threads)
         mechanism = GammaPlrvParams(k=result.k_star, theta=result.theta_star)
-    else:
-        raise ValueError(f"train-demo supports plrvo and gaussian, got {args.mechanism!r}")
 
     run = dpsgd.TrainingRun(
         mechanism=mechanism, model_dim=args.dim, n_examples=args.examples,
@@ -316,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.threads = accountant.resolve_threads(args.threads)
         return args.fn(args)
     except MgfDomainViolation as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)

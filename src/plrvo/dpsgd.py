@@ -18,9 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import account
-from .params import AccountingJob, GammaPlrvParams, GaussianParams
+from .accountant import MECHANISM_TAGS, account
+from .params import AccountingJob, GammaPlrvParams, GaussianParams, to_json_dict
 from .sampler import make_rng, sample_gaussian_noise, sample_plrv_noise
+
+
+def training_job(model_dim: int, n_examples: int, epochs: int, batch_size: int,
+                 clip_C: float, delta: float, lambda_max: int) -> AccountingJob:
+    """The accounting job of a training loop: T = ceil(E * n / B) steps at
+    sampling rate zeta = B / n."""
+    if not (1 <= model_dim <= 512):
+        raise ValueError(f"model_dim must be in [1, 512], got {model_dim}")
+    if not (0 < batch_size <= n_examples):
+        raise ValueError(f"batch_size must be in (0, n_examples = {n_examples}], "
+                         f"got {batch_size}")
+    return AccountingJob(steps_T=-(-epochs * n_examples // batch_size),
+                         sampling_rate_zeta=batch_size / n_examples,
+                         model_dim_N=model_dim, clip_C=clip_C, delta=delta,
+                         lambda_max=lambda_max)
 
 
 @dataclass(frozen=True)
@@ -39,19 +54,13 @@ class TrainingRun:
     seed: int = 0
 
     def __post_init__(self):
-        if not (1 <= self.model_dim <= 512):
-            raise ValueError(f"model_dim must be in [1, 512], got {self.model_dim}")
-        if not (0 < self.batch_size <= self.n_examples):
-            raise ValueError("batch_size must be in (0, n_examples]")
+        self.job  # deriving the job validates the loop's sizes
 
     @property
-    def sampling_rate(self) -> float:
-        return self.batch_size / self.n_examples
-
-    @property
-    def steps(self) -> int:
-        # T = ceil(E * |dataset| / B), equivalently ceil(E / zeta)
-        return math.ceil(self.epochs * self.n_examples / self.batch_size)
+    def job(self) -> AccountingJob:
+        """The accounting job of exactly this loop."""
+        return training_job(self.model_dim, self.n_examples, self.epochs, self.batch_size,
+                            self.clip_C, self.delta, self.lambda_max)
 
 
 def make_blobs(n: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -136,28 +145,16 @@ def train(run: TrainingRun, threads: int | None = None) -> dict:
     train_x, train_y = make_blobs(run.n_examples, run.model_dim, data_rng)
     test_x, test_y = make_blobs(max(200, run.n_examples // 2), run.model_dim, data_rng)
 
+    job = run.job
     w = np.zeros(run.model_dim)
-    steps = run.steps
-    for _ in range(steps):
-        idx = poisson_subsample(run.n_examples, run.sampling_rate, batch_rng)
+    for _ in range(job.steps_T):
+        idx = poisson_subsample(run.n_examples, job.sampling_rate_zeta, batch_rng)
         w = noisy_step(w, train_x[idx], train_y[idx], run, noise_rng)
 
-    job = AccountingJob(
-        steps_T=steps,
-        sampling_rate_zeta=run.sampling_rate,
-        model_dim_N=run.model_dim,
-        clip_C=run.clip_C,
-        delta=run.delta,
-        lambda_max=run.lambda_max,
-    )
     report = account(run.mechanism, job, lambda_search="full", threads=threads)
-
-    mech_name = "plrvo" if isinstance(run.mechanism, GammaPlrvParams) else "gaussian"
-    mech_fields = ({"k": run.mechanism.k, "theta": run.mechanism.theta}
-                   if mech_name == "plrvo" else {"sigma": run.mechanism.sigma})
     return {
-        "mechanism": mech_name,
-        "mechanism_params": mech_fields,
+        "mechanism": MECHANISM_TAGS[type(run.mechanism)],
+        "mechanism_params": to_json_dict(run.mechanism),
         "model_dim": run.model_dim,
         "n_examples": run.n_examples,
         "epochs": run.epochs,
@@ -167,8 +164,8 @@ def train(run: TrainingRun, threads: int | None = None) -> dict:
         "delta": run.delta,
         "lambda_max": run.lambda_max,
         "seed": run.seed,
-        "steps_T": steps,
-        "sampling_rate_zeta": run.sampling_rate,
+        "steps_T": job.steps_T,
+        "sampling_rate_zeta": job.sampling_rate_zeta,
         "final_weights": [float(v) for v in w],
         "test_accuracy": accuracy(w, test_x, test_y),
         "epsilon_report": report.to_json_dict(),

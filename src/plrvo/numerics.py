@@ -1,6 +1,6 @@
 """Numerically stable scalar primitives shared by the accounting and
-optimization modules: log-gamma, log-binomial, log-sum-exp, the regularized
-lower incomplete gamma function, and an adaptive quadrature for completely
+optimization modules: log-gamma, log-binomial, the regularized lower
+incomplete gamma function, and an adaptive quadrature for completely
 monotone tails.
 
 Everything here is pure and operates in log space where overflow is a risk;
@@ -10,8 +10,7 @@ negative infinity is the canonical encoding of an exact zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,36 +19,6 @@ LOG_ZERO = float("-inf")
 
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature failed to converge (divergent integrand)."""
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A nonnegative quantity stored as its natural logarithm.
-
-    ``-inf`` encodes an exact zero; NaN is rejected at construction so it can
-    never propagate silently through log-space sums.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if math.isnan(self.value):
-            raise ValueError("LogValue cannot hold NaN")
-        if self.value == float("inf"):
-            raise ValueError("LogValue must be finite or -inf")
-
-    @classmethod
-    def from_linear(cls, x: float) -> "LogValue":
-        if x < 0:
-            raise ValueError(f"negative linear value {x}")
-        return cls(LOG_ZERO if x == 0 else math.log(x))
-
-    def to_linear(self) -> float:
-        return math.exp(self.value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == LOG_ZERO
 
 
 def log_gamma(x: float) -> float:
@@ -70,21 +39,6 @@ def log_binomial(n: int, r: int) -> float:
     if r == 0 or r == n:
         return 0.0
     return log_gamma(n + 1.0) - log_gamma(r + 1.0) - log_gamma(n - r + 1.0)
-
-
-def log_sum_exp(terms: Sequence[float] | Iterable[float]) -> float:
-    """ln sum(exp(t_i)), computed with the max subtracted first.
-
-    Accepts -inf entries (exact zeros); returns -inf when every entry is
-    -inf. Safe against overflow for any finite inputs.
-    """
-    ts = np.asarray(list(terms) if not isinstance(terms, np.ndarray) else terms, dtype=float)
-    if ts.size == 0:
-        raise ValueError("log_sum_exp of an empty sequence")
-    m = np.max(ts)
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    return float(m + np.log(np.sum(np.exp(ts - m))))
 
 
 def regularized_lower_gamma(k: float, x: float) -> float:

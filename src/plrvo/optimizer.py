@@ -42,10 +42,6 @@ THETA_GRID_LO, THETA_GRID_POINTS = 1e-7, 60
 C_GRID_POINTS = 8
 
 
-class NegativeDiscriminant(ArithmeticError):
-    """The closed-form shape-parameter interval is empty."""
-
-
 class InfeasibleError(RuntimeError):
     """No point in the configured box satisfies every constraint."""
 
@@ -95,18 +91,24 @@ def _cheap_constraints(k: float, theta: float, C: float,
     m0 = min(C - cfg.clip_min, cfg.clip_max - C)
     report["c0"] = {"passed": m0 >= 0.0, "margin": m0}
     report["c3"] = {"passed": k > 1.0, "margin": k - 1.0}
-    if k > 1.0:
-        cdf = regularized_lower_gamma(k, 0.1 / theta)
-        report["c1"] = {"passed": cdf <= cfg.gamma_cdf_tol, "margin": cfg.gamma_cdf_tol - cdf}
-        m4 = (k - 1.0) * theta - 1.0 / cfg.distortion_cap
-        report["c4"] = {"passed": m4 >= 0.0, "margin": m4}
-    else:
-        cdf = regularized_lower_gamma(max(k, 1e-12), 0.1 / theta)
-        report["c1"] = {"passed": cdf <= cfg.gamma_cdf_tol, "margin": cfg.gamma_cdf_tol - cdf}
-        report["c4"] = {"passed": False, "margin": -math.inf}
+    cdf = regularized_lower_gamma(max(k, 1e-12), 0.1 / theta)
+    report["c1"] = {"passed": cdf <= cfg.gamma_cdf_tol, "margin": cfg.gamma_cdf_tol - cdf}
+    m4 = (k - 1.0) * theta - 1.0 / cfg.distortion_cap if k > 1.0 else -math.inf
+    report["c4"] = {"passed": m4 >= 0.0, "margin": m4}
     m_mgf = 1.0 - cfg.job_skeleton.lambda_max * C * theta
     report["mgf"] = {"passed": m_mgf > 0.0, "margin": m_mgf}
     return report
+
+
+def _c2_report(point: tuple[float, float, float], cfg: FeasibilityConfig,
+               lambda_search: str, threads: int | None) -> dict:
+    """c2's entry: the accounted epsilon at (k, theta, C) against the target."""
+    k, theta, C = point
+    eps = account(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C),
+                  lambda_search=lambda_search, threads=threads).epsilon
+    return {"passed": eps <= cfg.target.epsilon_star,
+            "margin": cfg.target.epsilon_star - eps,
+            "epsilon": eps}
 
 
 def check_feasible(point: tuple[float, float, float], cfg: FeasibilityConfig,
@@ -124,12 +126,7 @@ def check_feasible(point: tuple[float, float, float], cfg: FeasibilityConfig,
                 for name in ("c0", "c1", "c2", "c3", "c4", "mgf")}
     report = _cheap_constraints(k, theta, C, cfg)
     if report["mgf"]["passed"] and report["c0"]["passed"]:
-        res = account(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C),
-                      lambda_search=lambda_search, threads=threads)
-        eps = res.epsilon
-        report["c2"] = {"passed": eps <= cfg.target.epsilon_star,
-                        "margin": cfg.target.epsilon_star - eps,
-                        "epsilon": eps}
+        report["c2"] = _c2_report(point, cfg, lambda_search, threads)
     else:
         report["c2"] = {"passed": False, "margin": -math.inf, "epsilon": None}
     return report
@@ -137,48 +134,6 @@ def check_feasible(point: tuple[float, float, float], cfg: FeasibilityConfig,
 
 def all_pass(report: dict[str, dict]) -> bool:
     return all(entry["passed"] for entry in report.values())
-
-
-def gamma_plrv_k_bounds(C: float, theta: float, eta: int) -> tuple[float, float]:
-    """Closed-form shape-parameter interval for one moment index.
-
-    Roots of A k^2 - 4 L k - 2.7734375 = 0 with A = C^2 theta^2 (eta - eta^2)
-    and L = log(1 - C theta (eta - 1)); returned ascending. Raises a domain
-    error when the log argument is nonpositive and
-    :class:`NegativeDiscriminant` when the interval is empty.
-    """
-    if eta < 2:
-        raise ValueError(f"eta must be >= 2, got {eta}")
-    log_arg = 1.0 - C * theta * (eta - 1.0)
-    if log_arg <= 0.0:
-        raise ValueError(
-            f"log argument 1 - C*theta*(eta-1) = {log_arg:.6g} <= 0 at eta = {eta}")
-    L = math.log(log_arg)
-    A = C * C * theta * theta * (eta - eta * eta)
-    disc = 16.0 * L * L + 11.09375 * A
-    if disc < 0.0:
-        raise NegativeDiscriminant(
-            f"discriminant {disc:.6g} < 0 at (C={C}, theta={theta}, eta={eta})")
-    sq = math.sqrt(disc)
-    k_a = (4.0 * L - sq) / (2.0 * A)
-    k_b = (4.0 * L + sq) / (2.0 * A)
-    return (k_a, k_b) if k_a <= k_b else (k_b, k_a)
-
-
-def gamma_plrv_k_interval(C: float, theta: float, lambda_max: int) -> tuple[float, float] | None:
-    """Intersection of the closed-form intervals over eta <= lambda_max + 1,
-    or None when empty. Optional pre-filter only; check_feasible is the
-    authoritative test."""
-    lo, hi = -math.inf, math.inf
-    for eta in range(2, lambda_max + 2):
-        try:
-            k1, k2 = gamma_plrv_k_bounds(C, theta, eta)
-        except (ValueError, NegativeDiscriminant):
-            return None
-        lo, hi = max(lo, k1), min(hi, k2)
-        if lo > hi:
-            return None
-    return lo, hi
 
 
 @dataclass
@@ -189,15 +144,26 @@ class _SearchState:
 
     def c2_entry(self, point: tuple[float, float, float]) -> dict:
         if point not in self.c2_cache:
-            k, theta, C = point
-            res = account(GammaPlrvParams(k=k, theta=theta), self.cfg.job_for(C),
-                          lambda_search="coarse", threads=self.threads)
-            self.c2_cache[point] = {
-                "passed": res.epsilon <= self.cfg.target.epsilon_star,
-                "margin": self.cfg.target.epsilon_star - res.epsilon,
-                "epsilon": res.epsilon,
-            }
+            self.c2_cache[point] = _c2_report(point, self.cfg, "coarse", self.threads)
         return self.c2_cache[point]
+
+
+def _phase_a_grid(cfg: FeasibilityConfig) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+    """Phase A's grid: the k values, and per clip value the ascending theta
+    values below the MGF bound (clips whose bound is under the grid floor
+    are left out)."""
+    ks = np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS)
+    if cfg.clip_min == cfg.clip_max:
+        cs = np.array([cfg.clip_min])
+    else:
+        cs = np.linspace(cfg.clip_min, cfg.clip_max, C_GRID_POINTS)
+    lam_next = cfg.job_skeleton.lambda_max + 1
+    slices = []
+    for C in (float(c) for c in cs):
+        theta_hi = (1.0 - 1e-6) / (C * lam_next)
+        if theta_hi > THETA_GRID_LO:
+            slices.append((C, np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS)))
+    return ks, slices
 
 
 def _cheap_theta_floor(k: float, thetas: np.ndarray,
@@ -222,24 +188,6 @@ def _cheap_theta_floor(k: float, thetas: np.ndarray,
         else:
             lo = mid
     return hi if hi < len(thetas) else None
-
-
-def _grid(cfg: FeasibilityConfig) -> list[tuple[float, float, float]]:
-    ks = np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS)
-    if cfg.clip_min == cfg.clip_max:
-        cs = np.array([cfg.clip_min])
-    else:
-        cs = np.linspace(cfg.clip_min, cfg.clip_max, C_GRID_POINTS)
-    points = []
-    lam_next = cfg.job_skeleton.lambda_max + 1
-    for C in cs:
-        theta_hi = (1.0 - 1e-6) / (C * lam_next)
-        if theta_hi <= THETA_GRID_LO:
-            continue
-        for theta in np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS):
-            for k in ks:
-                points.append((float(k), float(theta), float(C)))
-    return points
 
 
 def _golden_max(f, lo: float, hi: float, log_space: bool,
@@ -332,11 +280,14 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     return theta, objective(k, theta, C)
 
 
-def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState,
-                               grid: list[tuple[float, float, float]]) -> dict:
-    """Per-clip-value summary of the tightest violated constraint."""
+def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> dict:
+    """Per-clip-value summary of the tightest violated constraint over
+    Phase A's grid."""
+    ks, slices = _phase_a_grid(cfg)
+    points = ((float(k), float(theta), C) for C, thetas in slices
+              for theta in thetas for k in ks)
     by_clip: dict[float, dict] = {}
-    for point in grid:
+    for point in points:
         k, theta, C = point
         report = _cheap_constraints(k, theta, C, cfg)
         cached = state.c2_cache.get(point)
@@ -360,11 +311,8 @@ def solve(cfg: FeasibilityConfig, threads: int | None = None) -> OptimizationRes
     k, 60 log points in theta per clip, 8 clips); Phase B refines it by
     boundary-following coordinate golden section until the relative J
     improvement drops below 1e-4. The returned point is re-verified with the
-    full lambda grid; its diagnostics are embedded in the result. No
-    randomness anywhere. The closed-form shape interval
-    (:func:`gamma_plrv_k_interval`) is available as an external pre-filter
-    for candidate generation; the authoritative test is
-    :func:`check_feasible`, which this search applies throughout.
+    full lambda grid by :func:`check_feasible`; its diagnostics are embedded
+    in the result. No randomness anywhere.
     """
     state = _SearchState(cfg=cfg, threads=threads)
 
@@ -378,20 +326,10 @@ def solve(cfg: FeasibilityConfig, threads: int | None = None) -> OptimizationRes
     # Columns whose J even at the pointer cannot beat the incumbent are
     # skipped without evaluation. The outcome is exactly the feasible grid
     # argmax of J.
-    ks = np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS)
-    if cfg.clip_min == cfg.clip_max:
-        cs = np.array([cfg.clip_min])
-    else:
-        cs = np.linspace(cfg.clip_min, cfg.clip_max, C_GRID_POINTS)
-    lam_next = cfg.job_skeleton.lambda_max + 1
-
+    ks, slices = _phase_a_grid(cfg)
     best = None
     best_j = -math.inf
-    for C in (float(c) for c in cs):
-        theta_hi = (1.0 - 1e-6) / (C * lam_next)
-        if theta_hi <= THETA_GRID_LO:
-            continue
-        thetas = np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS)
+    for C, thetas in slices:
         pointer = len(thetas) - 1
         for k in (float(v) for v in ks):
             if pointer < 0:
@@ -416,7 +354,7 @@ def solve(cfg: FeasibilityConfig, threads: int | None = None) -> OptimizationRes
     if best is None:
         raise InfeasibleError(
             "no feasible point in the configured box",
-            diagnostics=_infeasibility_diagnostics(cfg, state, _grid(cfg)))
+            diagnostics=_infeasibility_diagnostics(cfg, state))
 
     # Phase B: coordinate-wise golden-section along the feasibility boundary.
     # A probe at k (or C) evaluates J with theta snapped to its largest

@@ -2,8 +2,8 @@
 
 All types are immutable, validate their invariants at construction (no silent
 clamping), and serialize to JSON dicts whose keys match the field names
-exactly. ``from_json_dict`` rejects unknown keys so malformed job files fail
-loudly at the boundary.
+exactly. ``from_json_dict`` rejects unknown keys and booleans so malformed
+job files fail loudly at the boundary.
 """
 
 from __future__ import annotations
@@ -50,12 +50,24 @@ def to_json_dict(obj: Any) -> dict:
     return out
 
 
-def from_json_dict(cls: Type[T], data: Mapping[str, Any]) -> T:
-    """Construct a dataclass from a dict, rejecting unknown keys."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+def check_json_section(name: str, data: Any, allowed: set[str]) -> None:
+    """Reject a job-file section that is not an object, has unknown keys, or
+    holds a boolean: every section field is numeric, and a JSON ``true``
+    would otherwise pass as the integer 1."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{name}: expected a JSON object, got {type(data).__name__}")
+    unknown = set(data) - allowed
     if unknown:
-        raise ValueError(f"{cls.__name__}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
+    flags = sorted(key for key, value in data.items() if isinstance(value, bool))
+    if flags:
+        raise ValueError(f"{name}: {flags} must be numbers, not booleans")
+
+
+def from_json_dict(cls: Type[T], data: Mapping[str, Any]) -> T:
+    """Construct a dataclass from a job-file section (see
+    :func:`check_json_section`)."""
+    check_json_section(cls.__name__, data, {f.name for f in dataclasses.fields(cls)})
     return cls(**data)
 
 
@@ -102,6 +114,9 @@ class LaplaceParams:
         _require(_finite(self.b) and self.b > 0, f"b must be > 0, got {self.b}")
 
 
+MechanismParams = GammaPlrvParams | GaussianParams | LaplaceParams
+
+
 @dataclass(frozen=True)
 class PrivacyTarget:
     epsilon_star: float
@@ -136,16 +151,16 @@ class AccountingJob:
 
     def __post_init__(self):
         _require(isinstance(self.steps_T, int) and self.steps_T >= 1,
-                 f"steps_T must be a positive integer, got {self.steps_T}")
+                 f"steps_T must be a positive integer, got {self.steps_T!r}")
         _require(0.0 <= self.sampling_rate_zeta <= 1.0,
                  f"sampling_rate_zeta must be in [0, 1], got {self.sampling_rate_zeta}")
         _require(isinstance(self.model_dim_N, int) and self.model_dim_N >= 1,
-                 f"model_dim_N must be a positive integer, got {self.model_dim_N}")
+                 f"model_dim_N must be a positive integer, got {self.model_dim_N!r}")
         _require(_finite(self.clip_C) and self.clip_C > 0,
                  f"clip_C must be > 0, got {self.clip_C}")
         _require(0.0 < self.delta < 1.0, f"delta must be in (0, 1), got {self.delta}")
         _require(isinstance(self.lambda_max, int) and self.lambda_max >= 1,
-                 f"lambda_max must be >= 1, got {self.lambda_max}")
+                 f"lambda_max must be a positive integer, got {self.lambda_max!r}")
 
 
 def gamma_seed_lambda_cap(clip_C: float, theta: float) -> int:
@@ -167,21 +182,23 @@ def validate(job: AccountingJob, params: GammaPlrvParams) -> None:
     worst = job.lambda_max * job.clip_C * params.theta
     if worst >= 1.0:
         cap = gamma_seed_lambda_cap(job.clip_C, params.theta)
+        remedy = (f"maximal admissible lambda_max is {cap}" if cap >= 1 else
+                  f"no moment order is admissible at this (C, theta): "
+                  f"C * theta = {job.clip_C * params.theta:.6g}")
         raise MgfDomainViolation(
             f"lambda_max * C * theta = {worst:.6g} >= 1: the gamma-seed MGF "
-            f"does not exist at the largest moment; maximal admissible "
-            f"lambda_max is {cap}",
+            f"does not exist at the largest moment; {remedy}",
             max_admissible_lambda=cap,
         )
 
 
-def effective_lambda_max(job: AccountingJob, params: GammaPlrvParams | None = None) -> int:
+def effective_lambda_max(job: AccountingJob, params: MechanismParams | None = None) -> int:
     """Moment-grid cap actually used for a job.
 
     Gamma-seed jobs shrink the user cap to the MGF-safe value; the other
     mechanisms use the user cap as-is.
     """
-    if params is None:
+    if not isinstance(params, GammaPlrvParams):
         return job.lambda_max
     return max(1, min(job.lambda_max, gamma_seed_lambda_cap(job.clip_C, params.theta)))
 

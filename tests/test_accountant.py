@@ -5,21 +5,17 @@ import numpy as np
 import pytest
 
 from plrvo.accountant import (
-    MomentTermContext,
     account,
-    branch_coefficients,
     build_curve,
     coarse_lambda_ladder,
     compose,
     delta_from_epsilon,
     epsilon_from_delta,
-    gamma_mgf_log,
     gaussian_subsampled_log_moment,
     laplace_multivariate_log_moment,
     laplace_privacy_loss_bound,
     laplace_univariate_log_moment,
     minimize_epsilon_lazy,
-    plrv_g_term,
     plrv_multivariate_log_moment,
     plrv_univariate_log_moment,
 )
@@ -116,60 +112,98 @@ def mc_laplace_log_moment(b, C, zeta, lam, n, seed):
 
 
 # --- branch coefficients and kernels ----------------------------------------
+# At zeta = 1 only the eta = lam + 1 term of the binomial mixture is left, so
+# the univariate moment of order eta - 1 is log K(x, eta) itself.
+
+def plrv_log_kernel(params, x, eta):
+    return plrv_univariate_log_moment(params, x, 1.0, eta - 1)
+
+
+def closed_form_plrv_kernel(k, theta, x, eta):
+    b1 = eta / (2 * eta - 1)
+    return (b1 * (1 - (eta - 1) * x * theta) ** -k
+            + (1 - b1) * (1 + eta * x * theta) ** -k)
+
 
 class TestBranchCoefficients:
     def test_degenerate_indices(self):
-        assert branch_coefficients(0) == (0.0, 1.0)
-        assert branch_coefficients(1) == (1.0, 0.0)
+        # eta = 0 and eta = 1 carry one branch at MGF argument 0, so their
+        # kernel is exactly 1: at lam = 1 the mixture reduces to
+        # (1-z)^2 + 2z(1-z) + z^2 K(x, 2)
+        p, x, z = LaplaceParams(b=0.7), 0.9, 0.3
+        k2 = math.exp(laplace_univariate_log_moment(p, x, 1.0, 1))
+        want = math.log((1 - z) ** 2 + 2 * z * (1 - z) + z * z * k2)
+        assert laplace_univariate_log_moment(p, x, z, 1) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("eta", range(2, 40))
     def test_coefficients_sum_to_one(self, eta):
-        b1, b2 = branch_coefficients(eta)
-        assert b1 + b2 == pytest.approx(1.0, abs=1e-15)
-        assert b1 == pytest.approx(eta / (2 * eta - 1), rel=1e-15)
+        p = GammaPlrvParams(k=3.0, theta=1e-3)
+        # at x = 0 both MGFs are 1, leaving log(b1 + b2)
+        assert plrv_log_kernel(p, 0.0, eta) == pytest.approx(0.0, abs=1e-15)
+        assert plrv_log_kernel(p, 0.5, eta) == pytest.approx(
+            math.log(closed_form_plrv_kernel(3.0, 1e-3, 0.5, eta)), rel=1e-12)
 
     def test_context_arguments(self):
-        ctx = MomentTermContext.at(3, 0.5)
-        assert (ctx.a1, ctx.a2) == (1.0, -1.5)
+        # eta = 3 at x = 0.5: the branch MGFs are taken at 1.0 and -1.5
+        p = GammaPlrvParams(k=2.0, theta=0.1)
+        want = 0.6 * (1 - 0.1 * 1.0) ** -2 + 0.4 * (1 - 0.1 * -1.5) ** -2
+        assert plrv_log_kernel(p, 0.5, 3) == pytest.approx(math.log(want), rel=1e-14)
 
 
 class TestGammaMgfLog:
+    """The seed MGF log M(t) = -k log(1 - t theta), read through the kernel."""
+
     def test_zero_argument(self):
-        assert gamma_mgf_log(GammaPlrvParams(k=3.0, theta=0.2), 0.0) == 0.0
+        assert plrv_log_kernel(GammaPlrvParams(k=3.0, theta=0.2), 0.0, 5) == \
+            pytest.approx(0.0, abs=1e-15)
 
     def test_negative_argument_closed_form(self):
-        got = gamma_mgf_log(GammaPlrvParams(k=2.0, theta=0.5), -2.0)
-        assert got == pytest.approx(-2.0 * math.log(2.0), rel=1e-14)
+        # k = 2, theta = 0.5, eta = 2, x = 1: (2/3) (1 - 0.5)^-2 + (1/3) (1 + 1)^-2
+        got = plrv_log_kernel(GammaPlrvParams(k=2.0, theta=0.5), 1.0, 2)
+        assert got == pytest.approx(math.log(2 / 3 * 4 + 1 / 3 / 4), rel=1e-14)
 
     def test_monte_carlo_oracle(self):
-        k, theta, t = 10.0, 0.01, 5.0
+        k, theta, x, eta = 10.0, 0.01, 2.5, 3
         rng = np.random.default_rng(99)
         n = 10**6
-        samples = np.exp(t * rng.gamma(k, theta, size=n))
+        u = rng.gamma(k, theta, size=n)
+        b1 = eta / (2 * eta - 1)
+        samples = b1 * np.exp((eta - 1) * x * u) + (1 - b1) * np.exp(-eta * x * u)
         mean = float(samples.mean())
         se_log = float(samples.std(ddof=1)) / math.sqrt(n) / mean
-        assert abs(gamma_mgf_log(GammaPlrvParams(k=k, theta=theta), t)
-                   - math.log(mean)) <= 3 * se_log
+        got = plrv_log_kernel(GammaPlrvParams(k=k, theta=theta), x, eta)
+        assert abs(got - math.log(mean)) <= 3 * se_log
 
     def test_domain_violation(self):
+        # the eta = 2 branch needs M(x) with x * theta = 1
         with pytest.raises(MgfDomainViolation):
-            gamma_mgf_log(GammaPlrvParams(k=1.0, theta=0.5), 2.0)
+            plrv_log_kernel(GammaPlrvParams(k=1.0, theta=0.5), 2.0, 2)
 
 
 class TestPlrvGTerm:
     @pytest.mark.parametrize("eta", [0, 1])
     def test_degenerate_exactly_one(self, eta):
-        assert plrv_g_term(GammaPlrvParams(k=10.0, theta=0.01), 1.0, eta) == 1.0
+        p, x = GammaPlrvParams(k=10.0, theta=0.01), 1.0
+        if eta == 0:
+            # zeta = 0 leaves only the eta = 0 term
+            assert plrv_univariate_log_moment(p, x, 0.0, 3) == 0.0
+        else:
+            # lam = 1: (1-z)^2 K(x, 0) + 2z(1-z) K(x, 1) + z^2 K(x, 2)
+            z = 0.4
+            k2 = math.exp(plrv_log_kernel(p, x, 2))
+            want = math.log((1 - z) ** 2 + 2 * z * (1 - z) + z * z * k2)
+            assert plrv_univariate_log_moment(p, x, z, 1) == pytest.approx(want, rel=1e-14)
 
     def test_extended_precision_oracle(self):
         p = GammaPlrvParams(k=10.0, theta=0.01)
         for eta in [2, 3, 7]:
-            exact = float(mp_plrv_kernel(10, mpmath.mpf("0.01"), 1.0, eta))
-            assert plrv_g_term(p, 1.0, eta) == pytest.approx(exact, rel=1e-13)
+            exact = float(mpmath.log(mp_plrv_kernel(10, mpmath.mpf("0.01"), 1.0, eta)))
+            assert plrv_log_kernel(p, 1.0, eta) == pytest.approx(exact, rel=1e-13)
 
     def test_reference_value(self):
-        got = plrv_g_term(GammaPlrvParams(k=10.0, theta=0.01), 1.0, 2)
-        assert got == pytest.approx((2 / 3) * 0.99**-10 + (1 / 3) * 1.02**-10, rel=1e-12)
+        got = plrv_log_kernel(GammaPlrvParams(k=10.0, theta=0.01), 1.0, 2)
+        assert got == pytest.approx(
+            math.log((2 / 3) * 0.99**-10 + (1 / 3) * 1.02**-10), rel=1e-12)
 
 
 # --- univariate moments ------------------------------------------------------

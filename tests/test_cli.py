@@ -1,7 +1,9 @@
 import json
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from plrvo.cli import main
 
@@ -143,6 +145,102 @@ class TestExitCodes:
                              optimizer={"clip_min": 0.5, "clip_max": 1.0})])
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
+
+
+    def test_mgf_domain_error_names_c_theta(self, tmp_path, capsys):
+        # C * theta = 83.2: the MGF cap floor(1/(C theta)) - 1 is negative
+        job = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
+               "clip_C": 1e5, "delta": 1e-5, "lambda_max": 8}
+        assert main(["account", write_job(tmp_path, job=job)]) == 2
+        err = capsys.readouterr().err
+        assert "no moment order is admissible" in err
+        assert "C * theta = 83.2" in err and "is -1" not in err
+
+
+SMALL_JOB = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 20,
+             "clip_C": 1.0, "delta": 1e-5, "lambda_max": 8}
+TARGET = {"epsilon_star": 2.0, "delta_star": 1e-5}
+OPTIMIZER = {"clip_min": 0.5, "clip_max": 1.0, "gamma_cdf_tol": 1e-6,
+             "distortion_cap": 10.0}
+BASE_JOBS = {
+    "plrvo": {"mechanism": "plrvo", "params": {"k": 50.0, "theta": 2e-3}},
+    "gaussian": {"mechanism": "gaussian", "params": {"sigma": 1.5}},
+    "laplace": {"mechanism": "laplace", "params": {"b": 2.0}},
+}
+for _doc in BASE_JOBS.values():
+    _doc.update(job=SMALL_JOB, target=TARGET, optimizer=OPTIMIZER)
+
+BOOLEAN_FIELDS = ([("plrvo", "params", key) for key in ("k", "theta")]
+                  + [("gaussian", "params", "sigma"), ("laplace", "params", "b")]
+                  + [("plrvo", section, key)
+                     for section in ("job", "target", "optimizer")
+                     for key in BASE_JOBS["plrvo"][section]])
+
+
+def with_value(doc: dict, section: str, key: str, value) -> dict:
+    return dict(doc, **{section: dict(doc[section], **{key: value})})
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("mech,section,key", BOOLEAN_FIELDS)
+    def test_boolean_field_rejected(self, tmp_path, capsys, mech, section, key):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(with_value(BASE_JOBS[mech], section, key, True)))
+        assert main(["account", str(path)]) == 1
+        assert "not booleans" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--mechanism", "laplace", "--b", "-1"], "b must be > 0"),
+        (["--n", "0"], "--n"),
+        (["--draws", "-1"], "--draws"),
+    ])
+    def test_bad_sample_flag(self, capsys, flags, named):
+        argv = ["sample", "--k", "10", "--theta", "0.1", "--n", "4", "--draws", "3"]
+        assert main(argv + flags) == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_bad_thread_flag(self, tmp_path, capsys, threads):
+        assert main(["--threads", threads, "account", write_job(tmp_path, job=SMALL_JOB)]) == 1
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
+    def test_bad_thread_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PLRV_THREADS", "0")
+        assert main(["account", write_job(tmp_path, job=SMALL_JOB)]) == 1
+        assert "PLRV_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--batch", "--examples"])
+    def test_train_demo_zero_size(self, capsys, flag):
+        assert main(["train-demo", "--mechanism", "gaussian", "--epsilon", "2.0",
+                     flag, "0"]) == 1
+        assert "batch_size must be in" in capsys.readouterr().err
+
+    FUZZ_VALUES = [True, False, None, "1", [], {}, math.nan, math.inf, -1, 0, 1e308]
+    NUMERIC = [(section, key) for section in ("params", "job", "target", "optimizer")
+               for key in sorted({k for doc in BASE_JOBS.values() for k in doc[section]})]
+    MUTATION = st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(["params", "job", "target", "optimizer"]),
+                  st.sampled_from([None] + sorted({k for _, k in NUMERIC}))),
+        st.tuples(st.just("swap"), st.sampled_from(NUMERIC), st.sampled_from(FUZZ_VALUES)))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mech=st.sampled_from(sorted(BASE_JOBS)), mutations=st.lists(MUTATION, max_size=4))
+    def test_fuzzed_job_file(self, tmp_path, mech, mutations):
+        # every malformed job file ends in an exit code, never an exception
+        doc = json.loads(json.dumps(BASE_JOBS[mech]))
+        for op, where, what in mutations:
+            if op == "drop":
+                if what is None:
+                    doc.pop(where, None)
+                elif isinstance(doc.get(where), dict):
+                    doc[where].pop(what, None)
+            elif isinstance(doc.get(where[0]), dict):
+                doc[where[0]][where[1]] = what
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--threads", "1", "account", str(path),
+                     "--lambda-search", "coarse"]) in (0, 1, 2, 3)
 
 
 class TestSweep:

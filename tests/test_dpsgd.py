@@ -126,18 +126,17 @@ class TestTrain:
     def test_steps_and_rate_consistent(self):
         run = TrainingRun(mechanism=GaussianParams(sigma=1.0), n_examples=150,
                           epochs=3, batch_size=40)
-        assert run.steps == math.ceil(3 * 150 / 40)
-        assert run.sampling_rate == 40 / 150
+        assert run.job.steps_T == math.ceil(3 * 150 / 40)
+        assert run.job.sampling_rate_zeta == 40 / 150
 
     def test_ledger_reports_loop_parameters(self):
         run = TrainingRun(mechanism=GaussianParams(sigma=2.0), model_dim=2,
                           n_examples=80, epochs=1, batch_size=20, seed=3)
         ledger = train(run)
-        assert ledger["steps_T"] == run.steps
-        assert ledger["sampling_rate_zeta"] == run.sampling_rate
+        assert ledger["steps_T"] == math.ceil(80 / 20)
+        assert ledger["sampling_rate_zeta"] == 20 / 80
         direct = account(run.mechanism,
-                         AccountingJob(steps_T=run.steps,
-                                       sampling_rate_zeta=run.sampling_rate,
+                         AccountingJob(steps_T=4, sampling_rate_zeta=0.25,
                                        model_dim_N=2, clip_C=1.0, delta=1e-5,
                                        lambda_max=64))
         assert ledger["epsilon_report"]["epsilon"] == direct.epsilon

@@ -7,13 +7,10 @@ import scipy.special
 from hypothesis import given
 
 from plrvo.numerics import (
-    LOG_ZERO,
-    LogValue,
     QuadratureError,
     integrate_decaying,
     log_binomial,
     log_gamma,
-    log_sum_exp,
     regularized_lower_gamma,
 )
 
@@ -68,34 +65,6 @@ class TestLogBinomial:
         total = sum(math.exp(log_binomial(n, r)) * p**r * (1 - p) ** (n - r)
                     for r in range(n + 1))
         assert total == pytest.approx(1.0, abs=1e-10)
-
-
-class TestLogSumExp:
-    def test_known_values(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
-        assert log_sum_exp([LOG_ZERO, 3.7]) == pytest.approx(3.7, abs=1e-15)
-        assert log_sum_exp([1000.0, 1000.0, 1000.0]) == pytest.approx(
-            1000.0 + math.log(3.0), abs=1e-12)
-
-    def test_all_log_zero(self):
-        assert log_sum_exp([LOG_ZERO, LOG_ZERO]) == LOG_ZERO
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
-
-    @given(st.lists(st.floats(min_value=-600, max_value=600), min_size=1, max_size=20),
-           st.floats(min_value=-100, max_value=100))
-    def test_shift_equivariance(self, terms, c):
-        shifted = log_sum_exp([t + c for t in terms])
-        assert shifted == pytest.approx(log_sum_exp(terms) + c, abs=1e-12)
-
-    @given(st.lists(st.floats(min_value=-600, max_value=600), min_size=2, max_size=20),
-           st.randoms())
-    def test_permutation_invariance(self, terms, rnd):
-        shuffled = list(terms)
-        rnd.shuffle(shuffled)
-        assert log_sum_exp(shuffled) == pytest.approx(log_sum_exp(terms), abs=1e-12)
 
 
 class TestRegularizedLowerGamma:
@@ -157,20 +126,3 @@ class TestIntegrateDecaying:
     def test_divergent_raises(self):
         with pytest.raises(QuadratureError):
             integrate_decaying(lambda z: (1.0 + z) ** -1, 0.0, max_panels=200)
-
-
-class TestLogValue:
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError):
-            LogValue(float("nan"))
-        with pytest.raises(ValueError):
-            LogValue(float("inf"))
-
-    def test_zero_round_trip(self):
-        v = LogValue.from_linear(0.0)
-        assert v.is_zero and v.to_linear() == 0.0
-
-    def test_linear_round_trip(self):
-        assert LogValue.from_linear(2.5).to_linear() == pytest.approx(2.5, rel=1e-15)
-        with pytest.raises(ValueError):
-            LogValue.from_linear(-1.0)

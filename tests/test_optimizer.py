@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -8,11 +7,8 @@ from plrvo.accountant import account
 from plrvo.optimizer import (
     FeasibilityConfig,
     InfeasibleError,
-    NegativeDiscriminant,
     all_pass,
     check_feasible,
-    gamma_plrv_k_bounds,
-    gamma_plrv_k_interval,
     objective,
     solve,
 )
@@ -80,50 +76,6 @@ class TestCheckFeasible:
         assert check_feasible((141.06, 8.32e-4, 10.0), relaxed)["c1"]["passed"]
 
 
-class TestKBounds:
-    def test_zero_residual_back_substitution(self):
-        # roots must satisfy A k^2 - 4 L k - 11.09375/4 = 0
-        for C, theta, eta in [(1.0, 0.5, 2), (0.5, 0.3, 5), (2.0, 0.05, 4),
-                              (1.0, 0.01, 9)]:
-            k1, k2 = gamma_plrv_k_bounds(C, theta, eta)
-            L = math.log(1 - C * theta * (eta - 1))
-            A = C * C * theta * theta * (eta - eta * eta)
-            for k in (k1, k2):
-                resid = A * k * k - 4 * L * k - 11.09375 / 4.0
-                assert abs(resid) <= 1e-9
-            assert k1 <= k2
-
-    def test_extended_precision_oracle(self):
-        C, theta, eta = 1.0, 0.5, 2
-        with mpmath.workdps(50):
-            L = mpmath.log(1 - C * theta * (eta - 1))
-            A = mpmath.mpf(C * C) * theta * theta * (eta - eta * eta)
-            disc = 16 * L * L + mpmath.mpf("11.09375") * A
-            lo = float((4 * L + mpmath.sqrt(disc)) / (2 * A))
-            hi = float((4 * L - mpmath.sqrt(disc)) / (2 * A))
-        k1, k2 = gamma_plrv_k_bounds(C, theta, eta)
-        assert k1 == pytest.approx(min(lo, hi), rel=1e-12)
-        assert k2 == pytest.approx(max(lo, hi), rel=1e-12)
-
-    def test_log_domain_error(self):
-        # C*theta*(eta-1) -> 1 makes the log argument nonpositive
-        with pytest.raises(ValueError):
-            gamma_plrv_k_bounds(1.0, 0.5, 3)
-
-    def test_negative_discriminant_at_small_c_theta(self):
-        # at eta=2 with tiny C*theta, 16 ln^2(1-x) ~ 16x^2 < 22.1875x^2
-        with pytest.raises(NegativeDiscriminant):
-            gamma_plrv_k_bounds(1.0, 1e-3, 2)
-
-    def test_interval_intersection(self):
-        assert gamma_plrv_k_interval(1.0, 1e-3, 8) is None  # eta=2 already empty
-        got = gamma_plrv_k_interval(1.0, 0.35, 2)
-        assert got is not None and got[0] <= got[1]
-        # the intersection is no wider than any single member
-        single = gamma_plrv_k_bounds(1.0, 0.35, 2)
-        assert got[0] >= single[0] - 1e-12 and got[1] <= single[1] + 1e-12
-
-
 class TestSolve:
     def test_pinned_clip(self):
         cfg = toy_cfg(clip_min=0.8, clip_max=0.8)
@@ -189,6 +141,25 @@ class TestSolve:
         with pytest.raises(InfeasibleError) as exc:
             solve(cfg)
         assert exc.value.diagnostics  # per-clip tightest constraint report
+
+    def test_infeasible_diagnostics_pinned(self):
+        # Phase A's grid order decides which constraint wins a tie within a clip
+        cfg = toy_cfg(epsilon=1e-6, N=200, T=10_000, zeta=0.5, lambda_max=16)
+        with pytest.raises(InfeasibleError) as exc:
+            solve(cfg)
+        c4 = {"constraint": "c4", "margin": -1.0000000001675335e-07}
+        want = {
+            "clip=0.5": c4,
+            "clip=0.571429": {"constraint": "c1", "margin": -6.943546621157129e-08},
+            "clip=0.642857": c4,
+            "clip=0.714286": c4,
+            "clip=0.785714": {"constraint": "c1", "margin": -5.801309812638408e-08},
+            "clip=0.857143": c4,
+            "clip=0.928571": c4,
+            "clip=1": c4,
+        }
+        assert exc.value.diagnostics == want
+        assert list(exc.value.diagnostics) == list(want)
 
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
