@@ -15,14 +15,19 @@ eta/(2*eta-1) and (eta-1)/(2*eta-1); the degenerate eta = 0 and eta = 1
 branches carry coefficient zero and are represented as absent log terms
 (log-zero), never as log(0).
 
-Everything is computed in log space. The multivariate (per-model-coordinate)
-sum streams the majorization set lazily in fixed-size chunks; chunk partial
-sums are combined by a fixed pairwise tree keyed on chunk index, so results
-are bitwise identical for any worker count.
+Everything is computed in log space. The (lambda, eta) log-weight matrix is
+cached per (zeta, lambda cap); one shifted matrix product mixes all orders,
+and a coordinate it cannot mix to full precision is mixed again by the
+exact per-order log-sum-exp (see :func:`_mix`). The multivariate sum streams
+the majorization set in fixed-size chunks whose partial sums meet in a fixed
+pairwise tree, so results are bitwise identical for any worker count; BLAS
+splits the product by output blocks, never along eta, so its thread count
+cannot change them either (both are tested).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -85,6 +90,18 @@ def _log_subsample_weights(zeta: float, lam: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _log_weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
+    """Read-only (lam_cap, lam_cap + 2) matrix: row lam - 1 holds
+    :func:`_log_subsample_weights` of order lam and -inf beyond; built once
+    per (zeta, cap) and shared by every chunk, call and order."""
+    out = np.full((lam_cap, lam_cap + 2), LOG_ZERO)
+    for lam in range(1, lam_cap + 1):
+        out[lam - 1, : lam + 2] = _log_subsample_weights(zeta, lam)
+    out.flags.writeable = False
+    return out
+
+
 # A branch function maps (x_vector, eta_column) -> (lm1, lm2): matrices of
 # the log values of the two kernel branches before mixing, shaped
 # (n_eta, n_x). eta rows 0 and 1 are ignored by the caller (their branch
@@ -119,22 +136,38 @@ def _laplace_branches(params: LaplaceParams) -> BranchFn:
     return branches
 
 
-def _per_coordinate_log_moments(branches: BranchFn, x: np.ndarray, zeta: float,
-                                lambdas: Sequence[int]) -> dict[int, np.ndarray]:
-    """Vector of per-coordinate log moments for each requested order.
-
-    The kernel values depend on eta only, so they are computed once as an
-    (eta, x) matrix shared by all requested lambdas; each lambda then
-    log-sum-exps its weighted eta slice. Values are floored at zero (the
-    true moments are >= 1 in linear space; x coordinates are sorted
-    descending, so the largest MGF argument sits at [last eta, first x]).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    lambdas = sorted(set(int(l) for l in lambdas))
-    if not lambdas or lambdas[0] < 1:
+def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray) -> dict[int, np.ndarray]:
+    """alpha[lam] = max(0, log sum_eta w(lam, eta) K(x, eta)) from rows
+    lam - 1 of the weight matrix and the (eta, x) log kernel ``log_g``, by
+    one shifted matrix product. A column with a scaled sum below 1e-250,
+    or not finite, has lost precision and is mixed again by the exact
+    per-order log-sum-exp; so is every column when a row has one live
+    weight (zeta = 0 or 1), whose moment is then exact."""
+    if min(lambdas) < 1:
         raise ValueError(f"moment orders must be positive integers, got {lambdas}")
-    eta_max = lambdas[-1] + 1
+    log_w = log_w[np.asarray(lambdas) - 1, : log_g.shape[0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rmax = log_w.max(axis=1, keepdims=True)
+        cmax = log_g.max(axis=0)
+        alpha = np.exp(log_w - rmax) @ np.exp(log_g - cmax)
+        redo = ~np.all(alpha >= 1e-250, axis=0)  # NaN fails the test too
+        redo |= np.any(np.count_nonzero(log_w != LOG_ZERO, axis=1) == 1)
+        np.log(alpha, out=alpha)
+        alpha += cmax
+        alpha += rmax
+        if redo.any():
+            g = log_g[:, redo]
+            for row, w in zip(alpha, log_w):
+                live = w != LOG_ZERO
+                t = w[live, None] + g[live]
+                m = t.max(axis=0)
+                row[redo] = m + np.log(np.sum(np.exp(t - m[None, :]), axis=0))
+    return dict(zip(lambdas, np.maximum(alpha, 0.0, out=alpha)))
 
+
+def _log_kernel(branches: BranchFn, x: np.ndarray, eta_max: int) -> np.ndarray:
+    """(eta, x) matrix of log K(x, eta) for eta = 0..eta_max, shared by every
+    order up to eta_max - 1; rows 0 and 1 are exactly 0."""
     log_g = np.zeros((eta_max + 1, x.size))
     if eta_max >= 2:
         etas = np.arange(2, eta_max + 1, dtype=np.float64)
@@ -147,16 +180,7 @@ def _per_coordinate_log_moments(branches: BranchFn, x: np.ndarray, zeta: float,
         hi = np.maximum(lm1, lm2)
         np.abs(lm1 - lm2, out=lm1)
         log_g[2:] = hi + np.log1p(np.exp(-lm1))
-
-    out = {}
-    for lam in lambdas:
-        log_w = _log_subsample_weights(zeta, lam)
-        live = log_w != LOG_ZERO
-        t = log_w[live, None] + log_g[: lam + 2][live]
-        m = t.max(axis=0)
-        alpha = m + np.log(np.sum(np.exp(t - m[None, :]), axis=0))
-        out[lam] = np.maximum(alpha, 0.0)
-    return out
+    return log_g
 
 
 def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,
@@ -170,8 +194,8 @@ def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,
             f"lambda * x * theta = {lam * x * params.theta:.6g} >= 1",
             max_admissible_lambda=int(math.floor(1.0 / (x * params.theta))) - 1,
         )
-    vec = _per_coordinate_log_moments(_plrv_branches(params), np.array([x]), zeta, [lam])
-    return float(vec[lam][0])
+    log_g = _log_kernel(_plrv_branches(params), np.array([x], dtype=np.float64), lam + 1)
+    return float(_mix(_log_weight_matrix(zeta, lam), [lam], log_g)[lam][0])
 
 
 def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
@@ -180,19 +204,21 @@ def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
     on a single coordinate bounded by x."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    vec = _per_coordinate_log_moments(_laplace_branches(params), np.array([x]), zeta, [lam])
-    return float(vec[lam][0])
+    log_g = _log_kernel(_laplace_branches(params), np.array([x], dtype=np.float64), lam + 1)
+    return float(_mix(_log_weight_matrix(zeta, lam), [lam], log_g)[lam][0])
 
 
 def gaussian_subsampled_log_moment(params: GaussianParams, zeta: float, lam: int) -> float:
-    """Per-step log moment of the subsampled Gaussian mechanism: the binomial
-    mixture with kernel exp((eta^2 - eta) / (2 sigma^2))."""
-    log_w = _log_subsample_weights(zeta, lam)
-    inv_2s2 = 1.0 / (2.0 * params.sigma * params.sigma)
-    terms = [log_w[eta] + (eta * eta - eta) * inv_2s2
-             for eta in range(lam + 2) if log_w[eta] != LOG_ZERO]
-    m = max(terms)
-    return max(0.0, m + math.log(sum(math.exp(t - m) for t in terms)))
+    """Per-step log moment of the subsampled Gaussian mechanism."""
+    return _gaussian_log_moments(params, _log_weight_matrix(zeta, lam), [lam])[lam]
+
+
+def _gaussian_log_moments(params: GaussianParams, log_w: np.ndarray,
+                          lambdas: Sequence[int]) -> dict[int, float]:
+    """The binomial mixture with the x-free kernel exp((eta^2 - eta) / (2 sigma^2))."""
+    eta = np.arange(max(lambdas) + 2, dtype=np.float64)
+    log_g = (eta * eta - eta) * (1.0 / (2.0 * params.sigma * params.sigma))
+    return {lam: float(a[0]) for lam, a in _mix(log_w, lambdas, log_g[:, None]).items()}
 
 
 def _pairwise_tree_sum(values: list[float]) -> float:
@@ -224,7 +250,7 @@ def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
     through a fixed tree, so the result is bitwise reproducible.
     """
     lambdas = sorted(set(int(l) for l in lambdas))
-    zeta = job.sampling_rate_zeta
+    log_w = _log_weight_matrix(job.sampling_rate_zeta, max(job.lambda_max, lambdas[-1]))
     mset = MajorizationSet(job.clip_C, job.model_dim_N)
     n_eta = lambdas[-1] + 2
     chunk = max(4096, min(1 << 16, _CHUNK_TARGET_ELEMENTS // n_eta))
@@ -232,7 +258,7 @@ def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
 
     def chunk_sums(r: tuple[int, int]) -> dict[int, float]:
         xs = mset.coordinates(r[0], r[1])
-        per = _per_coordinate_log_moments(branches, xs, zeta, lambdas)
+        per = _mix(log_w, lambdas, _log_kernel(branches, xs, lambdas[-1] + 1))
         return {lam: float(np.sum(v)) for lam, v in per.items()}
 
     workers = resolve_threads(threads)
@@ -383,8 +409,8 @@ def per_step_alpha_batch(params: MechanismParams, job: AccountingJob,
     if isinstance(params, LaplaceParams):
         return laplace_multivariate_log_moments(params, job, lambdas, threads)
     if isinstance(params, GaussianParams):
-        return {int(l): gaussian_subsampled_log_moment(params, job.sampling_rate_zeta, int(l))
-                for l in lambdas}
+        log_w = _log_weight_matrix(job.sampling_rate_zeta, max(job.lambda_max, *lambdas))
+        return _gaussian_log_moments(params, log_w, lambdas)
     raise TypeError(f"unsupported mechanism params {type(params).__name__}")
 
 
@@ -467,6 +493,10 @@ def account(params: MechanismParams, job: AccountingJob,
                     accel_errors.append(err)
             else:
                 vals = per_step_alpha_batch(params, job_eff, missing, threads)
+            for l, alpha in vals.items():
+                if not math.isfinite(alpha):
+                    raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
+                                             f"moment of order {l} is {alpha}")
             per_step_cache.update(vals)
         return {l: job.steps_T * per_step_cache[l] for l in lams}
 
@@ -526,7 +556,8 @@ def accelerated_multivariate_log_moment(params: GammaPlrvParams | LaplaceParams,
         idx = _geometric_index_grid(job.model_dim_N, r)
         xs = MajorizationSet(job.clip_C, job.model_dim_N).clip_C / (
             np.sqrt(idx.astype(np.float64)) + np.sqrt(idx.astype(np.float64) - 1.0))
-        per = _per_coordinate_log_moments(branches, xs, job.sampling_rate_zeta, [lam])[lam]
+        per = _mix(_log_weight_matrix(job.sampling_rate_zeta, lam), [lam],
+                   _log_kernel(branches, xs, lam + 1))[lam]
         head = idx <= _ACCEL_DENSE_HEAD
         total = float(np.sum(per[head]))
         tail_idx = idx[~head]

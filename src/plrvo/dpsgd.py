@@ -100,7 +100,8 @@ def l2_clip(g: np.ndarray, C: float) -> np.ndarray:
 def _per_example_gradients(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows are logistic-loss gradients, -y_i * sigmoid(-y_i <w, x_i>) * x_i."""
     margin = y * (x @ w)
-    s = 1.0 / (1.0 + np.exp(margin))
+    with np.errstate(over="ignore"):  # exp(margin) = inf saturates s to exactly 0
+        s = 1.0 / (1.0 + np.exp(margin))
     return -(y * s)[:, None] * x
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Type, TypeVar
 
@@ -52,8 +53,8 @@ def to_json_dict(obj: Any) -> dict:
 
 def check_json_section(name: str, data: Any, allowed: set[str]) -> None:
     """Reject a job-file section that is not an object, has unknown keys, or
-    holds a boolean: every section field is numeric, and a JSON ``true``
-    would otherwise pass as the integer 1."""
+    holds a value that is not a number: every section field is numeric, and
+    a JSON ``true`` would otherwise pass as the integer 1."""
     if not isinstance(data, Mapping):
         raise ValueError(f"{name}: expected a JSON object, got {type(data).__name__}")
     unknown = set(data) - allowed
@@ -62,6 +63,9 @@ def check_json_section(name: str, data: Any, allowed: set[str]) -> None:
     flags = sorted(key for key, value in data.items() if isinstance(value, bool))
     if flags:
         raise ValueError(f"{name}: {flags} must be numbers, not booleans")
+    for key, value in sorted(data.items()):
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name}: {key} must be a number, got {value!r}")
 
 
 def from_json_dict(cls: Type[T], data: Mapping[str, Any]) -> T:
@@ -208,8 +212,8 @@ class LogMomentCurve:
     """alpha(lambda) samples for one mechanism, one step (or composed).
 
     ``alpha_per_step`` maps integer moment orders to log moments. Values are
-    nonnegative and nondecreasing in lambda; construction enforces both (with
-    a 1e-10 slack on monotonicity for floating-point wobble).
+    finite (else FloatingPointError), nonnegative and nondecreasing in lambda
+    (with a 1e-10 slack for floating-point wobble); construction enforces it.
     """
 
     mechanism: str
@@ -222,7 +226,10 @@ class LogMomentCurve:
         prev = None
         for lam, a in ordered.items():
             _require(lam >= 1, f"moment orders must be >= 1, got {lam}")
-            _require(_finite(a) and a >= 0.0, f"alpha({lam}) = {a} violates alpha >= 0")
+            if not _finite(a):
+                raise FloatingPointError(f"{self.mechanism} per-step log moment of order "
+                                         f"{lam} is {a}")
+            _require(a >= 0.0, f"alpha({lam}) = {a} violates alpha >= 0")
             if prev is not None:
                 _require(a >= prev - 1e-10 * max(1.0, abs(prev)),
                          f"alpha must be nondecreasing in lambda; "

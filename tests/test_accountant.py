@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from plrvo import accountant
 from plrvo.accountant import (
     account,
     build_curve,
@@ -19,6 +25,7 @@ from plrvo.accountant import (
     plrv_multivariate_log_moment,
     plrv_univariate_log_moment,
 )
+from plrvo.majorization import MajorizationSet
 from plrvo.params import (
     AccountingJob,
     GammaPlrvParams,
@@ -510,3 +517,136 @@ class TestAccountDriver:
         accel = account(p, job, lambda_search="coarse", mode="accelerated")
         assert accel.accel_error_estimate is not None
         assert accel.epsilon == pytest.approx(exact.epsilon, rel=1e-3)
+
+
+# --- the mixing kernel -------------------------------------------------------
+# The accountant mixes every order with one shifted matrix product and falls
+# back to the exact per-order log-sum-exp where that loses precision. These
+# tests hold the kernel to the exact form, cell by cell.
+
+def kernel_matrix(branches, x, eta_max):
+    """(eta, x) log kernel, built independently of the accountant's code."""
+    etas = np.arange(2, eta_max + 1, dtype=np.float64)
+    lm1, lm2 = branches(x, etas)
+    log_g = np.zeros((eta_max + 1, x.size))
+    log_g[2:] = np.logaddexp(lm1 + np.log(etas / (2 * etas - 1))[:, None],
+                             lm2 + np.log((etas - 1) / (2 * etas - 1))[:, None])
+    return log_g
+
+
+def exact_log_sum_exp(log_w, log_g):
+    """One log-sum-exp over the live weights per order, floored at zero."""
+    out = []
+    for w in log_w:
+        live = np.isfinite(w)
+        t = w[live, None] + log_g[live]
+        m = t.max(axis=0)
+        out.append(np.maximum(m + np.log(np.sum(np.exp(t - m), axis=0)), 0.0))
+    return np.array(out)
+
+
+def scaled_sums(log_w, log_g):
+    with np.errstate(under="ignore"):
+        return (np.exp(log_w - log_w.max(axis=1, keepdims=True))
+                @ np.exp(log_g - log_g.max(axis=0)))
+
+
+def mixed(log_w_full, lambdas, log_g):
+    return np.array(list(accountant._mix(log_w_full, lambdas, log_g).values()))
+
+
+class TestMixingKernel:
+    def check(self, branches, x, zeta, lam_cap, cols=slice(None)):
+        lambdas = list(range(1, lam_cap + 1))
+        log_w = accountant._log_weight_matrix(zeta, lam_cap)
+        log_g = kernel_matrix(branches, x, lam_cap + 1)
+        got = mixed(log_w, lambdas, log_g)[:, cols]
+        want = exact_log_sum_exp(log_w, log_g[:, cols])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        return log_w, log_g
+
+    def test_paper_first_chunk(self):
+        # every 8th coordinate of the first 65,536-coordinate chunk (columns
+        # are mixed independently); coordinate 1 needs the fallback
+        p = GammaPlrvParams(k=141.06, theta=8.32e-4)
+        x = MajorizationSet(10.0, 65536).coordinates(1, 65536)
+        log_w, log_g = self.check(accountant._plrv_branches(p), x, 0.01024, 119,
+                                  cols=slice(None, None, 8))
+        assert scaled_sums(log_w, log_g[:, :1]).min() < 1e-250
+
+    def test_fallback_columns_near_mgf_bound(self):
+        # L theta x reaches 0.8 at the largest coordinate, where k = 2000 lifts
+        # the kernel's column maximum to about 2000 log 5, far above the
+        # low-eta entries that the low orders mix
+        p = GammaPlrvParams(k=2000.0, theta=0.05)
+        x = MajorizationSet(1.0, 1000).coordinates(1, 1000)
+        log_w, log_g = self.check(accountant._plrv_branches(p), x, 0.07, 16)
+        assert np.sum(scaled_sums(log_w, log_g).min(axis=0) < 1e-250) >= 1
+
+    @pytest.mark.parametrize("zeta", [0.0, 1.0])
+    def test_single_live_weight_is_exact(self, zeta):
+        p = GammaPlrvParams(k=20.0, theta=0.002)
+        x = MajorizationSet(1.5, 300).coordinates(1, 300)
+        lambdas = list(range(1, 33))
+        log_g = kernel_matrix(accountant._plrv_branches(p), x, 33)
+        got = mixed(accountant._log_weight_matrix(zeta, 32), lambdas, log_g)
+        # zeta = 0 keeps only eta = 0 (K = 1), zeta = 1 only eta = lam + 1
+        want = np.zeros_like(got) if zeta == 0.0 else np.maximum(log_g[2:], 0.0)
+        assert np.array_equal(got, want)
+
+    def test_laplace_job(self):
+        x = MajorizationSet(10.0, 5000).coordinates(1, 5000)
+        self.check(accountant._laplace_branches(LaplaceParams(b=2.0)), x, 0.1, 64)
+
+    def test_weight_matrix_cached_and_read_only(self):
+        log_w = accountant._log_weight_matrix(0.3, 12)
+        assert accountant._log_weight_matrix(0.3, 12) is log_w
+        assert not log_w.flags.writeable
+        for lam in (1, 7, 12):
+            row = accountant._log_subsample_weights(0.3, lam)
+            assert np.array_equal(log_w[lam - 1, : lam + 2], row)
+            assert np.all(log_w[lam - 1, lam + 2:] == -np.inf)
+
+    def test_non_finite_moment_raises(self):
+        # x / b overflows: the moments are infinite, not a number to convert
+        job = make_job(clip_C=1e10, model_dim_N=5)
+        with pytest.raises(ArithmeticError, match="laplace .* order 1 is nan"):
+            account(LaplaceParams(b=1e-308), job)
+
+
+PAPER = GammaPlrvParams(k=141.06, theta=8.32e-4)
+PAPER_JOB = dict(steps_T=250, sampling_rate_zeta=0.01024, clip_C=10.0, delta=2e-5,
+                 lambda_max=119)
+
+
+class TestDeterminism:
+    """Bitwise reproducibility across worker and BLAS thread counts."""
+
+    def test_full_grid_threads_bitwise(self):
+        # N = 200,000 is four chunks of at most 65,536 coordinates
+        job = AccountingJob(model_dim_N=200_000, **PAPER_JOB)
+        lambdas = range(1, 120)
+        runs = [accountant.plrv_multivariate_log_moments(PAPER, job, lambdas, threads=t)
+                for t in (1, 2, 4)]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_blas_thread_count_keeps_stdout(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"mechanism": "plrvo", "params": {"k": 141.06,
+                                                                     "theta": 8.32e-4},
+                                    "job": dict(PAPER_JOB, model_dim_N=200_000)}))
+        src = str(Path(accountant.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        outs = []
+        for blas in (None, "1"):
+            env = dict(base, **({"OPENBLAS_NUM_THREADS": blas} if blas else {}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "plrvo.cli", "--threads", "2", "account", str(path),
+                 "--curve", str(tmp_path / f"curve-{blas}.csv")],
+                env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout + (tmp_path / f"curve-{blas}.csv").read_bytes())
+        assert outs[0] == outs[1]

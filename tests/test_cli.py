@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from plrvo.cli import main
+from plrvo.cli import MECHANISM_PARAM_TYPES, main
 
 
 def write_job(tmp_path, name="job.json", **overrides):
@@ -156,6 +156,19 @@ class TestExitCodes:
         assert "no moment order is admissible" in err
         assert "C * theta = 83.2" in err and "is -1" not in err
 
+    @pytest.mark.parametrize("command,flags", [
+        ("account", []), ("account", ["--mode", "accelerated"]),
+        ("account", ["--curve", "curve.csv"]), ("sweep-t", ["--t-values", "1,2"])])
+    def test_non_finite_moment_exit_2(self, tmp_path, capsys, monkeypatch, command, flags):
+        # x / b overflows, so every Laplace moment is infinite or NaN
+        monkeypatch.chdir(tmp_path)
+        job = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
+               "clip_C": 1e10, "delta": 1e-5, "lambda_max": 8}
+        path = write_job(tmp_path, mechanism="laplace", params={"b": 1e-308}, job=job)
+        assert main([command, path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "laplace per-step log moment of order 1" in err
+
 
 SMALL_JOB = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 20,
              "clip_C": 1.0, "delta": 1e-5, "lambda_max": 8}
@@ -216,12 +229,16 @@ class TestInputValidation:
         assert "batch_size must be in" in capsys.readouterr().err
 
     FUZZ_VALUES = [True, False, None, "1", [], {}, math.nan, math.inf, -1, 0, 1e308]
+    NON_NUMERIC = st.one_of(st.none(), st.text(max_size=4),
+                            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+                            st.lists(st.integers(), max_size=2))
     NUMERIC = [(section, key) for section in ("params", "job", "target", "optimizer")
                for key in sorted({k for doc in BASE_JOBS.values() for k in doc[section]})]
     MUTATION = st.one_of(
         st.tuples(st.just("drop"), st.sampled_from(["params", "job", "target", "optimizer"]),
                   st.sampled_from([None] + sorted({k for _, k in NUMERIC}))),
-        st.tuples(st.just("swap"), st.sampled_from(NUMERIC), st.sampled_from(FUZZ_VALUES)))
+        st.tuples(st.just("swap"), st.sampled_from(NUMERIC),
+                  st.one_of(st.sampled_from(FUZZ_VALUES), NON_NUMERIC)))
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -241,6 +258,24 @@ class TestInputValidation:
         path.write_text(json.dumps(doc))
         assert main(["--threads", "1", "account", str(path),
                      "--lambda-search", "coarse"]) in (0, 1, 2, 3)
+
+    SECTION_NAMES = {"job": "AccountingJob", "target": "PrivacyTarget",
+                     "optimizer": "optimizer", "params": None}
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mech=st.sampled_from(sorted(BASE_JOBS)), data=st.data(), value=NON_NUMERIC)
+    def test_non_numeric_field_named(self, tmp_path, capsys, mech, data, value):
+        doc = BASE_JOBS[mech]
+        section = data.draw(st.sampled_from(sorted(self.SECTION_NAMES)))
+        key = data.draw(st.sampled_from(sorted(doc[section])))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(with_value(doc, section, key, value)))
+        capsys.readouterr()
+        assert main(["account", str(path)]) == 1
+        err = capsys.readouterr().err
+        name = self.SECTION_NAMES[section] or MECHANISM_PARAM_TYPES[mech].__name__
+        assert f"{name}: {key} must be a number, got {value!r}" in err
 
 
 class TestSweep:

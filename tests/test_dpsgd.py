@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ class TestPoissonSubsample:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             poisson_subsample(10, 0.0, make_rng(1))
+
+
+class TestGradients:
+    def test_sigmoid_saturates_without_warning(self):
+        # margins y <w, x> of about +-1e3: exp overflows, the sigmoid does not
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        y = np.array([1.0, -1.0, 1.0])
+        w = np.array([1000.0, 999.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = _per_example_gradients(w, x, y)
+            g_flip = _per_example_gradients(-w, x, y)
+        # margin +1e3: gradient exactly 0; margin -1e3: -y x exactly
+        assert np.array_equal(g, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(g_flip, [[-1.0, -0.0], [0.0, 0.0], [-1.0, -1.0]])
 
 
 class TestNoisyStep:
