@@ -130,19 +130,22 @@ def _laplace_branches(params: LaplaceParams) -> BranchFn:
     inv_b = 1.0 / params.b
 
     def branches(x: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        scaled = inv_b * x[None, :]
-        return (etas[:, None] - 1.0) * scaled, -etas[:, None] * scaled
+        # x / b may overflow; the infinite moments are reported downstream
+        with np.errstate(over="ignore"):
+            scaled = inv_b * x[None, :]
+            return (etas[:, None] - 1.0) * scaled, -etas[:, None] * scaled
 
     return branches
 
 
-def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray) -> dict[int, np.ndarray]:
-    """alpha[lam] = max(0, log sum_eta w(lam, eta) K(x, eta)) from rows
-    lam - 1 of the weight matrix and the (eta, x) log kernel ``log_g``, by
-    one shifted matrix product. A column with a scaled sum below 1e-250,
-    or not finite, has lost precision and is mixed again by the exact
-    per-order log-sum-exp; so is every column when a row has one live
-    weight (zeta = 0 or 1), whose moment is then exact."""
+def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray) -> np.ndarray:
+    """(order, x) matrix of alpha = max(0, log sum_eta w(lam, eta) K(x, eta)),
+    one row per entry of ``lambdas``, from rows lam - 1 of the weight matrix
+    and the (eta, x) log kernel ``log_g``, by one shifted matrix product. A
+    column with a scaled sum below 1e-250, or not finite, has lost precision
+    and is mixed again by the exact per-order log-sum-exp; so is every
+    column when a row has one live weight (zeta = 0 or 1), whose moment is
+    then exact."""
     if min(lambdas) < 1:
         raise ValueError(f"moment orders must be positive integers, got {lambdas}")
     log_w = log_w[np.asarray(lambdas) - 1, : log_g.shape[0]]
@@ -162,7 +165,7 @@ def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray) -> dict[i
                 t = w[live, None] + g[live]
                 m = t.max(axis=0)
                 row[redo] = m + np.log(np.sum(np.exp(t - m[None, :]), axis=0))
-    return dict(zip(lambdas, np.maximum(alpha, 0.0, out=alpha)))
+    return np.maximum(alpha, 0.0, out=alpha)
 
 
 def _log_kernel(branches: BranchFn, x: np.ndarray, eta_max: int) -> np.ndarray:
@@ -195,7 +198,7 @@ def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,
             max_admissible_lambda=int(math.floor(1.0 / (x * params.theta))) - 1,
         )
     log_g = _log_kernel(_plrv_branches(params), np.array([x], dtype=np.float64), lam + 1)
-    return float(_mix(_log_weight_matrix(zeta, lam), [lam], log_g)[lam][0])
+    return float(_mix(_log_weight_matrix(zeta, lam), [lam], log_g)[0, 0])
 
 
 def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
@@ -205,7 +208,7 @@ def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     log_g = _log_kernel(_laplace_branches(params), np.array([x], dtype=np.float64), lam + 1)
-    return float(_mix(_log_weight_matrix(zeta, lam), [lam], log_g)[lam][0])
+    return float(_mix(_log_weight_matrix(zeta, lam), [lam], log_g)[0, 0])
 
 
 def gaussian_subsampled_log_moment(params: GaussianParams, zeta: float, lam: int) -> float:
@@ -218,15 +221,14 @@ def _gaussian_log_moments(params: GaussianParams, log_w: np.ndarray,
     """The binomial mixture with the x-free kernel exp((eta^2 - eta) / (2 sigma^2))."""
     eta = np.arange(max(lambdas) + 2, dtype=np.float64)
     log_g = (eta * eta - eta) * (1.0 / (2.0 * params.sigma * params.sigma))
-    return {lam: float(a[0]) for lam, a in _mix(log_w, lambdas, log_g[:, None]).items()}
+    return dict(zip(lambdas, _mix(log_w, lambdas, log_g[:, None])[:, 0].tolist()))
 
 
-def _pairwise_tree_sum(values: list[float]) -> float:
-    """Sum by a fixed balanced pairwise tree; independent of who computed
-    the leaves, so thread counts cannot change the result."""
+def _pairwise_tree_sum(values: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays by a fixed balanced pairwise
+    tree; independent of who computed the leaves, so thread counts cannot
+    change the result."""
     vals = list(values)
-    if not vals:
-        return 0.0
     while len(vals) > 1:
         nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
         if len(vals) % 2:
@@ -245,9 +247,10 @@ def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
     """Sum of per-coordinate log moments over the majorization set
     x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N, for each requested order.
 
-    Chunk boundaries are fixed (independent of worker count); each chunk is
-    summed by numpy's deterministic pairwise reduction and chunks combine
-    through a fixed tree, so the result is bitwise reproducible.
+    Chunk boundaries are fixed (independent of worker count); each chunk's
+    rows are summed by numpy's deterministic pairwise reduction and the
+    chunks' partial rows combine through a fixed tree, so the result is
+    bitwise reproducible.
     """
     lambdas = sorted(set(int(l) for l in lambdas))
     log_w = _log_weight_matrix(job.sampling_rate_zeta, max(job.lambda_max, lambdas[-1]))
@@ -256,10 +259,9 @@ def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
     chunk = max(4096, min(1 << 16, _CHUNK_TARGET_ELEMENTS // n_eta))
     ranges = _fixed_chunks(job.model_dim_N, chunk)
 
-    def chunk_sums(r: tuple[int, int]) -> dict[int, float]:
+    def chunk_sums(r: tuple[int, int]) -> np.ndarray:
         xs = mset.coordinates(r[0], r[1])
-        per = _mix(log_w, lambdas, _log_kernel(branches, xs, lambdas[-1] + 1))
-        return {lam: float(np.sum(v)) for lam, v in per.items()}
+        return _mix(log_w, lambdas, _log_kernel(branches, xs, lambdas[-1] + 1)).sum(axis=1)
 
     workers = resolve_threads(threads)
     if workers == 1 or len(ranges) == 1:
@@ -268,7 +270,7 @@ def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(chunk_sums, ranges))
 
-    return {lam: _pairwise_tree_sum([p[lam] for p in partials]) for lam in lambdas}
+    return dict(zip(lambdas, _pairwise_tree_sum(partials).tolist()))
 
 
 def plrv_multivariate_log_moments(params: GammaPlrvParams, job: AccountingJob,
@@ -557,7 +559,7 @@ def accelerated_multivariate_log_moment(params: GammaPlrvParams | LaplaceParams,
         xs = MajorizationSet(job.clip_C, job.model_dim_N).clip_C / (
             np.sqrt(idx.astype(np.float64)) + np.sqrt(idx.astype(np.float64) - 1.0))
         per = _mix(_log_weight_matrix(job.sampling_rate_zeta, lam), [lam],
-                   _log_kernel(branches, xs, lam + 1))[lam]
+                   _log_kernel(branches, xs, lam + 1))[0]
         head = idx <= _ACCEL_DENSE_HEAD
         total = float(np.sum(per[head]))
         tail_idx = idx[~head]

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 LOG_ZERO = float("-inf")
+_MAX_TERMS = 10_000  # series / continued-fraction cap of regularized_lower_gamma
 
 
 class QuadratureError(ArithmeticError):
@@ -44,8 +45,13 @@ def log_binomial(n: int, r: int) -> float:
 def regularized_lower_gamma(k: float, x: float) -> float:
     """P(k, x) = gamma(k, x) / Gamma(k), the CDF of Gamma(shape k, scale 1).
 
-    Series expansion for x < k + 1, Lentz continued fraction otherwise;
-    absolute error <= 1e-12 over the supported domain.
+    Series expansion for x < k + 1, Lentz continued fraction otherwise. The
+    absolute error is below 3e-15 * max(k, 1) (measured against scipy for
+    k up to 1e6: 2.4e-10 at k = 1e5, 1.7e-9 at k = 8.4e5, both next to
+    x = k + 1); the rounding of the log prefactor k ln x - x - ln Gamma(k)
+    sets it at large k. Raises ArithmeticError when the series or the
+    continued fraction does not converge in 10,000 terms, as the series does
+    near x = k once k is above about 1.5e6; the result is never truncated.
     """
     if not k > 0:
         raise ValueError(f"regularized_lower_gamma requires k > 0, got {k}")
@@ -59,12 +65,16 @@ def regularized_lower_gamma(k: float, x: float) -> float:
         term = 1.0 / k
         total = term
         denom = k
-        for _ in range(10_000):
+        for _ in range(_MAX_TERMS):
             denom += 1.0
             term *= x / denom
             total += term
             if abs(term) < abs(total) * 1e-17:
                 break
+        else:
+            raise ArithmeticError(
+                f"regularized_lower_gamma({k!r}, {x!r}): series did not converge "
+                f"in {_MAX_TERMS} terms")
         p = math.exp(log_prefactor) * total
         return min(max(p, 0.0), 1.0)
     # gcf: Q(k,x) via modified Lentz evaluation of the continued fraction
@@ -73,7 +83,7 @@ def regularized_lower_gamma(k: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 10_000):
+    for i in range(1, _MAX_TERMS):
         an = -i * (i - k)
         b += 2.0
         d = an * d + b
@@ -87,6 +97,10 @@ def regularized_lower_gamma(k: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
+    else:
+        raise ArithmeticError(
+            f"regularized_lower_gamma({k!r}, {x!r}): continued fraction did not "
+            f"converge in {_MAX_TERMS} terms")
     q = math.exp(log_prefactor) * h
     return min(max(1.0 - q, 0.0), 1.0)
 

@@ -17,6 +17,12 @@ evaluated only near its own boundary. Phase B refines with coordinate-wise
 golden section along the feasibility boundary (each k or C probe snaps
 theta to its largest feasible value, so every probe is feasibility-checked)
 until the relative J improvement drops below 1e-4.
+
+c1 and c4 are lower bounds on theta: c1's is a Gamma(k) quantile
+(:func:`_c1_floor`), c4's is closed form, and the search takes their
+maximum once per k. Every c2 probe accounts epsilon on the full lambda
+grid, the same computation as the final verification, so the returned
+point's report reuses the probe's entry.
 """
 
 from __future__ import annotations
@@ -101,18 +107,18 @@ def _cheap_constraints(k: float, theta: float, C: float,
 
 
 def _c2_report(point: tuple[float, float, float], cfg: FeasibilityConfig,
-               lambda_search: str, threads: int | None) -> dict:
-    """c2's entry: the accounted epsilon at (k, theta, C) against the target."""
+               threads: int | None) -> dict:
+    """c2's entry: the accounted epsilon at (k, theta, C), on the full lambda
+    grid, against the target."""
     k, theta, C = point
     eps = account(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C),
-                  lambda_search=lambda_search, threads=threads).epsilon
+                  threads=threads).epsilon
     return {"passed": eps <= cfg.target.epsilon_star,
             "margin": cfg.target.epsilon_star - eps,
             "epsilon": eps}
 
 
 def check_feasible(point: tuple[float, float, float], cfg: FeasibilityConfig,
-                   lambda_search: str = "full",
                    threads: int | None = None) -> dict[str, dict]:
     """Full constraint report with signed margins at (k, theta, C).
 
@@ -120,20 +126,66 @@ def check_feasible(point: tuple[float, float, float], cfg: FeasibilityConfig,
     c2 carries the accounted epsilon when the MGF constraint allows
     evaluating it.
     """
-    k, theta, C = point
-    if not (k > 0 and theta > 0 and C > 0):
-        return {name: {"passed": False, "margin": -math.inf}
-                for name in ("c0", "c1", "c2", "c3", "c4", "mgf")}
-    report = _cheap_constraints(k, theta, C, cfg)
-    if report["mgf"]["passed"] and report["c0"]["passed"]:
-        report["c2"] = _c2_report(point, cfg, lambda_search, threads)
-    else:
-        report["c2"] = {"passed": False, "margin": -math.inf, "epsilon": None}
-    return report
+    return _SearchState(cfg=cfg, threads=threads).report(point)
 
 
 def all_pass(report: dict[str, dict]) -> bool:
     return all(entry["passed"] for entry in report.values())
+
+
+def _c1_floor(k: float, tol: float) -> float:
+    """Smallest theta whose gamma tail passes c1, P(k, 0.1 / theta) <= tol,
+    clamped below at 1e-12: 0.1 / x_q for the tol-quantile x_q of Gamma(k).
+
+    x_q is the root of f(u) = log P(k, e^u) - log tol, solved by Newton's
+    method in u = log x from the Wilson-Hilferty approximation; f' is
+    x * density / P, closed form through lgamma. A step that leaves the sign
+    bracket is replaced by bisection. log X has a log-concave density for
+    X ~ Gamma(k), so f is concave and increasing, and Newton approaches the
+    root from the passing side after at most one step. It stops once a
+    passing iterate's step, or the bracket, is below 1e-13 in log x. 0.1
+    over that iterate is then stepped up an ulp at a time until it passes c1
+    (the computed CDF is not monotone at the ulp scale), so the floor always
+    passes."""
+    # statistics imports decimal and fractions: load it only when solving
+    from statistics import NormalDist
+
+    log_tol = math.log(tol)
+    log_gamma_k = math.lgamma(k)
+    base = 1.0 - 1.0 / (9.0 * k) + NormalDist().inv_cdf(tol) / (3.0 * math.sqrt(k))
+    if base > 0.0:
+        u = math.log(k) + 3.0 * math.log(base)
+    else:  # small k and tol: P(k, x) ~ x^k / Gamma(k + 1)
+        u = (log_tol + math.lgamma(k + 1.0)) / k
+    lo, hi, x_pass = -math.inf, math.inf, None
+    for _ in range(100):
+        x = math.exp(u)
+        p = regularized_lower_gamma(k, x)
+        if p > 0.0:
+            # -f(u) / f'(u); a step too long to represent leaves the bracket anyway
+            step = (log_tol - math.log(p)) * math.exp(
+                min(x - k * u + log_gamma_k + math.log(p), 700.0))
+        else:  # P underflows far below the root
+            step = math.nan
+        if p > tol:
+            hi = u
+        else:
+            lo, x_pass = u, x
+            if step <= 1e-13:
+                break
+        if hi - lo <= 1e-13:
+            break
+        nxt = u + step
+        if not lo < nxt < hi:  # NaN fails too
+            if math.isfinite(lo) and math.isfinite(hi):
+                nxt = 0.5 * (lo + hi)
+            else:
+                nxt = u + 1.0 if hi == math.inf else u - 1.0
+        u = nxt
+    theta = max(0.1 / (x if x_pass is None else x_pass), 1e-12)
+    while 0.1 / theta != x_pass and regularized_lower_gamma(k, 0.1 / theta) > tol:
+        theta = math.nextafter(theta, math.inf)
+    return theta
 
 
 @dataclass
@@ -141,11 +193,34 @@ class _SearchState:
     cfg: FeasibilityConfig
     threads: int | None = None
     c2_cache: dict[tuple[float, float, float], dict] = field(default_factory=dict)
+    theta_floors: dict[float, float] = field(default_factory=dict)
 
     def c2_entry(self, point: tuple[float, float, float]) -> dict:
         if point not in self.c2_cache:
-            self.c2_cache[point] = _c2_report(point, self.cfg, "coarse", self.threads)
+            self.c2_cache[point] = _c2_report(point, self.cfg, self.threads)
         return self.c2_cache[point]
+
+    def theta_floor(self, k: float) -> float:
+        """Smallest theta passing c1 and c4 at k > 1. Both are lower bounds
+        on theta (the gamma tail and the distortion cap relax as theta
+        grows), so the thetas passing both are those from this floor up."""
+        if k not in self.theta_floors:
+            self.theta_floors[k] = max(1.0 / (self.cfg.distortion_cap * (k - 1.0)),
+                                       _c1_floor(k, self.cfg.gamma_cdf_tol))
+        return self.theta_floors[k]
+
+    def report(self, point: tuple[float, float, float]) -> dict[str, dict]:
+        """:func:`check_feasible`'s report, with c2 from this search's cache."""
+        k, theta, C = point
+        if not (k > 0 and theta > 0 and C > 0):
+            return {name: {"passed": False, "margin": -math.inf}
+                    for name in ("c0", "c1", "c2", "c3", "c4", "mgf")}
+        report = _cheap_constraints(k, theta, C, self.cfg)
+        if report["mgf"]["passed"] and report["c0"]["passed"]:
+            report["c2"] = self.c2_entry(point)
+        else:
+            report["c2"] = {"passed": False, "margin": -math.inf, "epsilon": None}
+        return report
 
 
 def _phase_a_grid(cfg: FeasibilityConfig) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
@@ -164,30 +239,6 @@ def _phase_a_grid(cfg: FeasibilityConfig) -> tuple[np.ndarray, list[tuple[float,
         if theta_hi > THETA_GRID_LO:
             slices.append((C, np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS)))
     return ks, slices
-
-
-def _cheap_theta_floor(k: float, thetas: np.ndarray,
-                       cfg: FeasibilityConfig) -> int | None:
-    """Smallest index into the ascending theta grid passing c1 and c4 at this
-    k, or None when the whole column is cheap-infeasible. Both constraints
-    impose lower bounds on theta (the gamma tail and the distortion cap both
-    relax as theta grows), so the feasible set is a contiguous suffix; c1's
-    boundary is found by bisection on its monotone CDF."""
-    if not k > 1.0:
-        return None
-    bot = int(np.searchsorted(thetas, 1.0 / (cfg.distortion_cap * (k - 1.0)), side="left"))
-    if bot >= len(thetas):
-        return None
-    lo, hi = bot, len(thetas)
-    if regularized_lower_gamma(k, 0.1 / float(thetas[lo])) <= cfg.gamma_cdf_tol:
-        return lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if regularized_lower_gamma(k, 0.1 / float(thetas[mid])) <= cfg.gamma_cdf_tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi if hi < len(thetas) else None
 
 
 def _golden_max(f, lo: float, hi: float, log_space: bool,
@@ -231,23 +282,6 @@ def _golden_max(f, lo: float, hi: float, log_space: bool,
     return best_x, best_f
 
 
-def _c1_theta_floor(k: float, theta_hi: float, cfg: FeasibilityConfig) -> float:
-    """Smallest theta whose gamma tail passes c1, by bisection on the
-    monotone CDF; returns above theta_hi when the whole range fails."""
-    if regularized_lower_gamma(k, 0.1 / theta_hi) > cfg.gamma_cdf_tol:
-        return theta_hi * 2.0
-    lo, hi = math.log(1e-12), math.log(theta_hi)
-    if regularized_lower_gamma(k, 0.1 / 1e-12) <= cfg.gamma_cdf_tol:
-        return 1e-12
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if regularized_lower_gamma(k, 0.1 / math.exp(mid)) <= cfg.gamma_cdf_tol:
-            hi = mid
-        else:
-            lo = mid
-    return math.exp(hi)
-
-
 def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, float] | None:
     """Largest feasible theta at (k, C) with all constraints, or None.
 
@@ -259,24 +293,23 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     if not (k > 1.0 and cfg.clip_min <= C <= cfg.clip_max):
         return None
     theta_hi = (1.0 - 1e-6) / (C * (cfg.job_skeleton.lambda_max + 1))
-    floor = max(1.0 / (cfg.distortion_cap * (k - 1.0)),
-                _c1_theta_floor(k, theta_hi, cfg))
+    floor = state.theta_floor(k)
     if floor > theta_hi:
         return None
     if state.c2_entry((k, theta_hi, C))["passed"]:
         return theta_hi, objective(k, theta_hi, C)
     if not state.c2_entry((k, floor, C))["passed"]:
         return None
+    theta = floor
     lo, hi = math.log(floor), math.log(theta_hi)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         if state.c2_entry((k, math.exp(mid), C))["passed"]:
-            lo = mid
+            lo, theta = mid, math.exp(mid)
         else:
             hi = mid
         if hi - lo <= 1e-7:
             break
-    theta = math.exp(lo)
     return theta, objective(k, theta, C)
 
 
@@ -310,9 +343,9 @@ def solve(cfg: FeasibilityConfig, threads: int | None = None) -> OptimizationRes
     Phase A computes the exact feasible grid argmax of J (60 log points in
     k, 60 log points in theta per clip, 8 clips); Phase B refines it by
     boundary-following coordinate golden section until the relative J
-    improvement drops below 1e-4. The returned point is re-verified with the
-    full lambda grid by :func:`check_feasible`; its diagnostics are embedded
-    in the result. No randomness anywhere.
+    improvement drops below 1e-4. The returned point's full constraint report
+    (c2 on the full lambda grid, from the search's cache) is embedded in the
+    result. No randomness anywhere.
     """
     state = _SearchState(cfg=cfg, threads=threads)
 
@@ -336,9 +369,8 @@ def solve(cfg: FeasibilityConfig, threads: int | None = None) -> OptimizationRes
                 break
             if objective(k, float(thetas[pointer]), C) <= best_j:
                 continue
-            bot = _cheap_theta_floor(k, thetas, cfg)
-            if bot is None:
-                continue
+            # first grid theta passing c1 and c4 (the grid's k are all > 1)
+            bot = int(np.searchsorted(thetas, state.theta_floor(k)))
             q = pointer
             if q < bot:
                 continue
@@ -402,10 +434,10 @@ def solve(cfg: FeasibilityConfig, threads: int | None = None) -> OptimizationRes
             break
     best = (k_best, theta_best, c_best)
 
-    final_report = check_feasible(best, cfg, lambda_search="full", threads=threads)
+    final_report = state.report(best)
     if not all_pass(final_report):
-        # the coarse-lambda epsilon upper-bounds the full-grid one, so this
-        # can only trip if a non-c2 constraint was violated, i.e. a bug
+        # every probe's c2 is the full-grid one, so this can only trip if a
+        # non-c2 constraint was violated, i.e. a bug
         raise InfeasibleError("refined point failed final verification",
                               diagnostics=final_report)
     k, theta, C = best

@@ -552,7 +552,7 @@ def scaled_sums(log_w, log_g):
 
 
 def mixed(log_w_full, lambdas, log_g):
-    return np.array(list(accountant._mix(log_w_full, lambdas, log_g).values()))
+    return accountant._mix(log_w_full, lambdas, log_g)
 
 
 class TestMixingKernel:

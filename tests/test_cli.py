@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import hypothesis.strategies as st
 import pytest
@@ -168,6 +169,17 @@ class TestExitCodes:
         assert main([command, path, *flags]) == 2
         err = capsys.readouterr().err
         assert "laplace per-step log moment of order 1" in err
+
+    def test_laplace_overflow_warns_nothing(self, tmp_path, capsys):
+        job = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
+               "clip_C": 1e10, "delta": 1e-5, "lambda_max": 8}
+        path = write_job(tmp_path, mechanism="laplace", params={"b": 1e-308}, job=job)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["account", path]) == 2
+        err = capsys.readouterr().err
+        assert "laplace per-step log moment of order 1" in err
+        assert "Warning" not in err
 
 
 SMALL_JOB = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 20,

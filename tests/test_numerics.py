@@ -100,6 +100,22 @@ class TestRegularizedLowerGamma:
         p_hi = regularized_lower_gamma(k, hi)
         assert 0.0 <= p_lo <= p_hi <= 1.0
 
+    @pytest.mark.parametrize("k", np.geomspace(1.001, 1e6, 13).tolist())
+    def test_documented_bound_at_optimizer_points(self, k):
+        # the c1 roots at three tolerances, and both sides of the switch from
+        # the series to the continued fraction at x = k + 1
+        xs = [float(scipy.special.gammaincinv(k, tol)) for tol in (1e-3, 1e-6, 1e-9)]
+        xs += [math.nextafter(k + 1.0, 0.0), k + 1.0]
+        for x in xs:
+            assert regularized_lower_gamma(k, x) == pytest.approx(
+                float(scipy.special.gammainc(k, x)), abs=3e-15 * max(k, 1.0))
+
+    def test_iteration_cap_raises(self):
+        # near x = k the series needs about 8 sqrt(k) terms, 25,000 at k = 1e7
+        k = 1e7
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            regularized_lower_gamma(k, k - 3.0 * math.sqrt(k))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             regularized_lower_gamma(0.0, 1.0)

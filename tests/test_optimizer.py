@@ -1,12 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from plrvo.accountant import account
+from plrvo.numerics import regularized_lower_gamma
 from plrvo.optimizer import (
     FeasibilityConfig,
     InfeasibleError,
+    _c1_floor,
     all_pass,
     check_feasible,
     objective,
@@ -164,3 +168,66 @@ class TestSolve:
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
             toy_cfg(clip_min=2.0, clip_max=1.0)
+
+
+def gamma_quantile(k: float, tol: float) -> float:
+    """The tol-quantile of Gamma(k): scipy's gammaincinv refined by one Newton
+    step on a 30-digit series for P(k, x). scipy's inverse alone is 1.4e-9
+    off at k = 1e6, tol = 1e-6."""
+    x0 = float(scipy.special.gammaincinv(k, tol))
+    with mpmath.workdps(30):
+        k_, x = mpmath.mpf(k), mpmath.mpf(x0)
+        term = total = 1 / k_
+        n = k_
+        while term > total * mpmath.mpf(10) ** -30:
+            n += 1
+            term *= x / n
+            total += term
+        log_density = (k_ - 1) * mpmath.log(x) - x - mpmath.loggamma(k_)
+        p = mpmath.exp(log_density) * x * total
+        return float(x - (p - tol) / mpmath.exp(log_density))
+
+
+class TestC1Floor:
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    def test_passes_tight_and_matches_quantile(self, tol):
+        for k in np.geomspace(1.001, 1e6, 60).tolist():
+            floor = _c1_floor(k, tol)
+            assert regularized_lower_gamma(k, 0.1 / floor) <= tol, k
+            if floor > 1e-12:
+                assert regularized_lower_gamma(k, 0.1 / (floor * (1 - 1e-12))) > tol, k
+            assert floor == pytest.approx(0.1 / gamma_quantile(k, tol), rel=1e-9), k
+
+
+def crit8_configs() -> list[FeasibilityConfig]:
+    """Acceptance criterion 8's configs, drawn in its order from seed 88."""
+    rng = np.random.default_rng(88)
+    configs = []
+    for i in range(10):
+        clip_min = float(rng.uniform(0.3, 1.0))
+        clip_max = clip_min if i % 3 == 0 else clip_min * float(rng.uniform(1.2, 2.0))
+        configs.append(FeasibilityConfig(
+            clip_min=clip_min, clip_max=clip_max,
+            target=PrivacyTarget(epsilon_star=float(rng.uniform(0.5, 4.0)),
+                                 delta_star=1e-5),
+            job_skeleton=AccountingJob(
+                steps_T=int(rng.integers(20, 400)),
+                sampling_rate_zeta=float(rng.uniform(0.01, 0.2)),
+                model_dim_N=int(rng.integers(50, 1000)),
+                clip_C=1.0, delta=1e-5,
+                lambda_max=int(rng.choice([16, 32]))),
+        ))
+    return configs
+
+
+class TestSolvePinned:
+    # (k*, theta*, C*) returned by the c1 bisection and coarse-search c2
+    # that the quantile floor and the full-grid c2 replaced
+    @pytest.mark.parametrize("index,want", [
+        (3, (23596.350285372962, 7.3600741468662725e-06, 0.9382267495871688)),
+        (6, (626072.8690469214, 3.0649996241052936e-07, 0.9897095927635631)),
+        (7, (152832.0239736196, 3.2611862160390044e-06, 0.4811424740577095)),
+    ])
+    def test_crit8_configs(self, index, want):
+        res = solve(crit8_configs()[index])
+        assert (res.k_star, res.theta_star, res.C_star) == pytest.approx(want, rel=1e-9)
