@@ -26,7 +26,6 @@ def main():
     ap.add_argument("--t-max", type=int, default=500)
     ap.add_argument("--lambda-max", type=int, default=256)
     ap.add_argument("--out-dir", default="sweep_out")
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
@@ -41,7 +40,7 @@ def main():
                             model_dim_N=args.model_dim, clip_C=clip,
                             delta=args.delta, lambda_max=args.lambda_max)
         ladder = coarse_lambda_ladder(effective_lambda_max(job, params))
-        curve = build_curve(params, job, lambdas=ladder, threads=args.threads)
+        curve = build_curve(params, job, lambdas=ladder)
         path = out_dir / f"epsilon_vs_T_clip{clip:g}.csv"
         with open(path, "w") as fh:
             fh.write("T,epsilon\n")

@@ -11,33 +11,69 @@ where the kernel K is mechanism specific. For a fixed-scale Laplace
 mechanism the kernel's two branches are plain exponentials in x/b; for the
 gamma-seed randomized-scale family each exponential is replaced by the seed
 MGF evaluated at the same argument. Both share the branch coefficients
-eta/(2*eta-1) and (eta-1)/(2*eta-1); the degenerate eta = 0 and eta = 1
-branches carry coefficient zero and are represented as absent log terms
-(log-zero), never as log(0).
+b1 = eta/(2*eta-1) and b2 = (eta-1)/(2*eta-1); the degenerate eta = 0 and
+eta = 1 kernels are exactly 1.
 
-Everything is computed in log space. The (lambda, eta) log-weight matrix is
-cached per (zeta, lambda cap); one shifted matrix product mixes all orders,
-and a coordinate it cannot mix to full precision is mixed again by the
-exact per-order log-sum-exp (see :func:`_mix`). The multivariate sum streams
-the majorization set in fixed-size chunks whose partial sums meet in a fixed
-pairwise tree, so results are bitwise identical for any worker count; BLAS
-splits the product by output blocks, never along eta, so its thread count
-cannot change them either (both are tested).
+Mixing. The (lambda, eta) subsampling weights are cached per (zeta, lambda
+cap), in log and in linear form. The weights of an order sum to 1, so one
+matrix product mixes every order of a block of coordinates:
+
+    alpha = log1p(W @ (K - 1)),   K - 1 = b1 expm1(lm1) + b2 expm1(lm2),
+
+with lm1, lm2 the logs of the two branches. W and K - 1 are nonnegative,
+so the product adds without cancelling, and log1p keeps the tiny moments of
+far coordinates to full relative precision. The branch slopes at x = 0
+cancel (b1 (eta-1) = b2 eta), so where every branch log is below 1/16 in
+size, K - 1 is summed from the nonnegative curvature terms of the branches
+by their series; elsewhere that cancellation costs at most about
+1e-15 * eta relative. A coordinate whose largest branch log exceeds 300 (a
+kernel near the MGF bound) is mixed in log space instead, by the shifted
+product of :func:`_mix` and its exact per-order fallback; so is everything
+at zeta = 0 or 1, where each order has a single live weight and its moment
+stays exact.
+
+Coordinate sum. An l2-clipped model's per-step moment sums alpha over the
+majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N. The first 4,096
+coordinates (the head) are summed exactly, as one block. The rest (the
+tail) is bounded by an integral, because f(t) = alpha(x(t)) is convex:
+
+1. Each branch is log-convex in x: (1 - (eta-1) theta x)^-k,
+   (1 + eta theta x)^-k, and the Laplace exponentials. A positive mixture of
+   log-convex functions is log-convex, so alpha(x) is convex.
+2. b1 (eta-1) = b2 eta, so the two branch slopes cancel at x = 0:
+   alpha'(0) = 0, and alpha is nondecreasing for x >= 0.
+3. x(t) = C / (sqrt(t) + sqrt(t-1)) is convex and decreasing for real
+   t >= 1, so f = alpha o x is convex (a nondecreasing convex function of a
+   convex one). The floor max(0, .) keeps it convex.
+4. By Hermite-Hadamard, f(i) <= the integral of f over [i - 1/2, i + 1/2],
+   so the tail sum over i = 4097..N is at most the integral of f over
+   [4096.5, N + 1/2]: a one-sided upper bound with no endpoint term.
+
+The integral is taken in u = log t by 32-point Gauss-Legendre on 32 equal
+panels (I32) and on 16 panels (I16), both from one kernel build on the
+nodes, and the tail adds I32 + |I32 - I16|. The result upper-bounds the
+exact sum whenever I32's quadrature error is below that slack. Its excess
+over the exact sum is the Hermite-Hadamard gap (the sum of about f''/24,
+near f(4096) / (24 * 4096) where alpha grows like x^2) plus the slack: at
+most 1e-8 of the exact sum (measured 6e-12 to 1.5e-10 on the paper
+configuration at N = 1e6). For N <= 4,096 the sum is exact.
+
+The accountant starts no threads; the BLAS library splits the product by
+output blocks, never along eta, so its thread count cannot change a result
+(tested).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .majorization import MajorizationSet
-from .numerics import LOG_ZERO, log_binomial
+from .numerics import LOG_ZERO, gauss_legendre, log_binomial
 from .params import (
     AccountingJob,
     GammaPlrvParams,
@@ -50,22 +86,10 @@ from .params import (
     validate,
 )
 
-_CHUNK_TARGET_ELEMENTS = 8_000_000  # per-chunk eta-by-x workspace budget
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, then PLRV_THREADS, then cpu count.
-    A count below 1 is an error, not coerced to 1."""
-    if threads is None:
-        env = os.environ.get("PLRV_THREADS")
-        if not env:
-            return os.cpu_count() or 1
-        if not (env.strip().isdigit() and int(env) >= 1):
-            raise ValueError(f"PLRV_THREADS must be an integer >= 1, got {env!r}")
-        return int(env)
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-    return int(threads)
+HEAD_COORDINATES = 4096  # summed exactly; the rest by the tail integral
+_TAIL_PANELS = 32        # Gauss-Legendre panels of the tail integral, in log t
+_LINEAR_MIX_MAX_LOG = 300.0  # largest branch log the linear mix takes
+_SERIES_MAX = 1.0 / 16.0     # branch logs up to this size are expanded in series
 
 
 def _log_subsample_weights(zeta: float, lam: int) -> np.ndarray:
@@ -94,7 +118,7 @@ def _log_subsample_weights(zeta: float, lam: int) -> np.ndarray:
 def _log_weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
     """Read-only (lam_cap, lam_cap + 2) matrix: row lam - 1 holds
     :func:`_log_subsample_weights` of order lam and -inf beyond; built once
-    per (zeta, cap) and shared by every chunk, call and order."""
+    per (zeta, cap) and shared by every call and order."""
     out = np.full((lam_cap, lam_cap + 2), LOG_ZERO)
     for lam in range(1, lam_cap + 1):
         out[lam - 1, : lam + 2] = _log_subsample_weights(zeta, lam)
@@ -102,26 +126,40 @@ def _log_weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
+    """Read-only exp of :func:`_log_weight_matrix`: the linear weights."""
+    out = np.exp(_log_weight_matrix(zeta, lam_cap))
+    out.flags.writeable = False
+    return out
+
+
 # A branch function maps (x_vector, eta_column) -> (lm1, lm2): matrices of
 # the log values of the two kernel branches before mixing, shaped
-# (n_eta, n_x). eta rows 0 and 1 are ignored by the caller (their branch
-# coefficients vanish).
-BranchFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# (n_eta, n_x), for eta = 2..eta_max (the kernel is 1 at eta = 0 and 1).
+# With bends=True it gives each log minus its tangent at x = 0 instead
+# (0.0 where the logs are linear), accurate where the logs are small; the
+# tangents cancel in the mixture.
+BranchFn = Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
 def _plrv_branches(params: GammaPlrvParams) -> BranchFn:
     k, theta = params.k, params.theta
 
-    def branches(x: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def branches(x: np.ndarray, etas: np.ndarray,
+                 bends: bool = False) -> tuple[np.ndarray, np.ndarray]:
         worst = (float(etas[-1]) - 1.0) * theta * float(np.max(x))
         if worst >= 1.0:
             raise MgfDomainViolation(
                 f"gamma-seed MGF undefined at eta = {int(etas[-1])}: "
                 f"(eta-1) * theta * x reaches {worst:.6g} >= 1"
             )
-        lm1 = -k * np.log1p(-(etas[:, None] - 1.0) * theta * x[None, :])
-        lm2 = -k * np.log1p(etas[:, None] * theta * x[None, :])
-        return lm1, lm2
+        y = (etas[:, None] - 1.0) * theta * x[None, :]
+        z = etas[:, None] * theta * x[None, :]
+        if bends:  # k (-log1p(-w) - w) at w = y and w = -z
+            return tuple(k * np.where(np.abs(w) <= _SERIES_MAX, _series(w, _LOG1P_TERMS),
+                                      -np.log1p(-w) - w) for w in (y, -z))
+        return -k * np.log1p(-y), -k * np.log1p(z)
 
     return branches
 
@@ -129,7 +167,10 @@ def _plrv_branches(params: GammaPlrvParams) -> BranchFn:
 def _laplace_branches(params: LaplaceParams) -> BranchFn:
     inv_b = 1.0 / params.b
 
-    def branches(x: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def branches(x: np.ndarray, etas: np.ndarray,
+                 bends: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        if bends:  # the logs are linear in x
+            return 0.0, 0.0
         # x / b may overflow; the infinite moments are reported downstream
         with np.errstate(over="ignore"):
             scaled = inv_b * x[None, :]
@@ -138,14 +179,35 @@ def _laplace_branches(params: LaplaceParams) -> BranchFn:
     return branches
 
 
+# Coefficients from w^2 on of expm1(w) - w and of -log1p(-w) - w; for
+# |w| <= 1/16 the terms left out are below 1e-17 of the sum.
+_EXPM1_TERMS = [1.0 / math.factorial(n) for n in range(2, 11)]
+_LOG1P_TERMS = [1.0 / n for n in range(2, 16)]
+
+
+def _series(w: np.ndarray, terms: list[float]) -> np.ndarray:
+    """sum_i terms[i] w^(i+2), by Horner's rule."""
+    acc = np.full_like(w, terms[-1])
+    for c in terms[-2::-1]:
+        acc *= w
+        acc += c
+    return acc * w * w
+
+
+def _branch_coefficients(eta_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(etas, b1, b2) for eta = 2..eta_max."""
+    etas = np.arange(2, eta_max + 1, dtype=np.float64)
+    return etas, etas / (2.0 * etas - 1.0), (etas - 1.0) / (2.0 * etas - 1.0)
+
+
 def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray) -> np.ndarray:
-    """(order, x) matrix of alpha = max(0, log sum_eta w(lam, eta) K(x, eta)),
-    one row per entry of ``lambdas``, from rows lam - 1 of the weight matrix
-    and the (eta, x) log kernel ``log_g``, by one shifted matrix product. A
-    column with a scaled sum below 1e-250, or not finite, has lost precision
-    and is mixed again by the exact per-order log-sum-exp; so is every
-    column when a row has one live weight (zeta = 0 or 1), whose moment is
-    then exact."""
+    """Log-space mix: (order, x) matrix of alpha = max(0, log sum_eta
+    w(lam, eta) K(x, eta)), one row per entry of ``lambdas``, from rows
+    lam - 1 of the log weight matrix and the (eta, x) log kernel ``log_g``,
+    by one shifted matrix product. A column with a scaled sum below 1e-250,
+    or not finite, has lost precision and is mixed again by the exact
+    per-order log-sum-exp; so is every column when a row has one live
+    weight (zeta = 0 or 1), whose moment is then exact."""
     if min(lambdas) < 1:
         raise ValueError(f"moment orders must be positive integers, got {lambdas}")
     log_w = log_w[np.asarray(lambdas) - 1, : log_g.shape[0]]
@@ -172,18 +234,48 @@ def _log_kernel(branches: BranchFn, x: np.ndarray, eta_max: int) -> np.ndarray:
     """(eta, x) matrix of log K(x, eta) for eta = 0..eta_max, shared by every
     order up to eta_max - 1; rows 0 and 1 are exactly 0."""
     log_g = np.zeros((eta_max + 1, x.size))
-    if eta_max >= 2:
-        etas = np.arange(2, eta_max + 1, dtype=np.float64)
-        b1 = etas / (2.0 * etas - 1.0)
-        b2 = (etas - 1.0) / (2.0 * etas - 1.0)
-        lm1, lm2 = branches(x, etas)
-        lm1 += np.log(b1)[:, None]
-        lm2 += np.log(b2)[:, None]
-        # logaddexp via max + log1p(exp(-|diff|)): keeps the loop in SIMD code
-        hi = np.maximum(lm1, lm2)
-        np.abs(lm1 - lm2, out=lm1)
-        log_g[2:] = hi + np.log1p(np.exp(-lm1))
+    etas, b1, b2 = _branch_coefficients(eta_max)
+    lm1, lm2 = branches(x, etas)
+    lm1 += np.log(b1)[:, None]
+    lm2 += np.log(b2)[:, None]
+    # logaddexp via max + log1p(exp(-|diff|)): keeps the loop in SIMD code
+    hi = np.maximum(lm1, lm2)
+    np.abs(lm1 - lm2, out=lm1)
+    log_g[2:] = hi + np.log1p(np.exp(-lm1))
     return log_g
+
+
+def _moments(branches: BranchFn, x: np.ndarray, zeta: float, lam_cap: int,
+             lambdas: Sequence[int]) -> np.ndarray:
+    """(order, x) matrix of per-coordinate alpha for the sorted ``lambdas``:
+    the linear mix log1p(W @ (K - 1)), with the log-space :func:`_mix` for
+    columns whose largest branch log exceeds 300 (or is not finite) and for
+    zeta = 0 or 1."""
+    if lambdas[0] < 1:
+        raise ValueError(f"moment orders must be positive integers, got {lambdas}")
+    eta_max = lambdas[-1] + 1
+    log_w = _log_weight_matrix(zeta, lam_cap)
+    if zeta in (0.0, 1.0):
+        return _mix(log_w, lambdas, _log_kernel(branches, x, eta_max))
+    etas, b1, b2 = _branch_coefficients(eta_max)
+    b1, b2 = b1[:, None], b2[:, None]
+    lm1, lm2 = branches(x, etas)
+    # lm1 and -lm2 grow with eta: the last row holds each column's largest
+    log_space = ~(lm1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
+    small = np.maximum(lm1[-1], -lm2[-1]) <= _SERIES_MAX
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_minus_1 = b1 * np.expm1(lm1) + b2 * np.expm1(lm2)
+    if small.any():  # the tangents cancel: K - 1 is a sum of nonnegative bends
+        bend1, bend2 = branches(x[small], etas, bends=True)
+        k_minus_1[:, small] = (b1 * (_series(lm1[:, small], _EXPM1_TERMS) + bend1)
+                               + b2 * (_series(lm2[:, small], _EXPM1_TERMS) + bend2))
+    w = _weight_matrix(zeta, lam_cap)[np.asarray(lambdas) - 1, 2 : eta_max + 1]
+    with np.errstate(invalid="ignore"):
+        alpha = np.log1p(w @ k_minus_1)
+    if log_space.any():
+        alpha[:, log_space] = _mix(log_w, lambdas,
+                                   _log_kernel(branches, x[log_space], eta_max))
+    return np.maximum(alpha, 0.0, out=alpha)
 
 
 def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,
@@ -197,8 +289,8 @@ def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,
             f"lambda * x * theta = {lam * x * params.theta:.6g} >= 1",
             max_admissible_lambda=int(math.floor(1.0 / (x * params.theta))) - 1,
         )
-    log_g = _log_kernel(_plrv_branches(params), np.array([x], dtype=np.float64), lam + 1)
-    return float(_mix(_log_weight_matrix(zeta, lam), [lam], log_g)[0, 0])
+    return float(_moments(_plrv_branches(params), np.array([float(x)]), zeta, lam,
+                          [lam])[0, 0])
 
 
 def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
@@ -207,8 +299,8 @@ def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
     on a single coordinate bounded by x."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    log_g = _log_kernel(_laplace_branches(params), np.array([x], dtype=np.float64), lam + 1)
-    return float(_mix(_log_weight_matrix(zeta, lam), [lam], log_g)[0, 0])
+    return float(_moments(_laplace_branches(params), np.array([float(x)]), zeta, lam,
+                          [lam])[0, 0])
 
 
 def gaussian_subsampled_log_moment(params: GaussianParams, zeta: float, lam: int) -> float:
@@ -224,90 +316,64 @@ def _gaussian_log_moments(params: GaussianParams, log_w: np.ndarray,
     return dict(zip(lambdas, _mix(log_w, lambdas, log_g[:, None])[:, 0].tolist()))
 
 
-def _pairwise_tree_sum(values: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays by a fixed balanced pairwise
-    tree; independent of who computed the leaves, so thread counts cannot
-    change the result."""
-    vals = list(values)
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-def _fixed_chunks(n: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk - 1, n)) for lo in range(1, n + 1, chunk)]
+def _tail(branches: BranchFn, job: AccountingJob, lam_cap: int,
+          lambdas: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(I32, |I32 - I16|) per order: the integral of alpha(x(t)) over
+    [HEAD_COORDINATES + 1/2, N + 1/2], in u = log t on 32 and on 16 panels.
+    Needs N > HEAD_COORDINATES."""
+    a, b = math.log(HEAD_COORDINATES + 0.5), math.log(job.model_dim_N + 0.5)
+    u_fine, w_fine = gauss_legendre(a, b, _TAIL_PANELS)
+    u_coarse, w_coarse = gauss_legendre(a, b, _TAIL_PANELS // 2)
+    t = np.exp(np.concatenate([u_fine, u_coarse]))
+    x = job.clip_C / (np.sqrt(t) + np.sqrt(t - 1.0))
+    f = _moments(branches, x, job.sampling_rate_zeta, lam_cap, lambdas)
+    f *= t  # dt = t du
+    fine = (f[:, : u_fine.size] * w_fine).sum(axis=1)
+    coarse = (f[:, u_fine.size :] * w_coarse).sum(axis=1)
+    return fine, np.abs(fine - coarse)
 
 
 def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
-                              lambdas: Sequence[int],
-                              threads: int | None = None) -> dict[int, float]:
-    """Sum of per-coordinate log moments over the majorization set
-    x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N, for each requested order.
-
-    Chunk boundaries are fixed (independent of worker count); each chunk's
-    rows are summed by numpy's deterministic pairwise reduction and the
-    chunks' partial rows combine through a fixed tree, so the result is
-    bitwise reproducible.
-    """
+                              lambdas: Sequence[int]) -> dict[int, float]:
+    """Per-step moments over the majorization set x_i = C (sqrt(i) -
+    sqrt(i-1)), i = 1..N, for each requested order: the exact head sum plus
+    the tail's integral and slack (see the module docstring)."""
     lambdas = sorted(set(int(l) for l in lambdas))
-    log_w = _log_weight_matrix(job.sampling_rate_zeta, max(job.lambda_max, lambdas[-1]))
-    mset = MajorizationSet(job.clip_C, job.model_dim_N)
-    n_eta = lambdas[-1] + 2
-    chunk = max(4096, min(1 << 16, _CHUNK_TARGET_ELEMENTS // n_eta))
-    ranges = _fixed_chunks(job.model_dim_N, chunk)
-
-    def chunk_sums(r: tuple[int, int]) -> np.ndarray:
-        xs = mset.coordinates(r[0], r[1])
-        return _mix(log_w, lambdas, _log_kernel(branches, xs, lambdas[-1] + 1)).sum(axis=1)
-
-    workers = resolve_threads(threads)
-    if workers == 1 or len(ranges) == 1:
-        partials = [chunk_sums(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_sums, ranges))
-
-    return dict(zip(lambdas, _pairwise_tree_sum(partials).tolist()))
+    lam_cap = max(job.lambda_max, lambdas[-1])
+    head = min(job.model_dim_N, HEAD_COORDINATES)
+    xs = MajorizationSet(job.clip_C, job.model_dim_N).coordinates(1, head)
+    total = _moments(branches, xs, job.sampling_rate_zeta, lam_cap, lambdas).sum(axis=1)
+    if job.model_dim_N > HEAD_COORDINATES:
+        integral, slack = _tail(branches, job, lam_cap, lambdas)
+        total += integral + slack
+    return dict(zip(lambdas, total.tolist()))
 
 
 def plrv_multivariate_log_moments(params: GammaPlrvParams, job: AccountingJob,
-                                  lambdas: Sequence[int],
-                                  threads: int | None = None) -> dict[int, float]:
+                                  lambdas: Sequence[int]) -> dict[int, float]:
     """Batch form of :func:`plrv_multivariate_log_moment` (shared kernel work
     across orders; used by the lambda searches)."""
     validate(job, params)
-    return _multivariate_log_moments(_plrv_branches(params), job, lambdas, threads)
+    return _multivariate_log_moments(_plrv_branches(params), job, lambdas)
 
 
 def plrv_multivariate_log_moment(params: GammaPlrvParams, job: AccountingJob,
-                                 lam: int, threads: int | None = None) -> float:
+                                 lam: int) -> float:
     """Per-step alpha(lambda) of the gamma-seed mechanism on an l2-clipped
     model of N coordinates, via the majorization set."""
-    return plrv_multivariate_log_moments(params, job, [lam], threads)[lam]
+    return plrv_multivariate_log_moments(params, job, [lam])[lam]
 
 
 def laplace_multivariate_log_moments(params: LaplaceParams, job: AccountingJob,
-                                     lambdas: Sequence[int],
-                                     threads: int | None = None) -> dict[int, float]:
-    return _multivariate_log_moments(_laplace_branches(params), job, lambdas, threads)
+                                     lambdas: Sequence[int]) -> dict[int, float]:
+    return _multivariate_log_moments(_laplace_branches(params), job, lambdas)
 
 
 def laplace_multivariate_log_moment(params: LaplaceParams, job: AccountingJob,
-                                    lam: int, threads: int | None = None) -> float:
+                                    lam: int) -> float:
     """Per-step alpha(lambda) of the fixed-scale Laplace mechanism on an
     l2-clipped model of N coordinates, via the majorization set."""
-    return laplace_multivariate_log_moments(params, job, [lam], threads)[lam]
-
-
-def laplace_privacy_loss_bound(params: LaplaceParams, clip_C: float) -> float:
-    """Pure privacy-loss bound C / b of an unsampled Laplace mechanism with
-    l1-clipped sensitivity C."""
-    if clip_C < 0:
-        raise ValueError(f"clip_C must be >= 0, got {clip_C}")
-    return clip_C / params.b
+    return laplace_multivariate_log_moments(params, job, [lam])[lam]
 
 
 def compose(curve: LogMomentCurve, steps_T: int) -> LogMomentCurve:
@@ -403,13 +469,12 @@ MECHANISM_TAGS = {
 
 
 def per_step_alpha_batch(params: MechanismParams, job: AccountingJob,
-                         lambdas: Sequence[int],
-                         threads: int | None = None) -> dict[int, float]:
+                         lambdas: Sequence[int]) -> dict[int, float]:
     """Per-step alpha(lambda) for a batch of orders, dispatched on mechanism."""
     if isinstance(params, GammaPlrvParams):
-        return plrv_multivariate_log_moments(params, job, lambdas, threads)
+        return plrv_multivariate_log_moments(params, job, lambdas)
     if isinstance(params, LaplaceParams):
-        return laplace_multivariate_log_moments(params, job, lambdas, threads)
+        return laplace_multivariate_log_moments(params, job, lambdas)
     if isinstance(params, GaussianParams):
         log_w = _log_weight_matrix(job.sampling_rate_zeta, max(job.lambda_max, *lambdas))
         return _gaussian_log_moments(params, log_w, lambdas)
@@ -417,13 +482,12 @@ def per_step_alpha_batch(params: MechanismParams, job: AccountingJob,
 
 
 def build_curve(params: MechanismParams, job: AccountingJob,
-                lambdas: Iterable[int] | None = None,
-                threads: int | None = None) -> LogMomentCurve:
+                lambdas: Iterable[int] | None = None) -> LogMomentCurve:
     """Per-step log-moment curve on an explicit grid (default: every integer
     order up to the effective cap)."""
     if lambdas is None:
         lambdas = range(1, effective_lambda_max(job, params) + 1)
-    alphas = per_step_alpha_batch(params, job, list(lambdas), threads)
+    alphas = per_step_alpha_batch(params, job, list(lambdas))
     return LogMomentCurve(
         mechanism=MECHANISM_TAGS[type(params)],
         alpha_per_step=alphas,
@@ -460,16 +524,30 @@ class AccountResult:
         return out
 
 
+def _tail_slack(params: MechanismParams, job: AccountingJob,
+                lambdas: Sequence[int]) -> float | None:
+    """Largest per-step tail slack |I32 - I16| over ``lambdas``: 0.0 when
+    N <= HEAD_COORDINATES, None for the x-free Gaussian moment."""
+    if isinstance(params, GaussianParams):
+        return None
+    if job.model_dim_N <= HEAD_COORDINATES:
+        return 0.0
+    branches = (_plrv_branches(params) if isinstance(params, GammaPlrvParams)
+                else _laplace_branches(params))
+    lambdas = sorted(lambdas)
+    return float(_tail(branches, job, max(job.lambda_max, lambdas[-1]), lambdas)[1].max())
+
+
 def account(params: MechanismParams, job: AccountingJob,
-            lambda_search: str = "full", threads: int | None = None,
-            mode: str = "exact") -> AccountResult:
+            lambda_search: str = "full", mode: str = "exact") -> AccountResult:
     """End-to-end accounting: per-step moments, T-fold composition, tight
     conversion at the job's delta.
 
     ``lambda_search='full'`` evaluates every integer order up to the
     effective cap; ``'coarse'`` runs the coarse-to-fine search, evaluating
-    only the ladder plus one octave around its argmin. Both agree on small
-    jobs; the coarse mode exists for model-scale N.
+    only the ladder plus one octave around its argmin. Both modes run the
+    same coordinate sum; ``mode='accelerated'`` also reports the largest
+    per-step tail slack as ``accel_error_estimate``.
     """
     if lambda_search not in ("full", "coarse"):
         raise ValueError(f"lambda_search must be 'full' or 'coarse', got {lambda_search}")
@@ -482,19 +560,11 @@ def account(params: MechanismParams, job: AccountingJob,
         job.clip_C, job.delta, lam_cap)
 
     per_step_cache: dict[int, float] = {}
-    accel_errors: list[float] = []
 
     def total_batch(lams: Sequence[int]) -> dict[int, float]:
         missing = [l for l in lams if l not in per_step_cache]
         if missing:
-            if mode == "accelerated" and isinstance(params, (GammaPlrvParams, LaplaceParams)):
-                vals = {}
-                for l in missing:
-                    v, err = accelerated_multivariate_log_moment(params, job_eff, l, threads)
-                    vals[l] = v
-                    accel_errors.append(err)
-            else:
-                vals = per_step_alpha_batch(params, job_eff, missing, threads)
+            vals = per_step_alpha_batch(params, job_eff, missing)
             for l, alpha in vals.items():
                 if not math.isfinite(alpha):
                     raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
@@ -513,66 +583,6 @@ def account(params: MechanismParams, job: AccountingJob,
         per_step_alpha_at_argmin=per_step_cache[lam],
         mode=mode,
         lambda_search=lambda_search,
-        accel_error_estimate=max(accel_errors) if accel_errors else None,
+        accel_error_estimate=(_tail_slack(params, job_eff, list(per_step_cache))
+                              if mode == "accelerated" else None),
     )
-
-
-# ---------------------------------------------------------------------------
-# Accelerated multivariate mode (documented approximation; exact mode is
-# authoritative and required by the acceptance suite)
-
-_ACCEL_DENSE_HEAD = 1024
-
-
-def _geometric_index_grid(n: int, ratio: float) -> np.ndarray:
-    head = np.arange(1, min(_ACCEL_DENSE_HEAD, n) + 1, dtype=np.int64)
-    if n <= _ACCEL_DENSE_HEAD:
-        return head
-    pts = [int(head[-1])]
-    i = float(head[-1])
-    while pts[-1] < n:
-        i = max(i + 1.0, i * ratio)
-        pts.append(min(int(math.floor(i)), n))
-    return np.concatenate([head[:-1], np.asarray(pts, dtype=np.int64)])
-
-
-def accelerated_multivariate_log_moment(params: GammaPlrvParams | LaplaceParams,
-                                        job: AccountingJob, lam: int,
-                                        threads: int | None = None,
-                                        ratio: float = 1.01) -> tuple[float, float]:
-    """Trapezoid-in-index approximation of the multivariate sum.
-
-    The per-coordinate log moment decreases smoothly along the majorization
-    set, so it is sampled on a geometric index grid (dense head, then ratio
-    steps) and segment sums are approximated by trapezoids. Returns
-    (value, error_estimate); the estimate is the exact difference for
-    N <= 1e6 and a grid-refinement (ratio sqrt) comparison above that.
-    """
-    if isinstance(params, GammaPlrvParams):
-        validate(job, params)
-        branches = _plrv_branches(params)
-    else:
-        branches = _laplace_branches(params)
-
-    def approx(r: float) -> float:
-        idx = _geometric_index_grid(job.model_dim_N, r)
-        xs = MajorizationSet(job.clip_C, job.model_dim_N).clip_C / (
-            np.sqrt(idx.astype(np.float64)) + np.sqrt(idx.astype(np.float64) - 1.0))
-        per = _mix(_log_weight_matrix(job.sampling_rate_zeta, lam), [lam],
-                   _log_kernel(branches, xs, lam + 1))[0]
-        head = idx <= _ACCEL_DENSE_HEAD
-        total = float(np.sum(per[head]))
-        tail_idx = idx[~head]
-        tail_val = per[~head]
-        if tail_idx.size:
-            a_idx = np.concatenate([[idx[head][-1]], tail_idx[:-1]])
-            a_val = np.concatenate([[per[head][-1]], tail_val[:-1]])
-            total += float(np.sum((tail_idx - a_idx) * 0.5 * (a_val + tail_val)))
-        return total
-
-    value = approx(ratio)
-    if job.model_dim_N <= 1_000_000:
-        exact = _multivariate_log_moments(branches, job, [lam], threads)[lam]
-        return value, abs(value - exact)
-    refined = approx(math.sqrt(ratio))
-    return value, abs(value - refined)

@@ -6,14 +6,16 @@ Job files are JSON with top-level keys ``mechanism`` ("plrvo" | "gaussian" |
 and optional ``target`` / ``optimizer`` for the solver. Unknown keys are
 rejected. Exit codes: 0 success, 1 input or schema error, 2 numerical-domain
 error, 3 infeasible. Stdout JSON is stable-key-ordered; every command is
-deterministic given (input file, flags, seed). ``--threads`` caps internal
-workers and is mirrored by the PLRV_THREADS environment variable.
+deterministic given (input file, flags, seed). ``--threads`` and the
+PLRV_THREADS environment variable are validated but do not affect any
+result: accounting runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -35,6 +37,21 @@ MECHANISM_PARAM_TYPES = {tag: cls for cls, tag in accountant.MECHANISM_TAGS.item
 
 _JOBFILE_KEYS = {"mechanism", "params", "job", "target", "optimizer"}
 _OPTIMIZER_KEYS = {"clip_min", "clip_max", "gamma_cdf_tol", "distortion_cap"}
+
+
+def resolve_threads(threads: int | None = None) -> int:
+    """The ``--threads`` value: the flag, then PLRV_THREADS, then the cpu
+    count. A count below 1 is an input error, not coerced to 1."""
+    if threads is None:
+        env = os.environ.get("PLRV_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        if not (env.strip().isdigit() and int(env) >= 1):
+            raise ValueError(f"PLRV_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
+    if threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
+    return int(threads)
 
 
 def _emit(obj: dict) -> None:
@@ -74,11 +91,10 @@ def load_job_file(path: str) -> dict:
 def cmd_account(args) -> int:
     spec = load_job_file(args.job_file)
     result = accountant.account(spec["params"], spec["job"],
-                                lambda_search=args.lambda_search,
-                                mode=args.mode, threads=args.threads)
+                                lambda_search=args.lambda_search, mode=args.mode)
     _emit(result.to_json_dict())
     if args.curve:
-        curve = accountant.build_curve(spec["params"], spec["job"], threads=args.threads)
+        curve = accountant.build_curve(spec["params"], spec["job"])
         with open(args.curve, "w") as fh:
             fh.write(curve.to_csv())
     return 0
@@ -93,8 +109,7 @@ def cmd_sweep_t(args) -> int:
     lambdas = None
     if args.lambda_search == "coarse":
         lambdas = accountant.coarse_lambda_ladder(effective_lambda_max(job, spec["params"]))
-    curve = accountant.build_curve(spec["params"], job, lambdas=lambdas,
-                                   threads=args.threads)
+    curve = accountant.build_curve(spec["params"], job, lambdas=lambdas)
     lines = ["T,epsilon"]
     for t in t_values:
         eps, _ = accountant.epsilon_from_delta(accountant.compose(curve, t), job.delta)
@@ -114,7 +129,7 @@ def cmd_optimize(args) -> int:
         raise ValueError("optimize requires 'target' and 'optimizer' sections in the job file")
     cfg = optimizer.FeasibilityConfig(target=spec["target"], job_skeleton=spec["job"],
                                       **spec["optimizer"])
-    result = optimizer.solve(cfg, threads=args.threads)
+    result = optimizer.solve(cfg)
     _emit(result.to_json_dict())
     return 0
 
@@ -208,7 +223,7 @@ def cmd_train_demo(args) -> int:
             target=PrivacyTarget(epsilon_star=args.epsilon, delta_star=args.delta),
             job_skeleton=job,
         )
-        result = optimizer.solve(cfg, threads=args.threads)
+        result = optimizer.solve(cfg)
         mechanism = GammaPlrvParams(k=result.k_star, theta=result.theta_star)
 
     run = dpsgd.TrainingRun(
@@ -217,7 +232,7 @@ def cmd_train_demo(args) -> int:
         learning_rate=args.lr, delta=args.delta, lambda_max=args.lambda_max,
         seed=args.seed,
     )
-    ledger = dpsgd.train(run, threads=args.threads)
+    ledger = dpsgd.train(run)
     ledger["target_epsilon"] = args.epsilon
     _emit(ledger)
     return 0
@@ -228,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="plrvo",
         description="noise design for DP-SGD: accounting, optimization, sampling")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (default: PLRV_THREADS or cpu count)")
+                        help="accepted and validated (>= 1, default PLRV_THREADS); "
+                             "results do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("account", help="epsilon(delta) for one job file")
@@ -297,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = accountant.resolve_threads(args.threads)
+        resolve_threads(args.threads)
         return args.fn(args)
     except MgfDomainViolation as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import integrate_decaying, log_gamma
+from .numerics import log_gamma
 from .params import GammaPlrvParams, GaussianParams
 
 
@@ -48,15 +48,6 @@ def plrv_distortion(params: GammaPlrvParams) -> DistortionReport:
     if params.k > 1.0:
         return DistortionReport("plrvo", 1.0 / ((params.k - 1.0) * params.theta), True)
     return DistortionReport("plrvo", math.inf, False)
-
-
-def plrv_distortion_by_quadrature(params: GammaPlrvParams) -> float:
-    """Independent route to the same value: integrate the seed MGF at
-    negative arguments, (1 + z * theta)^(-k), over [0, inf)."""
-    if not params.k > 1.0:
-        raise ValueError(f"distortion integral diverges for k <= 1, got k = {params.k}")
-    k, theta = params.k, params.theta
-    return integrate_decaying(lambda z: (1.0 + z * theta) ** (-k), 0.0)
 
 
 def gaussian_distortion(params: GaussianParams, clip_C: float) -> float:

@@ -135,7 +135,7 @@ def accuracy(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.sign(x @ w) == y))
 
 
-def train(run: TrainingRun, threads: int | None = None) -> dict:
+def train(run: TrainingRun) -> dict:
     """Execute the run and return its ledger: hyperparameters, seed, final
     weights, held-out accuracy, and the accountant's epsilon for the exact
     (T, zeta, C, d) used by the loop."""
@@ -152,7 +152,7 @@ def train(run: TrainingRun, threads: int | None = None) -> dict:
         idx = poisson_subsample(run.n_examples, job.sampling_rate_zeta, batch_rng)
         w = noisy_step(w, train_x[idx], train_y[idx], run, noise_rng)
 
-    report = account(run.mechanism, job, lambda_search="full", threads=threads)
+    report = account(run.mechanism, job, lambda_search="full")
     return {
         "mechanism": MECHANISM_TAGS[type(run.mechanism)],
         "mechanism_params": to_json_dict(run.mechanism),

@@ -106,27 +106,25 @@ def _cheap_constraints(k: float, theta: float, C: float,
     return report
 
 
-def _c2_report(point: tuple[float, float, float], cfg: FeasibilityConfig,
-               threads: int | None) -> dict:
+def _c2_report(point: tuple[float, float, float], cfg: FeasibilityConfig) -> dict:
     """c2's entry: the accounted epsilon at (k, theta, C), on the full lambda
     grid, against the target."""
     k, theta, C = point
-    eps = account(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C),
-                  threads=threads).epsilon
+    eps = account(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C)).epsilon
     return {"passed": eps <= cfg.target.epsilon_star,
             "margin": cfg.target.epsilon_star - eps,
             "epsilon": eps}
 
 
-def check_feasible(point: tuple[float, float, float], cfg: FeasibilityConfig,
-                   threads: int | None = None) -> dict[str, dict]:
+def check_feasible(point: tuple[float, float, float],
+                   cfg: FeasibilityConfig) -> dict[str, dict]:
     """Full constraint report with signed margins at (k, theta, C).
 
     Infeasibility is data, not an exception: every constraint is reported.
     c2 carries the accounted epsilon when the MGF constraint allows
     evaluating it.
     """
-    return _SearchState(cfg=cfg, threads=threads).report(point)
+    return _SearchState(cfg=cfg).report(point)
 
 
 def all_pass(report: dict[str, dict]) -> bool:
@@ -191,13 +189,12 @@ def _c1_floor(k: float, tol: float) -> float:
 @dataclass
 class _SearchState:
     cfg: FeasibilityConfig
-    threads: int | None = None
     c2_cache: dict[tuple[float, float, float], dict] = field(default_factory=dict)
     theta_floors: dict[float, float] = field(default_factory=dict)
 
     def c2_entry(self, point: tuple[float, float, float]) -> dict:
         if point not in self.c2_cache:
-            self.c2_cache[point] = _c2_report(point, self.cfg, self.threads)
+            self.c2_cache[point] = _c2_report(point, self.cfg)
         return self.c2_cache[point]
 
     def theta_floor(self, k: float) -> float:
@@ -337,7 +334,7 @@ def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> d
     return {f"clip={c:g}": v for c, v in sorted(by_clip.items())}
 
 
-def solve(cfg: FeasibilityConfig, threads: int | None = None) -> OptimizationResult:
+def solve(cfg: FeasibilityConfig) -> OptimizationResult:
     """Two-phase deterministic search for the feasible J maximum.
 
     Phase A computes the exact feasible grid argmax of J (60 log points in
@@ -347,7 +344,7 @@ def solve(cfg: FeasibilityConfig, threads: int | None = None) -> OptimizationRes
     (c2 on the full lambda grid, from the search's cache) is embedded in the
     result. No randomness anywhere.
     """
-    state = _SearchState(cfg=cfg, threads=threads)
+    state = _SearchState(cfg=cfg)
 
     # The accounted epsilon is monotone in k, theta, and C: the mechanism
     # kernel increases with the inverse scale u, Gamma(k, theta) is

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from plrvo import accountant
 from plrvo.accountant import (
@@ -19,12 +21,12 @@ from plrvo.accountant import (
     epsilon_from_delta,
     gaussian_subsampled_log_moment,
     laplace_multivariate_log_moment,
-    laplace_privacy_loss_bound,
     laplace_univariate_log_moment,
     minimize_epsilon_lazy,
     plrv_multivariate_log_moment,
     plrv_univariate_log_moment,
 )
+from plrvo.cli import main
 from plrvo.majorization import MajorizationSet
 from plrvo.params import (
     AccountingJob,
@@ -33,6 +35,7 @@ from plrvo.params import (
     LaplaceParams,
     LogMomentCurve,
     MgfDomainViolation,
+    to_json_dict,
 )
 
 mpmath.mp.dps = 60
@@ -94,6 +97,13 @@ def mp_laplace_multivariate(params, job, lam):
             lambda eta: mp_laplace_kernel(params.b, x, eta),
             job.sampling_rate_zeta, lam)
     return float(total)
+
+
+def write_job_file(tmp_path, params: dict, job: AccountingJob) -> str:
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"mechanism": "plrvo", "params": params,
+                                "job": to_json_dict(job)}))
+    return str(path)
 
 
 def mc_plrv_log_moment(k, theta, C, zeta, lam, n, seed):
@@ -310,11 +320,15 @@ class TestMultivariate:
         job = make_job(model_dim_N=50, sampling_rate_zeta=0.0)
         assert plrv_multivariate_log_moment(p, job, 4) == 0.0
 
-    def test_thread_count_invariance(self):
-        p = GammaPlrvParams(k=50.0, theta=5e-4)
+    def test_thread_count_invariance(self, tmp_path, capsys):
+        # --threads is validated but reaches no computation
         job = make_job(model_dim_N=200_000, clip_C=2.0, lambda_max=16)
-        vals = {w: plrv_multivariate_log_moment(p, job, 7, threads=w) for w in (1, 2, 4)}
-        assert vals[1] == vals[2] == vals[4]  # bitwise
+        path = write_job_file(tmp_path, {"k": 50.0, "theta": 5e-4}, job)
+        outs = []
+        for w in (1, 2, 4):
+            assert main(["--threads", str(w), "account", path]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]  # bitwise
 
     def test_majorized_bound_dominates_ball_vectors(self):
         # sum of per-coordinate moments of any clipped gradient is below the
@@ -464,11 +478,6 @@ class TestConversion:
                 for l, a in curve.alpha_per_step.items())
             assert tight == pytest.approx(delta, rel=1e-9)
 
-    def test_laplace_privacy_loss_bound(self):
-        assert laplace_privacy_loss_bound(LaplaceParams(b=2.0), 2.0) == 1.0
-        assert laplace_privacy_loss_bound(LaplaceParams(b=2.0), 0.0) == 0.0
-        assert laplace_privacy_loss_bound(LaplaceParams(b=0.5), 2.0) == 4.0
-
 
 class TestLambdaSearch:
     def test_ladder_contains_cap(self):
@@ -520,9 +529,11 @@ class TestAccountDriver:
 
 
 # --- the mixing kernel -------------------------------------------------------
-# The accountant mixes every order with one shifted matrix product and falls
-# back to the exact per-order log-sum-exp where that loses precision. These
-# tests hold the kernel to the exact form, cell by cell.
+# The accountant mixes every order with one linear product, log1p(W @ (K - 1)),
+# and columns near the MGF bound with one shifted log-space product that
+# falls back to the exact per-order log-sum-exp where it loses precision.
+# These tests hold the log-space product to the exact form cell by cell, and
+# the whole kernel to 60-digit arithmetic.
 
 def kernel_matrix(branches, x, eta_max):
     """(eta, x) log kernel, built independently of the accountant's code."""
@@ -608,6 +619,20 @@ class TestMixingKernel:
             assert np.array_equal(log_w[lam - 1, : lam + 2], row)
             assert np.all(log_w[lam - 1, lam + 2:] == -np.inf)
 
+    @pytest.mark.parametrize("k,theta,C,zeta,lam_cap", [
+        (141.06, 8.32e-4, 10.0, 0.01024, 119),  # the paper configuration
+        (2000.0, 0.05, 1.0, 0.07, 16),          # L theta C = 0.8: near the MGF bound
+    ])
+    def test_kernel_matches_mpmath_oracle(self, k, theta, C, zeta, lam_cap):
+        branches = accountant._plrv_branches(GammaPlrvParams(k=k, theta=theta))
+        lambdas = sorted(set(range(1, lam_cap + 1, 2)) | {lam_cap})
+        for i in (1, 10**6, 10**8):
+            x = C / (math.sqrt(i) + math.sqrt(i - 1.0))
+            got = accountant._moments(branches, np.array([x]), zeta, lam_cap, lambdas)[:, 0]
+            want = [mp_univariate_log_moment(lambda eta: mp_plrv_kernel(k, theta, x, eta),
+                                             zeta, lam) for lam in lambdas]
+            assert got == pytest.approx(want, rel=1e-11), i
+
     def test_non_finite_moment_raises(self):
         # x / b overflows: the moments are infinite, not a number to convert
         job = make_job(clip_C=1e10, model_dim_N=5)
@@ -621,14 +646,17 @@ PAPER_JOB = dict(steps_T=250, sampling_rate_zeta=0.01024, clip_C=10.0, delta=2e-
 
 
 class TestDeterminism:
-    """Bitwise reproducibility across worker and BLAS thread counts."""
+    """Bitwise reproducibility across --threads values and BLAS thread counts."""
 
-    def test_full_grid_threads_bitwise(self):
-        # N = 200,000 is four chunks of at most 65,536 coordinates
-        job = AccountingJob(model_dim_N=200_000, **PAPER_JOB)
-        lambdas = range(1, 120)
-        runs = [accountant.plrv_multivariate_log_moments(PAPER, job, lambdas, threads=t)
-                for t in (1, 2, 4)]
+    def test_full_grid_threads_bitwise(self, tmp_path, capsys):
+        # N = 200,000: the exact head and the tail bound, on the full grid
+        path = write_job_file(tmp_path, {"k": 141.06, "theta": 8.32e-4},
+                              AccountingJob(model_dim_N=200_000, **PAPER_JOB))
+        runs = []
+        for t in (1, 2, 4):
+            curve = tmp_path / f"curve-{t}.csv"
+            assert main(["--threads", str(t), "account", path, "--curve", str(curve)]) == 0
+            runs.append(capsys.readouterr().out + curve.read_text())
         assert runs[0] == runs[1] == runs[2]
 
     def test_blas_thread_count_keeps_stdout(self, tmp_path):
@@ -650,3 +678,101 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout + (tmp_path / f"curve-{blas}.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+# --- the coordinate sum: exact head, Hermite-Hadamard tail -------------------
+
+def exact_coordinate_sum(branches, job, lambdas):
+    """Every coordinate's moments from the accountant's own kernel, summed
+    with no tail bound."""
+    mset = MajorizationSet(job.clip_C, job.model_dim_N)
+    total = np.zeros(len(lambdas))
+    for lo in range(1, job.model_dim_N + 1, 1 << 16):
+        xs = mset.coordinates(lo, min(lo + (1 << 16) - 1, job.model_dim_N))
+        total += accountant._moments(branches, xs, job.sampling_rate_zeta,
+                                     job.lambda_max, lambdas).sum(axis=1)
+    return total
+
+
+TAIL_EXCESS = 1e-8  # the accountant's stated bound on the tail's relative excess
+
+
+class TestCoordinateSum:
+    def check_upper_bound(self, branches, job):
+        lambdas = list(range(1, job.lambda_max + 1))
+        got = accountant._multivariate_log_moments(branches, job, lambdas)
+        got = np.array([got[lam] for lam in lambdas])
+        want = exact_coordinate_sum(branches, job, lambdas)
+        assert np.all(got >= want)
+        assert np.all(got - want <= TAIL_EXCESS * want)
+
+    @settings(max_examples=5, deadline=None)
+    @given(log_k=st.floats(-1.0, 3.5), log_mgf=st.floats(-8.0, -0.05),
+           log_c=st.floats(-1.0, 1.0), zeta=st.floats(1e-3, 0.5),
+           n=st.integers(1, 10**6), lam_cap=st.sampled_from([8, 16, 32]))
+    def test_plrv_bound_dominates_exact_sum(self, log_k, log_mgf, log_c, zeta, n, lam_cap):
+        # (lam_cap + 1) theta C = 10^log_mgf < 1 keeps every MGF finite
+        C = 10.0**log_c
+        p = GammaPlrvParams(k=10.0**log_k, theta=10.0**log_mgf / ((lam_cap + 1) * C))
+        job = make_job(model_dim_N=n, clip_C=C, sampling_rate_zeta=zeta, lambda_max=lam_cap)
+        self.check_upper_bound(accountant._plrv_branches(p), job)
+
+    @settings(max_examples=5, deadline=None)
+    @given(log_b=st.floats(-0.5, 1.5), log_c=st.floats(-1.0, 1.0),
+           zeta=st.floats(1e-3, 0.5), n=st.integers(1, 10**6),
+           lam_cap=st.sampled_from([8, 16, 32]))
+    def test_laplace_bound_dominates_exact_sum(self, log_b, log_c, zeta, n, lam_cap):
+        job = make_job(model_dim_N=n, clip_C=10.0**log_c, sampling_rate_zeta=zeta,
+                       lambda_max=lam_cap)
+        self.check_upper_bound(accountant._laplace_branches(LaplaceParams(b=10.0**log_b)), job)
+
+    def test_head_is_exact(self):
+        job = AccountingJob(model_dim_N=accountant.HEAD_COORDINATES, **PAPER_JOB)
+        lambdas = [1, 10, 119]
+        got = accountant.plrv_multivariate_log_moments(PAPER, job, lambdas)
+        want = exact_coordinate_sum(accountant._plrv_branches(PAPER), job, lambdas)
+        assert [got[lam] for lam in lambdas] == want.tolist()
+
+    def test_coarse_and_full_search_agree_at_model_scale(self):
+        # a moment no longer depends on the other orders of its batch
+        job = AccountingJob(model_dim_N=10**6, **PAPER_JOB)
+        full = account(PAPER, job, lambda_search="full")
+        coarse = account(PAPER, job, lambda_search="coarse")
+        assert coarse.argmin_lambda == full.argmin_lambda == 10
+        assert coarse.epsilon == pytest.approx(full.epsilon, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [accountant.HEAD_COORDINATES, 10**6])
+    def test_accelerated_mode_reports_tail_slack(self, n):
+        job = AccountingJob(model_dim_N=n, **PAPER_JOB)
+        exact = account(PAPER, job, lambda_search="coarse")
+        accel = account(PAPER, job, lambda_search="coarse", mode="accelerated")
+        assert accel.epsilon == exact.epsilon and exact.accel_error_estimate is None
+        if n <= accountant.HEAD_COORDINATES:
+            assert accel.accel_error_estimate == 0.0
+        else:
+            assert 0.0 <= accel.accel_error_estimate <= 1e-12 * accel.per_step_alpha_at_argmin
+
+    @staticmethod
+    def paper_epsilon(**overrides) -> float:
+        return account(PAPER, AccountingJob(**dict(PAPER_JOB, model_dim_N=10**6,
+                                                   **overrides))).epsilon
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(1, 2000), st.integers(1, 2000))
+    def test_epsilon_nondecreasing_in_steps_at_model_scale(self, t1, t2):
+        lo, hi = sorted([t1, t2])
+        assert self.paper_epsilon(steps_T=lo) <= self.paper_epsilon(steps_T=hi)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.floats(1e-4, 0.2), st.floats(1e-4, 0.2))
+    def test_epsilon_nondecreasing_in_zeta_at_model_scale(self, z1, z2):
+        lo, hi = sorted([z1, z2])
+        a, b = self.paper_epsilon(sampling_rate_zeta=lo), self.paper_epsilon(sampling_rate_zeta=hi)
+        assert b >= a * (1.0 - 1e-12)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.floats(0.5, 10.0), st.floats(0.5, 10.0))
+    def test_epsilon_nondecreasing_in_clip_at_model_scale(self, c1, c2):
+        lo, hi = sorted([c1, c2])
+        a, b = self.paper_epsilon(clip_C=lo), self.paper_epsilon(clip_C=hi)
+        assert b >= a * (1.0 - 1e-12)

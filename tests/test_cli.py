@@ -390,7 +390,7 @@ class TestSampleAndDistortion:
 
 class TestThreads:
     def test_env_var_mirrors_flag(self, monkeypatch):
-        from plrvo.accountant import resolve_threads
+        from plrvo.cli import resolve_threads
         monkeypatch.setenv("PLRV_THREADS", "3")
         assert resolve_threads(None) == 3
         assert resolve_threads(7) == 7  # explicit flag wins

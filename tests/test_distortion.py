@@ -8,10 +8,10 @@ from plrvo.distortion import (
     gaussian_distortion,
     l1_l2_volume_log_ratio,
     plrv_distortion,
-    plrv_distortion_by_quadrature,
     snr,
 )
 from plrvo.params import GammaPlrvParams, GaussianParams
+from quadrature import plrv_distortion_by_quadrature
 
 
 class TestPlrvDistortion:

@@ -133,12 +133,6 @@ class TestTrain:
         b = train(run)
         assert a == b
 
-    def test_thread_invariance(self):
-        run = TrainingRun(mechanism=GammaPlrvParams(k=30.0, theta=0.01),
-                          model_dim=32, n_examples=100, epochs=1, batch_size=25,
-                          clip_C=1.0, learning_rate=0.3, seed=7)
-        assert train(run, threads=1) == train(run, threads=4)
-
     def test_steps_and_rate_consistent(self):
         run = TrainingRun(mechanism=GaussianParams(sigma=1.0), n_examples=150,
                           epochs=3, batch_size=40)

@@ -6,13 +6,8 @@ import pytest
 import scipy.special
 from hypothesis import given
 
-from plrvo.numerics import (
-    QuadratureError,
-    integrate_decaying,
-    log_binomial,
-    log_gamma,
-    regularized_lower_gamma,
-)
+from plrvo.numerics import log_binomial, log_gamma, regularized_lower_gamma
+from quadrature import QuadratureError, integrate_decaying
 
 
 class TestLogGamma:
@@ -109,6 +104,16 @@ class TestRegularizedLowerGamma:
         for x in xs:
             assert regularized_lower_gamma(k, x) == pytest.approx(
                 float(scipy.special.gammainc(k, x)), abs=3e-15 * max(k, 1.0))
+
+    def test_nondecreasing_near_c1_root_at_large_k(self):
+        # the c1 root at k = 615,120, tol = 1e-9; k ln x there is 8e6, whose
+        # rounding once moved log P in steps of 1e-9
+        k = 615_120.0
+        root = float(scipy.special.gammaincinv(k, 1e-9))
+        xs = np.linspace(root * (1.0 - 2e-13), root * (1.0 + 2e-13), 201)
+        ps = [regularized_lower_gamma(k, float(x)) for x in xs]
+        assert all(b >= a for a, b in zip(ps, ps[1:]))
+        assert ps == pytest.approx([1e-9] * len(ps), rel=1e-9)
 
     def test_iteration_cap_raises(self):
         # near x = k the series needs about 8 sqrt(k) terms, 25,000 at k = 1e7
