@@ -55,6 +55,8 @@ class TrainingRun:
 
     def __post_init__(self):
         self.job  # deriving the job validates the loop's sizes
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     @property
     def job(self) -> AccountingJob:

@@ -23,6 +23,15 @@ c1 and c4 are lower bounds on theta: c1's is a Gamma(k) quantile
 maximum once per k. Every c2 probe accounts epsilon on the full lambda
 grid, the same computation as the final verification, so the returned
 point's report reuses the probe's entry.
+
+Snapping theta to the c2 boundary is defined as a bisection in log theta,
+but :func:`_boundary_theta` replays it rather than running it. Epsilon
+increases with theta, so every midpoint outside the bracket of accounted
+verdicts takes the verdict the bisection would have computed. Brent's
+method narrows that bracket first, after which the replay accounts almost
+no midpoint. The result keeps the bisection's bits at about a third of its
+accountant calls. The final verification still accounts the returned point
+itself.
 """
 
 from __future__ import annotations
@@ -279,13 +288,64 @@ def _golden_max(f, lo: float, hi: float, log_space: bool,
     return best_x, best_f
 
 
+def _brent(g, a: float, ga: float, b: float, gb: float, xtol: float) -> None:
+    """Brent's bracketing root-finder (Brent 1973, ch. 4, in the layout of
+    scipy's brentq) on g over [a, b] with g(a) <= 0 < g(b). It stops once
+    the sign bracket is narrower than xtol, or g is exactly 0. Returns
+    nothing: the caller reads what it needs from the points g was called at.
+    Interpolation needs finite values; a non-finite one makes it bisect."""
+    xpre, fpre, xcur, fcur = a, ga, b, gb
+    xblk, fblk, spre, scur = a, ga, 0.0, 0.0
+    delta = 0.5 * xtol
+    for _ in range(200):
+        if (fpre <= 0.0) != (fcur <= 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return
+        if (abs(spre) > delta and abs(fcur) < abs(fpre)
+                and math.isfinite(fpre) and math.isfinite(fblk)):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = g(xcur)
+
+
 def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, float] | None:
     """Largest feasible theta at (k, C) with all constraints, or None.
 
     The accounted epsilon is monotone increasing in theta while c1 and c4
     are lower bounds, so the feasible thetas form an interval whose top is
-    either the MGF bound or the c2 boundary; the latter is bisected in log
-    space. Returns (theta, J)."""
+    either the MGF bound or the c2 boundary. The result is defined by a
+    bisection of the latter in log theta, from the floor up to the MGF
+    bound, stopping once the bracket is at most 1e-7 wide. Returns
+    (theta, J).
+
+    The bisection is replayed, not run: by monotonicity a midpoint at or
+    below the largest theta accounted as passing passes, and one at or above
+    the smallest accounted as failing fails. So the replay takes the same
+    verdicts at the same midpoints, and returns the same bits, while
+    accounting only the midpoints strictly inside that bracket. The floor
+    and MGF-bound entries seed the bracket (as the thetas accounted, since
+    exp(log(floor)) need not equal floor). Before the replay, Brent's method
+    on log epsilon - log epsilon* in log theta narrows the bracket below
+    2e-9, about 7 accountant calls; a dyadic midpoint rarely falls inside
+    it, so the replay seldom accounts anything."""
     cfg = state.cfg
     if not (k > 1.0 and cfg.clip_min <= C <= cfg.clip_max):
         return None
@@ -293,15 +353,43 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     floor = state.theta_floor(k)
     if floor > theta_hi:
         return None
-    if state.c2_entry((k, theta_hi, C))["passed"]:
+    top = state.c2_entry((k, theta_hi, C))
+    if top["passed"]:
         return theta_hi, objective(k, theta_hi, C)
-    if not state.c2_entry((k, floor, C))["passed"]:
+    bottom = state.c2_entry((k, floor, C))
+    if not bottom["passed"]:
         return None
-    theta = floor
+    passing, failing = floor, theta_hi
+    log_target = math.log(cfg.target.epsilon_star)
+
+    def accounted(theta: float) -> dict:
+        nonlocal passing, failing
+        entry = state.c2_entry((k, theta, C))
+        if entry["passed"]:
+            passing = max(passing, theta)
+        else:
+            failing = min(failing, theta)
+        return entry
+
+    def passes(theta: float) -> bool:
+        if theta <= passing:
+            return True
+        if theta >= failing:
+            return False
+        return accounted(theta)["passed"]
+
+    def excess(entry: dict) -> float:
+        eps = entry["epsilon"]
+        g = math.log(eps) - log_target if eps > 0.0 else -math.inf
+        # the verdict sets the sign where the two logs round to a tie
+        return min(g, 0.0) if entry["passed"] else max(g, math.ulp(0.0))
+
     lo, hi = math.log(floor), math.log(theta_hi)
+    _brent(lambda u: excess(accounted(math.exp(u))), lo, excess(bottom), hi, excess(top), 2e-9)
+    theta = floor
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if state.c2_entry((k, math.exp(mid), C))["passed"]:
+        if passes(math.exp(mid)):
             lo, theta = mid, math.exp(mid)
         else:
             hi = mid
@@ -433,8 +521,9 @@ def solve(cfg: FeasibilityConfig) -> OptimizationResult:
 
     final_report = state.report(best)
     if not all_pass(final_report):
-        # every probe's c2 is the full-grid one, so this can only trip if a
-        # non-c2 constraint was violated, i.e. a bug
+        # every probe's c2 is the full-grid one, so this can only trip on a
+        # bug, or if the computed epsilon were not monotone in theta (the
+        # boundary replay infers verdicts from that); never certify anyway
         raise InfeasibleError("refined point failed final verification",
                               diagnostics=final_report)
     k, theta, C = best

@@ -74,17 +74,26 @@ def standard_normal(rng, size: int) -> np.ndarray:
     while filled < size:
         need = size - filled
         pairs = (need + 1) // 2
-        x = 2.0 * rng.uniform(pairs) - 1.0
-        y = 2.0 * rng.uniform(pairs) - 1.0
-        s = x * x + y * y
+        x = rng.uniform(pairs)
+        x *= 2.0
+        x -= 1.0
+        y = rng.uniform(pairs)
+        y *= 2.0
+        y -= 1.0
+        s = x * x
+        s += y * y
         ok = (s > 0.0) & (s < 1.0)
-        if not np.any(ok):
-            continue
-        f = np.sqrt(-2.0 * np.log(s[ok]) / s[ok])
-        accepted = np.concatenate([x[ok] * f, y[ok] * f])
-        take = min(accepted.size, need)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
+        s = s[ok]
+        f = np.log(s)
+        f *= -2.0
+        f /= s
+        np.sqrt(f, out=f)
+        # the x draws come first, then as many y draws as still fit
+        m = f.size  # m <= pairs <= need
+        np.multiply(x[ok], f, out=out[filled:filled + m])
+        tail = min(m, need - m)
+        np.multiply(y[ok][:tail], f[:tail], out=out[filled + m:filled + m + tail])
+        filled += m + tail
     return out
 
 

@@ -307,7 +307,7 @@ def _audit_grid_max(cfg: FeasibilityConfig, n_k: int, n_theta: int, n_c: int) ->
 
         def c2_pass(k, theta):
             eps = account(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C),
-                          lambda_search="coarse").epsilon
+                          lambda_search="full").epsilon
             return eps <= cfg.target.epsilon_star
 
         for k in (float(v) for v in ks):

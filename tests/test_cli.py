@@ -240,6 +240,13 @@ class TestInputValidation:
                      flag, "0"]) == 1
         assert "batch_size must be in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.5"])
+    def test_train_demo_bad_learning_rate(self, capsys, lr):
+        assert main(["train-demo", "--mechanism", "gaussian", "--epsilon", "2.0",
+                     "--lr", lr]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "learning_rate must be finite and > 0" in err
+
     FUZZ_VALUES = [True, False, None, "1", [], {}, math.nan, math.inf, -1, 0, 1e308]
     NON_NUMERIC = st.one_of(st.none(), st.text(max_size=4),
                             st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 import scipy.special
 
+from plrvo import optimizer
 from plrvo.accountant import account
+from plrvo.dpsgd import training_job
 from plrvo.numerics import regularized_lower_gamma
 from plrvo.optimizer import (
     FeasibilityConfig,
     InfeasibleError,
+    _boundary_theta,
     _c1_floor,
+    _SearchState,
     all_pass,
     check_feasible,
     objective,
@@ -231,3 +235,97 @@ class TestSolvePinned:
     def test_crit8_configs(self, index, want):
         res = solve(crit8_configs()[index])
         assert (res.k_star, res.theta_star, res.C_star) == pytest.approx(want, rel=1e-9)
+
+
+def bisected_boundary_theta(state, k: float, C: float) -> tuple[float, float] | None:
+    """The plain bisection that :func:`_boundary_theta` replays: one
+    accountant call per level, every midpoint accounted."""
+    cfg = state.cfg
+    if not (k > 1.0 and cfg.clip_min <= C <= cfg.clip_max):
+        return None
+    theta_hi = (1.0 - 1e-6) / (C * (cfg.job_skeleton.lambda_max + 1))
+    floor = state.theta_floor(k)
+    if floor > theta_hi:
+        return None
+    if state.c2_entry((k, theta_hi, C))["passed"]:
+        return theta_hi, objective(k, theta_hi, C)
+    if not state.c2_entry((k, floor, C))["passed"]:
+        return None
+    theta = floor
+    lo, hi = math.log(floor), math.log(theta_hi)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if state.c2_entry((k, math.exp(mid), C))["passed"]:
+            lo, theta = mid, math.exp(mid)
+        else:
+            hi = mid
+        if hi - lo <= 1e-7:
+            break
+    return theta, objective(k, theta, C)
+
+
+def train_demo_cfg() -> FeasibilityConfig:
+    """The pinned-clip solve of ``train-demo --epsilon 2 --batch 50 --clip 1
+    --epochs 10 --examples 20000 --dim 512``."""
+    return FeasibilityConfig(
+        clip_min=1.0, clip_max=1.0,
+        target=PrivacyTarget(epsilon_star=2.0, delta_star=1e-5),
+        job_skeleton=training_job(512, 20000, 10, 50, 1.0, 1e-5, 64))
+
+
+class TestBoundaryTheta:
+    @staticmethod
+    def counted_calls(monkeypatch) -> list[int]:
+        """Count the accountant calls behind c2 entries from now on."""
+        calls = [0]
+        c2_report = optimizer._c2_report
+
+        def counting(point, cfg):
+            calls[0] += 1
+            return c2_report(point, cfg)
+
+        monkeypatch.setattr(optimizer, "_c2_report", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["crit8-3", "crit8-6", "crit8-7", "train-demo"])
+    def test_bitwise_equal_to_bisection_on_solve_probes(self, monkeypatch, name):
+        cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
+        probed = []
+
+        def recording(state, k, C):
+            probed.append((k, C))
+            return _boundary_theta(state, k, C)
+
+        monkeypatch.setattr(optimizer, "_boundary_theta", recording)
+        solve(cfg)
+        monkeypatch.undo()
+        probed = list(dict.fromkeys(probed))
+        calls = self.counted_calls(monkeypatch)
+        per_boundary = []
+        for k, C in probed:
+            before = calls[0]
+            got = _boundary_theta(_SearchState(cfg=cfg), k, C)
+            per_boundary.append(calls[0] - before)
+            want = bisected_boundary_theta(_SearchState(cfg=cfg), k, C)
+            assert got == want, (k, C)
+        assert len(probed) >= 20
+        # a fresh state accounts the floor and the MGF bound too; the plain
+        # bisection needs about 33 calls per boundary
+        assert sum(per_boundary) / len(per_boundary) <= 12
+
+    def test_early_exits(self, monkeypatch):
+        calls = self.counted_calls(monkeypatch)
+        theta_hi = (1.0 - 1e-6) / (0.7 * 33)
+        cases = [
+            # epsilon* = inf: the MGF bound passes, one call
+            (toy_cfg(epsilon=math.inf), 50.0, 1, (theta_hi, objective(50.0, theta_hi, 0.7))),
+            # an unreachable epsilon*: the floor fails after the MGF bound
+            (toy_cfg(epsilon=1e-6), 50.0, 2, None),
+            # k near 1: c4's floor lies above the MGF bound, no call
+            (toy_cfg(), 1.001, 0, None),
+        ]
+        for cfg, k, want_calls, want in cases:
+            before = calls[0]
+            assert _boundary_theta(_SearchState(cfg=cfg), k, 0.7) == want
+            assert calls[0] - before == want_calls, k
+            assert bisected_boundary_theta(_SearchState(cfg=cfg), k, 0.7) == want

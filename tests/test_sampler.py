@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -140,6 +141,15 @@ class TestGaussianAndLaplace:
     def test_polar_normal_variance(self):
         x = standard_normal(make_rng(66), 10**6)
         assert x.var() == pytest.approx(1.0, abs=0.005)
+
+    def test_polar_normal_pinned(self):
+        # recorded from the concatenating implementation the in-place one replaced
+        x = standard_normal(make_rng(0), 10**5)
+        assert x[:6].tolist() == [1.9453335290214984, -0.03788632696769502,
+                                  0.9365559772114249, 0.5418023698919924,
+                                  1.7556858138890616, 0.6982323219455142]
+        assert hashlib.sha256(x.tobytes()).hexdigest() == \
+            "e2ff101e497897bc533f7d53a6416a891306a14848d3dba1fbc6dfee07291147"
 
     def test_laplace_inverse_cdf_moments(self):
         z = sample_laplace_vector(2.0, (10**6,), make_rng(77))
