@@ -14,6 +14,7 @@ result: accounting runs on one thread.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -212,27 +213,23 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train_demo(args) -> int:
-    job = dpsgd.training_job(args.dim, args.examples, args.epochs, args.batch,
-                             args.clip, args.delta, args.lambda_max)
-    if args.mechanism == "gaussian":
-        sigma = dpsgd.calibrate_gaussian_sigma(args.epsilon, job)
-        mechanism = GaussianParams(sigma=sigma)
-    else:
-        cfg = optimizer.FeasibilityConfig(
-            clip_min=args.clip, clip_max=args.clip,
-            target=PrivacyTarget(epsilon_star=args.epsilon, delta_star=args.delta),
-            job_skeleton=job,
-        )
-        result = optimizer.solve(cfg)
-        mechanism = GammaPlrvParams(k=result.k_star, theta=result.theta_star)
-
-    run = dpsgd.TrainingRun(
-        mechanism=mechanism, model_dim=args.dim, n_examples=args.examples,
+    # every training input is checked before the noise is calibrated
+    loop = dpsgd.TrainingRun(
+        mechanism=None, model_dim=args.dim, n_examples=args.examples,
         epochs=args.epochs, batch_size=args.batch, clip_C=args.clip,
         learning_rate=args.lr, delta=args.delta, lambda_max=args.lambda_max,
         seed=args.seed,
     )
-    ledger = dpsgd.train(run)
+    target = PrivacyTarget(epsilon_star=args.epsilon, delta_star=args.delta)
+    if args.mechanism == "gaussian":
+        mechanism = GaussianParams(sigma=dpsgd.calibrate_gaussian_sigma(args.epsilon, loop.job))
+    else:
+        cfg = optimizer.FeasibilityConfig(clip_min=args.clip, clip_max=args.clip,
+                                          target=target, job_skeleton=loop.job)
+        result = optimizer.solve(cfg)
+        mechanism = GammaPlrvParams(k=result.k_star, theta=result.theta_star)
+
+    ledger = dpsgd.train(dataclasses.replace(loop, mechanism=mechanism))
     ledger["target_epsilon"] = args.epsilon
     _emit(ledger)
     return 0

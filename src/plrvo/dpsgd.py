@@ -20,7 +20,9 @@ import numpy as np
 
 from .accountant import MECHANISM_TAGS, account
 from .params import AccountingJob, GammaPlrvParams, GaussianParams, to_json_dict
-from .sampler import make_rng, sample_gaussian_noise, sample_plrv_noise
+from .sampler import make_rng, sample_gaussian_noise, sample_plrv_noise_rows
+
+BLOCK_STEPS = 64  # training steps per block of batch-mask and noise draws
 
 
 def training_job(model_dim: int, n_examples: int, epochs: int, batch_size: int,
@@ -40,9 +42,12 @@ def training_job(model_dim: int, n_examples: int, epochs: int, batch_size: int,
 
 @dataclass(frozen=True)
 class TrainingRun:
-    """Configuration of one demo run; everything else derives from the seed."""
+    """Configuration of one demo run; everything else derives from the seed.
+    ``mechanism`` may be None while the noise is still to be calibrated, so
+    a run's inputs can be checked before the calibration; ``train`` needs
+    it set."""
 
-    mechanism: GammaPlrvParams | GaussianParams
+    mechanism: GammaPlrvParams | GaussianParams | None
     model_dim: int = 2
     n_examples: int = 400
     epochs: int = 3
@@ -57,6 +62,8 @@ class TrainingRun:
         self.job  # deriving the job validates the loop's sizes
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
     @property
     def job(self) -> AccountingJob:
@@ -75,62 +82,60 @@ def make_blobs(n: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
     mu = 2.5 / math.sqrt(dim)
     y = np.where(rng.uniform(n) < 0.5, -1.0, 1.0)
-    x = standard_normal(rng, n * dim).reshape(n, dim) + y[:, None] * mu
+    x = standard_normal(rng, n * dim).reshape(n, dim)
+    x += y[:, None] * mu
     return x, y
 
 
-def poisson_subsample(n: int, zeta: float, rng) -> np.ndarray:
-    """Indices of a Poisson-subsampled batch: each of the n examples joins
-    independently with probability zeta. May be empty."""
+def poisson_subsample(n: int, zeta: float, steps: int, rng) -> list[np.ndarray]:
+    """Indices of ``steps`` successive Poisson-subsampled batches: each of
+    the n examples joins each batch independently with probability zeta.
+    A batch may be empty. One ``uniform(steps * n)`` call draws every mask,
+    which is ``steps`` successive ``uniform(n)`` masks; zeta = 1 draws
+    nothing."""
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"zeta must be in (0, 1], got {zeta}")
     if zeta == 1.0:
-        return np.arange(n)
-    return np.nonzero(rng.uniform(n) < zeta)[0]
+        return [np.arange(n)] * steps
+    return [np.flatnonzero(u < zeta) for u in rng.uniform(steps * n).reshape(steps, n)]
 
 
-def l2_clip(g: np.ndarray, C: float) -> np.ndarray:
-    """g * min(1, C / ||g||_2); the zero vector passes through untouched."""
-    if not C > 0:
-        raise ValueError(f"C must be > 0, got {C}")
-    norm = float(np.linalg.norm(g))
-    if norm <= C:
-        return g
-    return g * (C / norm)
-
-
-def _per_example_gradients(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows are logistic-loss gradients, -y_i * sigmoid(-y_i <w, x_i>) * x_i."""
+def _loss_slopes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a_i = -y_i * sigmoid(-y_i <w, x_i>): example i's logistic-loss
+    gradient is a_i x_i."""
     margin = y * (x @ w)
     with np.errstate(over="ignore"):  # exp(margin) = inf saturates s to exactly 0
         s = 1.0 / (1.0 + np.exp(margin))
-    return -(y * s)[:, None] * x
+    return -(y * s)
 
 
-def _clip_rows(g: np.ndarray, C: float) -> np.ndarray:
-    norms = np.linalg.norm(g, axis=1)
-    factors = np.minimum(1.0, C / np.maximum(norms, 1e-300))
-    return g * factors[:, None]
-
-
-def _noise_draw(run: TrainingRun, rng) -> np.ndarray:
-    if isinstance(run.mechanism, GammaPlrvParams):
-        return sample_plrv_noise(run.mechanism, run.model_dim, rng).coords
-    return sample_gaussian_noise(run.clip_C * run.mechanism.sigma, run.model_dim, rng)
+def _clip_factors(slopes: np.ndarray, x_norms: np.ndarray, C: float) -> np.ndarray:
+    """min(1, C / ||a_i x_i||_2), the norm taken as |a_i| ||x_i||_2; a zero
+    gradient keeps factor 1."""
+    return np.minimum(1.0, C / np.maximum(np.abs(slopes) * x_norms, 1e-300))
 
 
 def noisy_step(w: np.ndarray, batch_x: np.ndarray, batch_y: np.ndarray,
-               run: TrainingRun, rng) -> np.ndarray:
-    """One DP-SGD step: clip each per-example gradient, average over the
-    expected batch size, add one mechanism draw, take a plain SGD step.
-    An empty batch yields a noise-only update."""
+               batch_norms: np.ndarray, noise: np.ndarray, run: TrainingRun) -> np.ndarray:
+    """One DP-SGD step: clip each per-example gradient (``batch_norms`` are
+    the rows' l2 norms), average over the expected batch size, add the
+    step's noise row, take a plain SGD step. An empty batch yields a
+    noise-only update."""
     if batch_x.shape[0] > 0:
-        grads = _clip_rows(_per_example_gradients(w, batch_x, batch_y), run.clip_C)
-        avg = grads.sum(axis=0) / run.batch_size
+        a = _loss_slopes(w, batch_x, batch_y)
+        a *= _clip_factors(a, batch_norms, run.clip_C)
+        avg = (a @ batch_x) / run.batch_size
     else:
         avg = np.zeros(run.model_dim)
-    g_tilde = avg + _noise_draw(run, rng)
-    return w - run.learning_rate * g_tilde
+    return w - run.learning_rate * (avg + noise)
+
+
+def _noise_rows(run: TrainingRun, steps: int, rng) -> np.ndarray:
+    """The noise rows of ``steps`` successive steps."""
+    if isinstance(run.mechanism, GammaPlrvParams):
+        return sample_plrv_noise_rows(run.mechanism, steps, run.model_dim, rng)[1]
+    return np.stack([sample_gaussian_noise(run.clip_C * run.mechanism.sigma, run.model_dim, rng)
+                     for _ in range(steps)])
 
 
 def accuracy(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -140,19 +145,29 @@ def accuracy(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 def train(run: TrainingRun) -> dict:
     """Execute the run and return its ledger: hyperparameters, seed, final
     weights, held-out accuracy, and the accountant's epsilon for the exact
-    (T, zeta, C, d) used by the loop."""
+    (T, zeta, C, d) used by the loop.
+
+    Three streams of the seed drive the loop: 0 the data, 1 the batches, 2
+    the noise. The loop runs in blocks of ``BLOCK_STEPS`` steps, each
+    drawing its batch masks and its noise rows at once; every step's draws
+    keep the bits they have one step at a time."""
+    if run.mechanism is None:
+        raise ValueError("train needs a mechanism")
     data_rng = make_rng(run.seed, stream=0)
     batch_rng = make_rng(run.seed, stream=1)
     noise_rng = make_rng(run.seed, stream=2)
 
     train_x, train_y = make_blobs(run.n_examples, run.model_dim, data_rng)
     test_x, test_y = make_blobs(max(200, run.n_examples // 2), run.model_dim, data_rng)
+    train_norms = np.sqrt(np.einsum("ij,ij->i", train_x, train_x))
 
     job = run.job
     w = np.zeros(run.model_dim)
-    for _ in range(job.steps_T):
-        idx = poisson_subsample(run.n_examples, job.sampling_rate_zeta, batch_rng)
-        w = noisy_step(w, train_x[idx], train_y[idx], run, noise_rng)
+    for first in range(0, job.steps_T, BLOCK_STEPS):
+        steps = min(BLOCK_STEPS, job.steps_T - first)
+        batches = poisson_subsample(run.n_examples, job.sampling_rate_zeta, steps, batch_rng)
+        for idx, noise in zip(batches, _noise_rows(run, steps, noise_rng)):
+            w = noisy_step(w, train_x[idx], train_y[idx], train_norms[idx], noise, run)
 
     report = account(run.mechanism, job, lambda_search="full")
     return {

@@ -12,6 +12,14 @@ are implemented here so both sources share one code path:
   * Laplace: inverse CDF, z = -b * sign(v) * ln(1 - 2|v|) for v uniform on
     (-1/2, 1/2).
 
+A source's ``uniform(a)`` followed by ``uniform(b)`` returns the bits of
+``uniform(a + b)``, and numpy's elementwise ufuncs return the same bits at
+any array length. Block samplers rely on both: ``standard_normal`` works
+through a pass in cache-sized blocks, and ``sample_plrv_noise_rows`` returns
+the bits of successive one-row draws, from exactly their uniforms. (Python's
+``math.log`` differs from numpy's ``log`` on some inputs, so no transform
+here uses it.)
+
 A cryptographic source (os.urandom) is available behind ``secure=True`` for
 production-privacy use. It is not seedable; the published test vectors apply
 only to the deterministic source. Floating-point side channels of noise
@@ -67,60 +75,90 @@ def _uniform_open(rng, size: int) -> np.ndarray:
         u[zeros] = rng.uniform(int(np.count_nonzero(zeros)))
 
 
+_NORMAL_BLOCK = 1 << 13  # polar pairs per block: a few 64 KiB arrays stay in cache
+
+
+def _polar_factor(s: np.ndarray) -> np.ndarray:
+    """sqrt(-2 ln s / s), the polar method's factor for accepted pairs."""
+    f = np.log(s)
+    f *= -2.0
+    f /= s
+    np.sqrt(f, out=f)
+    return f
+
+
 def standard_normal(rng, size: int) -> np.ndarray:
-    """Marsaglia polar method; consumes uniforms in pairs until filled."""
+    """Marsaglia polar method; consumes uniforms in pairs until filled.
+
+    Each pass draws all of its x uniforms, then all of its y uniforms, and
+    keeps the normals x f of the accepted pairs followed by as many y f as
+    still fit. A pass works in blocks of ``_NORMAL_BLOCK`` pairs: its x
+    uniforms wait in the part of ``out`` the pass fills, its kept y f
+    products in the part after that, so no full-size temporary is built.
+    """
     out = np.empty(size)
     filled = 0
     while filled < size:
         need = size - filled
         pairs = (need + 1) // 2
-        x = rng.uniform(pairs)
-        x *= 2.0
-        x -= 1.0
-        y = rng.uniform(pairs)
-        y *= 2.0
-        y -= 1.0
-        s = x * x
-        s += y * y
-        ok = (s > 0.0) & (s < 1.0)
-        s = s[ok]
-        f = np.log(s)
-        f *= -2.0
-        f /= s
-        np.sqrt(f, out=f)
-        # the x draws come first, then as many y draws as still fit
-        m = f.size  # m <= pairs <= need
-        np.multiply(x[ok], f, out=out[filled:filled + m])
+        xs = out[filled:filled + pairs]
+        for lo in range(0, pairs, _NORMAL_BLOCK):
+            xs[lo:lo + _NORMAL_BLOCK] = rng.uniform(min(_NORMAL_BLOCK, pairs - lo))
+        # x f of the m accepted pairs so far go to xs[:m] (m never passes the
+        # block being read); the first need - pairs y f products, which is
+        # every one the pass keeps, go to ys
+        ys = out[filled + pairs:filled + need]
+        m = kept_y = 0
+        for lo in range(0, pairs, _NORMAL_BLOCK):
+            x = xs[lo:lo + _NORMAL_BLOCK] * 2.0
+            x -= 1.0
+            y = rng.uniform(x.size)
+            y *= 2.0
+            y -= 1.0
+            s = x * x
+            s += y * y
+            ok = (s > 0.0) & (s < 1.0)
+            f = _polar_factor(s[ok])
+            np.multiply(x[ok], f, out=xs[m:m + f.size])
+            m += f.size
+            take = min(f.size, ys.size - kept_y)
+            np.multiply(y[ok][:take], f[:take], out=ys[kept_y:kept_y + take])
+            kept_y += take
         tail = min(m, need - m)
-        np.multiply(y[ok][:tail], f[:tail], out=out[filled + m:filled + m + tail])
+        out[filled + m:filled + m + tail] = ys[:tail]
         filled += m + tail
     return out
+
+
+def _gamma_constants(k: float) -> tuple[float, float]:
+    """Marsaglia-Tsang's (d, c) for shape k, boosted to k + 1 below 1."""
+    d = (k + 1.0 if k < 1.0 else k) - 1.0 / 3.0
+    return d, 1.0 / math.sqrt(9.0 * d)
+
+
+def _marsaglia_tsang(x: np.ndarray, u: np.ndarray, d: float, c: float):
+    """Verdicts and cubes v of the candidates d v for normals x and open
+    uniforms u."""
+    v = (1.0 + c * x) ** 3
+    x2 = x * x
+    squeeze = u < 1.0 - 0.0331 * x2 * x2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slow = np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(v))
+    return (v > 0.0) & (squeeze | slow), v
 
 
 def sample_gamma_vector(k: float, theta: float, size: int, rng) -> np.ndarray:
     """Gamma(shape k, scale theta) draws via Marsaglia-Tsang."""
     if not (k > 0 and theta > 0):
         raise ValueError(f"gamma requires k > 0 and theta > 0, got k={k}, theta={theta}")
-    boost = None
-    shape = k
-    if k < 1.0:
-        boost = _uniform_open(rng, size) ** (1.0 / k)
-        shape = k + 1.0
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
+    boost = _uniform_open(rng, size) ** (1.0 / k) if k < 1.0 else None
+    d, c = _gamma_constants(k)
     out = np.empty(size)
     filled = 0
     while filled < size:
         need = size - filled
         x = standard_normal(rng, need)
-        v = (1.0 + c * x) ** 3
-        u = _uniform_open(rng, need)
-        pos = v > 0.0
-        x2 = x * x
-        squeeze = u < 1.0 - 0.0331 * x2 * x2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slow = np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(v))
-        ok = pos & (squeeze | slow)
+        ok, v = _marsaglia_tsang(x, _uniform_open(rng, need), d, c)
         accepted = d * v[ok]
         take = min(accepted.size, need)
         out[filled:filled + take] = accepted[:take]
@@ -131,49 +169,172 @@ def sample_gamma_vector(k: float, theta: float, size: int, rng) -> np.ndarray:
     return out
 
 
-def sample_gamma(k: float, theta: float, rng) -> float:
-    """One Gamma(shape k, scale theta) draw."""
-    return float(sample_gamma_vector(k, theta, 1, rng)[0])
+def _laplace(b, v: np.ndarray) -> np.ndarray:
+    """Laplace(0, b) from uniforms v on (-1/2, 1/2)."""
+    return -np.asarray(b) * np.sign(v) * np.log1p(-2.0 * np.abs(v))
 
 
 def sample_laplace_vector(b: np.ndarray | float, shape: tuple[int, ...], rng) -> np.ndarray:
     """Laplace(0, b) via the inverse CDF; b broadcasts against ``shape``."""
     size = int(np.prod(shape))
-    v = _uniform_open(rng, size).reshape(shape) - 0.5
-    return -np.asarray(b) * np.sign(v) * np.log1p(-2.0 * np.abs(v))
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One randomized-scale draw: the realized scale b = 1/u plus the noise
-    coordinates generated from it (all coordinates share this one b)."""
-
-    scale_b: float
-    coords: np.ndarray
-
-    def __post_init__(self):
-        if not self.scale_b > 0:
-            raise ValueError(f"scale_b must be > 0, got {self.scale_b}")
-
-
-def sample_plrv_noise(params: GammaPlrvParams, n: int, rng) -> NoiseDraw:
-    """Two-step draw: u ~ Gamma(k, theta), b = 1/u, then n i.i.d.
-    Laplace(0, b) coordinates sharing that b."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n}")
-    u = sample_gamma(params.k, params.theta, rng)
-    b = 1.0 / u
-    return NoiseDraw(scale_b=b, coords=sample_laplace_vector(b, (n,), rng))
+    return _laplace(b, _uniform_open(rng, size).reshape(shape) - 0.5)
 
 
 def sample_plrv_noise_matrix(params: GammaPlrvParams, draws: int, n: int,
                              rng) -> tuple[np.ndarray, np.ndarray]:
     """Batch form: (scales, coords) with coords of shape (draws, n); row i
-    shares scales[i]."""
+    shares scales[i]. All draws' gamma seeds come first, then all
+    coordinates."""
     u = sample_gamma_vector(params.k, params.theta, draws, rng)
     b = 1.0 / u
     coords = sample_laplace_vector(b[:, None], (draws, n), rng)
     return b, coords
+
+
+@dataclass
+class _Row:
+    """Tape positions of one noise row: the k < 1 boost, the accepted polar
+    pair (x, then y), the Marsaglia-Tsang uniform and the n Laplace
+    uniforms (the first of n in a row, or their index array when exact
+    zeros were redrawn). ``begin`` is where the row's polar tries start."""
+
+    begin: int
+    boost_at: int | None = None
+    x_at: int | None = None
+    u_at: int | None = None
+    laplace: int | np.ndarray | None = None
+    end: int = 0
+
+
+class _Short(Exception):
+    """A walk needs tape position ``need``, which is not drawn yet."""
+
+    def __init__(self, need: int):
+        super().__init__(need)
+        self.need = need
+
+
+def _walk_row(u: np.ndarray, row: _Row, n: int, boosted: bool) -> _Row:
+    """Fill in ``row``'s positions on tape ``u`` as if its Marsaglia-Tsang
+    candidate is accepted: the polar tries of ``standard_normal(rng, 1)``,
+    in exactly rounded arithmetic, and the draws of ``_uniform_open``, which
+    redraws exact zeros from the positions that follow."""
+
+    def open_at(p: int) -> int:
+        while p < u.size and u[p] == 0.0:
+            p += 1
+        if p >= u.size:
+            raise _Short(p)
+        return p
+
+    if boosted and row.boost_at is None:
+        row.boost_at = open_at(row.begin)
+        row.begin = row.boost_at + 1
+    p = row.begin
+    while True:
+        if p + 1 >= u.size:
+            raise _Short(p + 1)
+        x = u[p] * 2.0 - 1.0
+        y = u[p + 1] * 2.0 - 1.0
+        p += 2
+        if 0.0 < x * x + y * y < 1.0:
+            break
+    row.x_at = p - 2
+    row.u_at = open_at(p)
+    p = row.u_at + 1
+    q = p + n
+    if q > u.size:
+        raise _Short(q - 1)
+    if u[p:q].all():
+        row.laplace, row.end = p, q
+        return row
+    idx = np.arange(p, q)
+    redo = np.flatnonzero(u[idx] == 0.0)
+    while redo.size:
+        if q + redo.size > u.size:
+            raise _Short(q + redo.size - 1)
+        idx[redo] = np.arange(q, q + redo.size)
+        q += redo.size
+        redo = redo[u[idx[redo]] == 0.0]
+    row.laplace, row.end = idx, q
+    return row
+
+
+def _gamma_candidates(u: np.ndarray, rows: list[_Row], k: float,
+                      theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Marsaglia-Tsang verdicts and Gamma(k, theta) values of the walked
+    rows' candidates, with the arithmetic of ``sample_gamma_vector``."""
+    d, c = _gamma_constants(k)
+    x_at = np.array([r.x_at for r in rows])
+    x = u[x_at] * 2.0
+    x -= 1.0
+    y = u[x_at + 1] * 2.0
+    y -= 1.0
+    s = x * x
+    s += y * y
+    x *= _polar_factor(s)
+    ok, v = _marsaglia_tsang(x, u[[r.u_at for r in rows]], d, c)
+    gamma = d * v
+    gamma *= theta
+    if k < 1.0:
+        gamma *= u[[r.boost_at for r in rows]] ** (1.0 / k)
+    return ok, gamma
+
+
+def sample_plrv_noise_rows(params: GammaPlrvParams, rows: int, n: int,
+                           rng) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` successive randomized-scale draws: u ~ Gamma(k, theta),
+    b = 1/u, then n i.i.d. Laplace(0, b) coordinates sharing that b.
+
+    Returns (scales, coords), coords of shape (rows, n). Row i holds the
+    bits of the i-th of ``rows`` one-row draws (``sample_gamma_vector(k,
+    theta, 1, rng)``, then ``sample_laplace_vector(b, (n,), rng)``), and the
+    call consumes exactly the uniforms those draws consume. It replays them
+    on a tape of uniforms: a walk finds each row's positions as if every
+    Marsaglia-Tsang candidate is accepted, one vector checks the walked
+    candidates, and the walk resumes after the first rejected one. The tape
+    only grows by uniforms the draws are certain to consume.
+    """
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n}")
+    boosted = params.k < 1.0
+    row_min = n + 3 + boosted  # the fewest uniforms a row consumes
+    u = rng.uniform(rows * row_min)
+    final: list[_Row] = []
+    scales = np.empty(rows)
+    row = _Row(0)  # the first row not yet final
+    while len(final) < rows:
+        walked, short = [], None
+        try:
+            while len(final) + len(walked) < rows:
+                walked.append(_walk_row(u, row, n, boosted))
+                row = _Row(row.end)
+        except _Short as exc:
+            short = exc
+        # a row cut short in its Laplace uniforms is checked too
+        checked = walked + [row] if short and row.u_at is not None else walked
+        if checked:
+            ok, gamma = _gamma_candidates(u, checked, params.k, params.theta)
+            good = len(checked) if ok.all() else int(np.argmin(ok))
+            kept = min(good, len(walked))
+            scales[len(final):len(final) + kept] = 1.0 / gamma[:kept]
+            final += walked[:kept]
+            if good < len(checked):  # rejected: the next try follows its uniform
+                row = _Row(checked[good].u_at + 1, checked[good].boost_at)
+                continue
+        if short is None:
+            break
+        # the rows before ``row`` are final and its walk so far is certain:
+        # draw up to the position it needs, and the fewest the rest need
+        row = _Row(row.begin, row.boost_at)
+        more = short.need + 1 - u.size + (rows - len(final) - 1) * row_min
+        u = np.concatenate([u, rng.uniform(more)])
+    starts = [r.laplace if isinstance(r.laplace, int) else 0 for r in final]
+    laplace = np.array(starts, dtype=np.intp)[:, None] + np.arange(n)
+    for i, r in enumerate(final):
+        if not isinstance(r.laplace, int):
+            laplace[i] = r.laplace
+    return scales, _laplace(scales[:, None], u[laplace] - 0.5)
 
 
 def sample_gaussian_noise(sigma_eff: float, n: int, rng) -> np.ndarray:

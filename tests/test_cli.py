@@ -247,6 +247,25 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "input error" in err and "learning_rate must be finite and > 0" in err
 
+    @pytest.mark.parametrize("mechanism", ["plrvo", "gaussian"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lr", "nan", "learning_rate must be finite and > 0"),
+        ("--seed", "-1", "seed must be an integer >= 0"),
+        ("--epsilon", "nan", "epsilon_star must be > 0"),
+    ])
+    def test_train_demo_checks_inputs_before_calibrating(self, capsys, monkeypatch,
+                                                         mechanism, flag, value, message):
+        from plrvo import dpsgd, optimizer
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("noise calibrated before the training inputs were checked")
+
+        monkeypatch.setattr(optimizer, "solve", calibrate)
+        monkeypatch.setattr(dpsgd, "calibrate_gaussian_sigma", calibrate)
+        assert main(["train-demo", "--mechanism", mechanism, "--epsilon", "2.0",
+                     flag, value]) == 1
+        assert message in capsys.readouterr().err
+
     FUZZ_VALUES = [True, False, None, "1", [], {}, math.nan, math.inf, -1, 0, 1e308]
     NON_NUMERIC = st.one_of(st.none(), st.text(max_size=4),
                             st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),

@@ -1,69 +1,88 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plrvo.accountant import account
+from plrvo.cli import main
 from plrvo.dpsgd import (
     TrainingRun,
     accuracy,
     calibrate_gaussian_sigma,
-    l2_clip,
     make_blobs,
     noisy_step,
     poisson_subsample,
     train,
-    _clip_rows,
-    _per_example_gradients,
+    _clip_factors,
+    _loss_slopes,
 )
 from plrvo.params import AccountingJob, GammaPlrvParams, GaussianParams
-from plrvo.sampler import make_rng
+from plrvo.sampler import make_rng, sample_gaussian_noise, sample_plrv_noise_rows
+
+
+def clipped(slopes, x, C):
+    """Rows a_i x_i clipped the way the loop clips them."""
+    a = np.asarray(slopes, dtype=float)
+    return (a * _clip_factors(a, np.linalg.norm(x, axis=1), C))[:, None] * x
 
 
 class TestClip:
     def test_inside_ball_unchanged(self):
-        g = np.array([0.3, -0.4])
-        assert np.array_equal(l2_clip(g, 1.0), g)
+        x = np.array([[0.3, -0.4]])
+        assert np.array_equal(clipped([1.0], x, 1.0), x)
 
     def test_boundary_scaling_preserves_direction(self):
-        g = np.array([3.0, 4.0])  # norm 5 = 2C for C = 2.5
-        clipped = l2_clip(g, 2.5)
-        assert np.linalg.norm(clipped) == pytest.approx(2.5, rel=1e-12)
-        assert float(g[0] * clipped[1] - g[1] * clipped[0]) == pytest.approx(0.0, abs=1e-12)
+        x = np.array([[1.5, 2.0]])
+        g = -2.0 * x[0]  # norm 5 = 2C for C = 2.5
+        c = clipped([-2.0], x, 2.5)[0]
+        assert np.linalg.norm(c) == pytest.approx(2.5, rel=1e-12)
+        assert float(g[0] * c[1] - g[1] * c[0]) == pytest.approx(0.0, abs=1e-12)
+        assert float(g @ c) > 0
 
     def test_zero_vector(self):
-        assert np.array_equal(l2_clip(np.zeros(3), 1.0), np.zeros(3))
+        assert np.array_equal(clipped([0.7], np.zeros((1, 3)), 1.0), np.zeros((1, 3)))
+        assert np.array_equal(clipped([0.0], np.ones((1, 3)), 1.0), np.zeros((1, 3)))
 
     def test_row_clipping_bound(self):
         rng = np.random.default_rng(0)
-        g = rng.standard_normal((200, 8)) * 3
-        clipped = _clip_rows(g, 0.7)
-        assert np.all(np.linalg.norm(clipped, axis=1) <= 0.7 + 1e-12)
+        x = rng.standard_normal((200, 8)) * 3
+        c = clipped(rng.uniform(-1.0, 1.0, 200), x, 0.7)
+        assert np.all(np.linalg.norm(c, axis=1) <= 0.7 + 1e-12)
 
 
 class TestPoissonSubsample:
     def test_full_rate(self):
-        idx = poisson_subsample(100, 1.0, make_rng(1))
-        assert np.array_equal(idx, np.arange(100))
+        rng = make_rng(1)
+        for idx in poisson_subsample(100, 1.0, 3, rng):
+            assert np.array_equal(idx, np.arange(100))
+        # zeta = 1 draws nothing
+        assert np.array_equal(rng.uniform(5), make_rng(1).uniform(5))
 
     def test_mean_batch_size(self):
-        rng = make_rng(2)
-        sizes = [len(poisson_subsample(100, 0.5, rng)) for _ in range(10**4)]
+        sizes = [len(idx) for idx in poisson_subsample(100, 0.5, 10**4, make_rng(2))]
         se = math.sqrt(100 * 0.25 / 10**4)
         assert abs(np.mean(sizes) - 50.0) <= 4 * se
 
     def test_empty_batches_at_tiny_rate(self):
-        rng = make_rng(3)
         zeta, n, trials = 0.005, 100, 4000
-        empties = sum(len(poisson_subsample(n, zeta, rng)) == 0 for _ in range(trials))
+        empties = sum(len(idx) == 0 for idx in poisson_subsample(n, zeta, trials, make_rng(3)))
         p_empty = (1 - zeta) ** n
         se = math.sqrt(trials * p_empty * (1 - p_empty))
         assert abs(empties - trials * p_empty) <= 4 * se
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            poisson_subsample(10, 0.0, make_rng(1))
+            poisson_subsample(10, 0.0, 1, make_rng(1))
+
+    def test_block_is_successive_single_batches(self):
+        blocked, single = make_rng(4, stream=1), make_rng(4, stream=1)
+        block = poisson_subsample(300, 0.02, 9, blocked)
+        for idx in block:
+            assert np.array_equal(idx, poisson_subsample(300, 0.02, 1, single)[0])
+        assert np.array_equal(blocked.uniform(5), single.uniform(5))
 
 
 class TestGradients:
@@ -74,11 +93,11 @@ class TestGradients:
         w = np.array([1000.0, 999.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = _per_example_gradients(w, x, y)
-            g_flip = _per_example_gradients(-w, x, y)
-        # margin +1e3: gradient exactly 0; margin -1e3: -y x exactly
-        assert np.array_equal(g, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(g_flip, [[-1.0, -0.0], [0.0, 0.0], [-1.0, -1.0]])
+            a = _loss_slopes(w, x, y)
+            a_flip = _loss_slopes(-w, x, y)
+        # margin +1e3: slope exactly 0; margin -1e3: slope exactly -y
+        assert np.array_equal(a, [0.0, 1.0, 0.0])
+        assert np.array_equal(a_flip, [-1.0, 0.0, -1.0])
 
 
 class TestNoisyStep:
@@ -93,6 +112,7 @@ class TestNoisyStep:
         run = self.run()
         rng = make_rng(10)
         x, y = make_blobs(64, 2, make_rng(11))
+        norms = np.linalg.norm(x, axis=1)
 
         def loss(w):
             return float(np.mean(np.log1p(np.exp(-y * (x @ w)))))
@@ -100,26 +120,37 @@ class TestNoisyStep:
         w = np.zeros(2)
         losses = [loss(w)]
         for _ in range(30):
-            w = noisy_step(w, x, y, run, rng)
+            w = noisy_step(w, x, y, norms, sample_gaussian_noise(1e-12, 2, rng), run)
             losses.append(loss(w))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+
+    def test_step_matches_clipped_gradient_rows(self):
+        # reference: materialize each gradient row, clip it by its own norm,
+        # sum the rows; the step's factored form agrees to rounding
+        run = self.run(model_dim=16, batch_size=40, clip_C=0.5)
+        x, y = make_blobs(50, 16, make_rng(12))
+        w = np.random.default_rng(1).standard_normal(16)
+        g = _loss_slopes(w, x, y)[:, None] * x
+        g *= np.minimum(1.0, 0.5 / np.maximum(np.linalg.norm(g, axis=1), 1e-300))[:, None]
+        noise = np.zeros(16)
+        want = w - run.learning_rate * (g.sum(axis=0) / 40)
+        got = noisy_step(w, x, y, np.linalg.norm(x, axis=1), noise, run)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(w))
 
     def test_empty_batch_is_noise_only(self):
         run = self.run(mechanism=GammaPlrvParams(k=10.0, theta=0.1))
         w = np.array([1.0, -1.0])
-        rng1 = make_rng(20)
-        stepped = noisy_step(w, np.zeros((0, 2)), np.zeros(0), run, rng1)
-        from plrvo.sampler import sample_plrv_noise
-        z = sample_plrv_noise(run.mechanism, 2, make_rng(20)).coords
-        assert np.array_equal(stepped, w - run.learning_rate * z)
+        _, z = sample_plrv_noise_rows(run.mechanism, 1, 2, make_rng(20))
+        stepped = noisy_step(w, np.zeros((0, 2)), np.zeros(0), np.zeros(0), z[0], run)
+        assert np.array_equal(stepped, w - run.learning_rate * z[0])
 
     def test_plrv_noise_magnitude_matches_distortion(self):
         run = self.run(mechanism=GammaPlrvParams(k=10.0, theta=0.1), model_dim=8)
-        rng = make_rng(30)
+        _, noise = sample_plrv_noise_rows(run.mechanism, 3000, 8, make_rng(30))
         mags = []
         w = np.zeros(8)
-        for _ in range(3000):
-            new_w = noisy_step(w, np.zeros((0, 8)), np.zeros(0), run, rng)
+        for z in noise:
+            new_w = noisy_step(w, np.zeros((0, 8)), np.zeros(0), np.zeros(0), z, run)
             mags.append(np.abs((w - new_w) / run.learning_rate))
         assert np.mean(mags) == pytest.approx(1.0 / (9 * 0.1), rel=0.05)
 
@@ -202,3 +233,23 @@ class TestCalibration:
         x = np.array([[2.0, 0.0], [-3.0, 0.0]])
         y = np.array([1.0, -1.0])
         assert accuracy(w, x, y) == 1.0
+
+
+PINS = json.loads((Path(__file__).parent / "train_demo_pins.json").read_text())
+
+
+class TestPinnedLedgers:
+    """train-demo ledgers recorded when the loop drew one batch mask and one
+    noise row per step. Blocks keep every draw's bits; the clipping and
+    averaging arithmetic may move the weights at the ulp level only."""
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_ledger_matches_pin(self, name, capsys):
+        assert main(PINS[name]["argv"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        want = dict(PINS[name]["ledger"])
+        weights = want.pop("final_weights")
+        assert got.pop("final_weights") == pytest.approx(weights, rel=1e-12, abs=0.0)
+        assert got["test_accuracy"] == want["test_accuracy"]
+        assert got["epsilon_report"]["epsilon"] == want["epsilon_report"]["epsilon"]
+        assert got == want

@@ -8,13 +8,13 @@ from plrvo.numerics import regularized_lower_gamma
 from plrvo.params import GammaPlrvParams
 from plrvo.sampler import (
     CryptoSource,
+    DeterministicSource,
     make_rng,
-    sample_gamma,
     sample_gamma_vector,
     sample_gaussian_noise,
     sample_laplace_vector,
-    sample_plrv_noise,
     sample_plrv_noise_matrix,
+    sample_plrv_noise_rows,
     standard_normal,
 )
 
@@ -56,9 +56,9 @@ class TestGammaSampler:
         assert p_value > 0.001
 
     def test_scalar_draw_and_validation(self):
-        assert sample_gamma(2.0, 0.5, make_rng(1)) > 0
+        assert sample_gamma_vector(2.0, 0.5, 1, make_rng(1))[0] > 0
         with pytest.raises(ValueError):
-            sample_gamma(0.0, 1.0, make_rng(1))
+            sample_gamma_vector(0.0, 1.0, 1, make_rng(1))
 
 
 class TestDeterminism:
@@ -109,11 +109,11 @@ class TestPlrvNoise:
 
     def test_coordinates_share_scale(self):
         p = GammaPlrvParams(k=50.0, theta=0.02)
-        draw = sample_plrv_noise(p, 4000, make_rng(17))
+        scales, coords = sample_plrv_noise_rows(p, 1, 4000, make_rng(17))
         # conditional on b, |z_i| are Exp(b): their mean concentrates at b
-        assert np.abs(draw.coords).mean() == pytest.approx(
-            draw.scale_b, rel=4 / math.sqrt(4000) * 1.5)
-        assert draw.scale_b > 0
+        assert np.abs(coords[0]).mean() == pytest.approx(
+            scales[0], rel=4 / math.sqrt(4000) * 1.5)
+        assert scales[0] > 0
 
     def test_heavy_tail_when_k_below_one(self):
         # running mean of |z| diverges for k <= 1; with this pinned seed the
@@ -126,7 +126,7 @@ class TestPlrvNoise:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sample_plrv_noise(GammaPlrvParams(k=2.0, theta=0.5), 0, make_rng(1))
+            sample_plrv_noise_rows(GammaPlrvParams(k=2.0, theta=0.5), 1, 0, make_rng(1))
 
 
 class TestGaussianAndLaplace:
@@ -159,3 +159,84 @@ class TestGaussianAndLaplace:
     def test_gaussian_determinism(self):
         assert np.array_equal(sample_gaussian_noise(1.0, 64, make_rng(5)),
                               sample_gaussian_noise(1.0, 64, make_rng(5)))
+
+
+def _one_row(params, n, rng):
+    """One randomized-scale draw made on its own: a size-1 gamma draw, then
+    n Laplace coordinates."""
+    b = 1.0 / float(sample_gamma_vector(params.k, params.theta, 1, rng)[0])
+    return b, sample_laplace_vector(b, (n,), rng)
+
+
+class _ScriptedSource:
+    """Replays a fixed sequence of uniforms, exact zeros included."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.pos = 0
+
+    def uniform(self, size):
+        out = self.values[self.pos:self.pos + size].copy()
+        assert out.size == size, "script exhausted"
+        self.pos += size
+        return out
+
+
+class TestBlockedStreams:
+    """The stream contract the block samplers rely on: they return the bits,
+    and consume the uniforms, of the draws they stand for."""
+
+    def test_uniform_calls_concatenate(self):
+        a, b = DeterministicSource(3, 1), DeterministicSource(3, 1)
+        assert np.array_equal(np.concatenate([a.uniform(7), a.uniform(12)]), b.uniform(19))
+
+    @pytest.mark.parametrize("k,theta", [(0.8, 0.5), (1.0, 0.2), (2.5, 0.1),
+                                         (141.06, 8.32e-4), (29822.05, 3.4e-5)])
+    @pytest.mark.parametrize("n", [1, 7, 512])
+    def test_rows_match_single_draws(self, k, theta, n):
+        params = GammaPlrvParams(k=k, theta=theta)
+        for rows in (1, 63, 64, 65, 130):
+            blocked, single = make_rng(8, stream=2), make_rng(8, stream=2)
+            scales, coords = sample_plrv_noise_rows(params, rows, n, blocked)
+            draws = [_one_row(params, n, single) for _ in range(rows)]
+            assert np.array_equal(scales, [b for b, _ in draws])
+            assert np.array_equal(coords, np.stack([z for _, z in draws]))
+            assert np.array_equal(blocked.uniform(5), single.uniform(5))
+
+    @pytest.mark.parametrize("k", [0.8, 2.5])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_rows_redraw_exact_zeros(self, k, n):
+        # zeros, some in runs, land on boosts, polar pairs, Marsaglia-Tsang
+        # uniforms, Laplace uniforms and their redraws
+        values = make_rng(4).uniform(20_000)
+        values[::5] = 0.0
+        values[1::37] = 0.0
+        values[2::37] = 0.0
+        params = GammaPlrvParams(k=k, theta=0.3)
+        blocked, single = _ScriptedSource(values), _ScriptedSource(values)
+        scales, coords = sample_plrv_noise_rows(params, 200, n, blocked)
+        draws = [_one_row(params, n, single) for _ in range(200)]
+        assert np.array_equal(scales, [b for b, _ in draws])
+        assert np.array_equal(coords, np.stack([z for _, z in draws]))
+        assert blocked.pos == single.pos
+        assert np.count_nonzero(values[:blocked.pos] == 0.0) > 100
+
+    # sha256 of standard_normal(make_rng(seed, stream=seed % 3), size), recorded
+    # from the one-pass implementation: sizes around the 8,192-pair block edge,
+    # and sizes whose refill passes span several blocks
+    @pytest.mark.parametrize("seed,size,digest", [
+        (0, 1, "cd539723b478b812860fc60b6e8020f7759cf37689f9316f9a2a58157f674160"),
+        (1, 2, "d32085d14540720fff89b12223697a22ea3468ac83fb980fd2909ec874a99c8a"),
+        (2, 3, "7b45d12799811d6310b07e47052129ba042304e8400e325b673464899bd98962"),
+        (3, 7, "7c3f32644a827d4a92e365a391bb1279564471ddcf2bcef79a04fcafd5a26919"),
+        (4, 16383, "e4aca2dbcd8571d68253b0e64cbcd027ff4acb752cdc41b1a735b9e0bc18a423"),
+        (5, 16384, "cc4b9b74cb2010527f0a92cabc92aac188ef06cef6d56a6ce718a3b0b916fa51"),
+        (6, 16385, "c6749adbfe58301192a5694f44bf3ff0b716525e80cbd574d842e244913f5e18"),
+        (7, 16386, "f95b61ae4403e9fb7486b4adb02388bae64f5e1996ec34a42dcca018113b5955"),
+        (8, 32769, "7d9709a8a6546eeaff7e61e7a81a4a9f65321df37c1374a6ae45b3769a5b424d"),
+        (9, 100_001, "69783f27329f44c7c38f131288fa192bb6dc9876ac3833ead81682f1d56b836f"),
+        (10, 1_000_000, "5b047509968fc6d61ca1a4bcfd08dc8f34327f7f97b46d458c75ffa31df70f2a"),
+    ])
+    def test_standard_normal_blocks_keep_bits(self, seed, size, digest):
+        x = standard_normal(make_rng(seed, stream=seed % 3), size)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
