@@ -364,6 +364,29 @@ def plrv_multivariate_log_moment(params: GammaPlrvParams, job: AccountingJob,
     return plrv_multivariate_log_moments(params, job, [lam])[lam]
 
 
+def plrv_epsilon_lower_bound(params: GammaPlrvParams, job: AccountingJob) -> float:
+    """A lower bound on ``account(params, job).epsilon``, from one term.
+
+    Each order's per-step moment is a sum of nonnegative per-coordinate
+    moments, and the first coordinate's (x_1 = C) is the log of a mixture
+    of nonnegative terms. So alpha(lambda) >= max(0, log w(lambda, lambda+1)
+    + log b1 + lm1), with lm1 the first branch's log at eta = lambda + 1:
+    the last weight's first branch, which dominates near the MGF bound. The
+    bound is composed and converted as :func:`account` does, over the same
+    effective lambda cap, after taking 1e-12 of the three logs' sizes (plus
+    1e-12) off each order's term: more than the accountant's own rounding,
+    so the computed bound stays below the computed epsilon."""
+    lam_cap = effective_lambda_max(job, params)
+    etas, b1, _ = _branch_coefficients(lam_cap + 1)
+    lm1 = _plrv_branches(params)(np.array([job.clip_C]), etas)[0][:, 0]
+    log_w = np.diagonal(_log_weight_matrix(job.sampling_rate_zeta, lam_cap), offset=2)
+    log_b1 = np.log(b1)
+    slack = 1e-12 * (1.0 + np.abs(log_w) + np.abs(log_b1) + np.abs(lm1))
+    alpha = np.maximum(log_w + log_b1 + lm1 - slack, 0.0)  # log_w = -inf at zeta = 0
+    totals = {lam: job.steps_T * a for lam, a in enumerate(alpha.tolist(), start=1)}
+    return _grid_min(totals, job.delta)[0]
+
+
 def laplace_multivariate_log_moments(params: LaplaceParams, job: AccountingJob,
                                      lambdas: Sequence[int]) -> dict[int, float]:
     return _multivariate_log_moments(_laplace_branches(params), job, lambdas)

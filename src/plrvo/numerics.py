@@ -3,7 +3,10 @@ modules: log-gamma, log-binomial, the regularized lower incomplete gamma
 function, and a composite Gauss-Legendre rule.
 
 Everything here is pure and operates in log space where overflow is a risk;
-negative infinity is the canonical encoding of an exact zero.
+negative infinity is the canonical encoding of an exact zero. The incomplete
+gamma series is summed by sequential numpy accumulates, chunk by chunk, and
+returns the bits of the scalar term-by-term loop it replaces (tested against
+that loop as an oracle) at a fraction of its cost for large k.
 """
 
 from __future__ import annotations
@@ -43,27 +46,66 @@ def _stirling_remainder(k: float) -> float:
     return (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0))) / k
 
 
+def _lower_gamma_series(k: float, x: float) -> float:
+    """sum_{n>=0} x^n / (k (k+1) ... (k+n)) for 0 < x, in the bits of the
+    scalar recurrence d += 1; t *= x / d; s += t from t = s = 1/k, d = k,
+    stopping after the first term t < s * 1e-17. Each chunk of terms is
+    three sequential accumulates: np.add.accumulate for the denominators and
+    the running total, np.multiply.accumulate for the terms, each seeded
+    with the previous chunk's last value. Chunks double from 64 terms.
+    Raises ArithmeticError when 10,000 terms do not converge."""
+    denom, term = k, 1.0 / k
+    total = term
+    done, size = 0, 64
+    while done < _MAX_TERMS:
+        m = min(size, _MAX_TERMS - done)
+        d = np.ones(m + 1)
+        d[0] = denom
+        np.add.accumulate(d, out=d)
+        t = x / d
+        t[0] = term
+        np.multiply.accumulate(t, out=t)
+        s = t.copy()
+        s[0] = total
+        np.add.accumulate(s, out=s)
+        stop = t[1:] < s[1:] * 1e-17
+        first = int(stop.argmax())
+        if stop[first]:
+            return float(s[first + 1])
+        denom, term, total = float(d[-1]), float(t[-1]), float(s[-1])
+        done += m
+        size *= 2
+    raise ArithmeticError(
+        f"regularized_lower_gamma({k!r}, {x!r}): series did not converge "
+        f"in {_MAX_TERMS} terms")
+
+
 def regularized_lower_gamma(k: float, x: float) -> float:
     """P(k, x) = gamma(k, x) / Gamma(k), the CDF of Gamma(shape k, scale 1).
 
-    Series expansion for x < k + 1, Lentz continued fraction otherwise.
-    Both scale the log prefactor log(x^k e^-x / Gamma(k)). For k >= 1000
-    it is -k (d - log1p(d)) + log(k / 2 pi) / 2 - r(k), with d = x/k - 1
-    and r the Stirling remainder of ln Gamma(k): no term of size k ln x
-    rounds, so P is nondecreasing in x at the ulp scale near the c1 roots.
-    Below k = 1000 it is k ln x - x - ln Gamma(k), whose rounding stays
-    under 1e-12 relative there. The absolute error is below
-    3e-15 * max(k, 1) (checked against scipy for k up to 1e6). Raises
-    ArithmeticError when the series or the continued fraction does not
-    converge in 10,000 terms, as the series does near x = k once k is above
-    about 1.5e6; the result is never truncated.
+    Series expansion for x < k + 1 (:func:`_lower_gamma_series`, summed by
+    numpy accumulates with the bits of the scalar term-by-term loop), Lentz
+    continued fraction otherwise. Both scale the log prefactor
+    log(x^k e^-x / Gamma(k)). For k >= 1000 it is
+    -k (d - log1p(d)) + log(k / 2 pi) / 2 - r(k), with d = x/k - 1 and r the
+    Stirling remainder of ln Gamma(k): no term of size k ln x rounds, so P
+    is nondecreasing in x at the ulp scale near the c1 roots. Below
+    k = 1000 it is k ln x - x - ln Gamma(k), whose rounding stays under
+    1e-12 relative there. The absolute error is below 3e-15 * max(k, 1)
+    (checked against scipy for k up to 1e6). Raises ArithmeticError when the
+    series or the continued fraction does not converge in 10,000 terms, as
+    the series does near x = k once k is above about 1.5e6; the result is
+    never truncated. Raises ValueError unless k is finite and positive and
+    x is a number >= 0; P(k, inf) = 1.
     """
-    if not k > 0:
-        raise ValueError(f"regularized_lower_gamma requires k > 0, got {k}")
-    if x < 0:
+    if not (k > 0 and math.isfinite(k)):
+        raise ValueError(f"regularized_lower_gamma requires a finite k > 0, got {k}")
+    if not x >= 0:  # NaN too
         raise ValueError(f"regularized_lower_gamma requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     if k >= 1000.0:
         d = x / k - 1.0
         if d == -1.0:  # x / k below about 1e-16: P underflows
@@ -74,20 +116,7 @@ def regularized_lower_gamma(k: float, x: float) -> float:
         log_prefactor = k * math.log(x) - x - log_gamma(k)
     if x < k + 1.0:
         # gser: P(k,x) = x^k e^-x / Gamma(k) * sum_{n>=0} x^n / (k(k+1)...(k+n))
-        term = 1.0 / k
-        total = term
-        denom = k
-        for _ in range(_MAX_TERMS):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        else:
-            raise ArithmeticError(
-                f"regularized_lower_gamma({k!r}, {x!r}): series did not converge "
-                f"in {_MAX_TERMS} terms")
-        p = math.exp(log_prefactor) * total
+        p = math.exp(log_prefactor) * _lower_gamma_series(k, x)
         return min(max(p, 0.0), 1.0)
     # gcf: Q(k,x) via modified Lentz evaluation of the continued fraction
     tiny = 1e-300

@@ -19,19 +19,25 @@ theta to its largest feasible value, so every probe is feasibility-checked)
 until the relative J improvement drops below 1e-4.
 
 c1 and c4 are lower bounds on theta: c1's is a Gamma(k) quantile
-(:func:`_c1_floor`), c4's is closed form, and the search takes their
-maximum once per k. Every c2 probe accounts epsilon on the full lambda
-grid, the same computation as the final verification, so the returned
-point's report reuses the probe's entry.
+(:func:`_c1_floor`, on the accumulate-summed incomplete gamma series), c4's
+is closed form, and the search takes their maximum once per k. Every c2
+probe accounts epsilon on the full lambda grid, the same computation as the
+final verification, so the returned point's report reuses the probe's
+entry.
 
 Snapping theta to the c2 boundary is defined as a bisection in log theta,
 but :func:`_boundary_theta` replays it rather than running it. Epsilon
 increases with theta, so every midpoint outside the bracket of accounted
 verdicts takes the verdict the bisection would have computed. Brent's
 method narrows that bracket first, after which the replay accounts almost
-no midpoint. The result keeps the bisection's bits at about a third of its
-accountant calls. The final verification still accounts the returned point
-itself.
+no midpoint. The MGF bound, the bracket's top, is first screened by a
+certified lower bound on epsilon (:func:`_mgf_screen`). Where that bound
+is at least twice the target, the top fails without an accountant call,
+which would be the boundary's costliest: its moments are mixed in log
+space. The result keeps the bisection's bits at about a third of its
+accountant calls. Bounds never enter the c2 cache, so every reported
+epsilon is an accounted one, and the final verification still accounts
+the returned point itself.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accountant import account
+from .accountant import account, plrv_epsilon_lower_bound
 from .numerics import regularized_lower_gamma
 from .params import (
     AccountingJob,
@@ -326,6 +332,17 @@ def _brent(g, a: float, ga: float, b: float, gb: float, xtol: float) -> None:
         fcur = g(xcur)
 
 
+def _mgf_screen(cfg: FeasibilityConfig, k: float, theta: float, C: float) -> float | None:
+    """log(bound / epsilon*) for the certified lower bound on the accounted
+    epsilon at (k, theta, C) (:func:`plrv_epsilon_lower_bound`), when the
+    bound is at least 2 epsilon*: the point then fails c2 with a margin far
+    above rounding, and needs no accountant call. None otherwise."""
+    bound = plrv_epsilon_lower_bound(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C))
+    if bound >= 2.0 * cfg.target.epsilon_star:
+        return math.log(bound) - math.log(cfg.target.epsilon_star)
+    return None
+
+
 def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, float] | None:
     """Largest feasible theta at (k, C) with all constraints, or None.
 
@@ -342,10 +359,13 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     verdicts at the same midpoints, and returns the same bits, while
     accounting only the midpoints strictly inside that bracket. The floor
     and MGF-bound entries seed the bracket (as the thetas accounted, since
-    exp(log(floor)) need not equal floor). Before the replay, Brent's method
-    on log epsilon - log epsilon* in log theta narrows the bracket below
-    2e-9, about 7 accountant calls; a dyadic midpoint rarely falls inside
-    it, so the replay seldom accounts anything."""
+    exp(log(floor)) need not equal floor). The MGF bound's entry is not
+    accounted when :func:`_mgf_screen` shows it fails (and it is not cached
+    already); the screen's log excess then stands in for the accounted one
+    as Brent's value there. Before the replay, Brent's method on
+    log epsilon - log epsilon* in log theta narrows the bracket below 2e-9,
+    about 7 accountant calls; a dyadic midpoint rarely falls inside it, so
+    the replay seldom accounts anything."""
     cfg = state.cfg
     if not (k > 1.0 and cfg.clip_min <= C <= cfg.clip_max):
         return None
@@ -353,14 +373,25 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     floor = state.theta_floor(k)
     if floor > theta_hi:
         return None
-    top = state.c2_entry((k, theta_hi, C))
-    if top["passed"]:
-        return theta_hi, objective(k, theta_hi, C)
+    log_target = math.log(cfg.target.epsilon_star)
+
+    def excess(entry: dict) -> float:
+        eps = entry["epsilon"]
+        g = math.log(eps) - log_target if eps > 0.0 else -math.inf
+        # the verdict sets the sign where the two logs round to a tie
+        return min(g, 0.0) if entry["passed"] else max(g, math.ulp(0.0))
+
+    top = (k, theta_hi, C)
+    top_excess = None if top in state.c2_cache else _mgf_screen(cfg, k, theta_hi, C)
+    if top_excess is None:
+        entry = state.c2_entry(top)
+        if entry["passed"]:
+            return theta_hi, objective(k, theta_hi, C)
+        top_excess = excess(entry)
     bottom = state.c2_entry((k, floor, C))
     if not bottom["passed"]:
         return None
     passing, failing = floor, theta_hi
-    log_target = math.log(cfg.target.epsilon_star)
 
     def accounted(theta: float) -> dict:
         nonlocal passing, failing
@@ -378,14 +409,8 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
             return False
         return accounted(theta)["passed"]
 
-    def excess(entry: dict) -> float:
-        eps = entry["epsilon"]
-        g = math.log(eps) - log_target if eps > 0.0 else -math.inf
-        # the verdict sets the sign where the two logs round to a tie
-        return min(g, 0.0) if entry["passed"] else max(g, math.ulp(0.0))
-
     lo, hi = math.log(floor), math.log(theta_hi)
-    _brent(lambda u: excess(accounted(math.exp(u))), lo, excess(bottom), hi, excess(top), 2e-9)
+    _brent(lambda u: excess(accounted(math.exp(u))), lo, excess(bottom), hi, top_excess, 2e-9)
     theta = floor
     for _ in range(40):
         mid = 0.5 * (lo + hi)

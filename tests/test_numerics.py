@@ -127,6 +127,73 @@ class TestRegularizedLowerGamma:
         with pytest.raises(ValueError):
             regularized_lower_gamma(2.0, -0.1)
 
+    @pytest.mark.parametrize("k", [2.5, 5000.0])
+    def test_nan_x_raises(self, k):
+        with pytest.raises(ValueError, match="x >= 0"):
+            regularized_lower_gamma(k, math.nan)
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_non_finite_k_raises(self, k):
+        with pytest.raises(ValueError, match="finite k"):
+            regularized_lower_gamma(k, 1.0)
+
+    @pytest.mark.parametrize("k", [0.3, 2.5, 5000.0, 1e7])
+    def test_infinite_x_is_one(self, k):
+        assert regularized_lower_gamma(k, math.inf) == 1.0
+
+
+def scalar_series(k: float, x: float) -> float:
+    """The incomplete gamma series summed term by term, the loop the
+    library's accumulates replace: the oracle for their bits."""
+    term = 1.0 / k
+    total = term
+    denom = k
+    for _ in range(10_000):
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if abs(term) < abs(total) * 1e-17:
+            return total
+    raise ArithmeticError("series did not converge in 10000 terms")
+
+
+class TestSeriesOracle:
+    @staticmethod
+    def corpus(n: int) -> list[tuple[float, float]]:
+        """Seeded (k, x) in the series branch 0 < x < k + 1: log-uniform k
+        up to 1.4e6, and x uniform below k + 1, log-uniform far below k, or
+        within a few sqrt(k) of k (the c1 roots and the longest series)."""
+        rng = np.random.default_rng(20261018)
+        ks = np.exp(rng.uniform(math.log(1e-3), math.log(1.4e6), n))
+        kind = rng.integers(0, 3, n)
+        xs = np.where(kind == 0, rng.uniform(0.0, 1.0, n) * (ks + 1.0),
+                      np.where(kind == 1, ks * np.exp(rng.uniform(-40.0, 0.0, n)),
+                               ks - rng.uniform(-1.0, 10.0, n) * np.sqrt(ks)))
+        return [(k, x) for k, x in zip(ks.tolist(), xs.tolist()) if 0.0 < x < k + 1.0]
+
+    def test_bitwise_equal_to_scalar_loop(self, monkeypatch):
+        from plrvo import numerics
+        cases = self.corpus(12_000) + [(1.4e6, 1.4e6), (1.4e6, 1.4e6 + 0.5)]
+        for k, x in cases:
+            want = scalar_series(k, x)
+            assert numerics._lower_gamma_series(k, x) == want, (k, x)
+        assert len(cases) >= 10_000
+        # and P itself, by swapping the oracle in
+        sample = [c for c in cases[:300] if c[0] < 1.3e6]
+        got = [regularized_lower_gamma(k, x) for k, x in sample]
+        monkeypatch.setattr(numerics, "_lower_gamma_series", scalar_series)
+        assert [regularized_lower_gamma(k, x) for k, x in sample] == got
+
+    @pytest.mark.parametrize("k", [2e6, 3e6, 1e7])
+    def test_same_arithmetic_error_above_cap(self, k):
+        # at x = k the series needs about 8 sqrt(k) terms, past the
+        # 10,000-term cap once k is above about 1.5e6
+        for x in (k, k + 0.5, math.nextafter(k + 1.0, 0.0)):
+            with pytest.raises(ArithmeticError):
+                scalar_series(k, x)
+            with pytest.raises(ArithmeticError, match="series did not converge"):
+                regularized_lower_gamma(k, x)
+
 
 class TestIntegrateDecaying:
     def test_exponential(self):

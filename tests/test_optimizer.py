@@ -1,12 +1,14 @@
 import math
 
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
 
 from plrvo import optimizer
-from plrvo.accountant import account
+from plrvo.accountant import account, plrv_epsilon_lower_bound
 from plrvo.dpsgd import training_job
 from plrvo.numerics import regularized_lower_gamma
 from plrvo.optimizer import (
@@ -14,6 +16,7 @@ from plrvo.optimizer import (
     InfeasibleError,
     _boundary_theta,
     _c1_floor,
+    _mgf_screen,
     _SearchState,
     all_pass,
     check_feasible,
@@ -236,6 +239,39 @@ class TestSolvePinned:
         res = solve(crit8_configs()[index])
         assert (res.k_star, res.theta_star, res.C_star) == pytest.approx(want, rel=1e-9)
 
+    # (k*, theta*, C*, achieved epsilon), bit for bit, as solved before the
+    # incomplete gamma series was summed by accumulates and before the
+    # boundary search screened its MGF-bound probe
+    EXACT = {
+        "crit8-0": (999999.9999999995, 3.931831688576094e-07, 0.4443717168528951,
+                    2.9611564219885524),
+        "crit8-1": (76109.14828423203, 8.534774352647889e-06, 0.4464681486185114,
+                    1.6003850056696867),
+        "crit8-2": (1000000.0, 2.8720073737129197e-07, 0.7516664383048243,
+                    2.6391628112252823),
+        "crit8-3": (23596.350285372962, 7.3600741468658024e-06, 0.9382267495871688,
+                    2.426279489450441),
+        "crit8-4": (95935.43188849099, 1.2857762260373076e-06, 0.6823565910874885,
+                    0.5189704165168063),
+        "crit8-5": (153638.31516099934, 6.880876357773736e-06, 0.5594362188137785,
+                    2.543779231582042),
+        "crit8-6": (626072.8690469214, 3.064999624104227e-07, 0.9897095927635631,
+                    1.6722753729112818),
+        "crit8-7": (152832.0239736196, 3.2611862160385986e-06, 0.4811424740577095,
+                    3.144303117990544),
+        "crit8-8": (626072.8690469214, 2.56452397859735e-07, 1.072629286732964,
+                    2.630641297810074),
+        "crit8-9": (999999.9999999995, 2.072194075963322e-06, 0.4513285441098126,
+                    2.365106610018757),
+        "train-demo": (29822.05233062761, 6.316619662040844e-05, 1.0, 1.9999999723410862),
+    }
+
+    @pytest.mark.parametrize("name", list(EXACT))
+    def test_exact(self, name):
+        cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
+        res = solve(cfg)
+        assert (res.k_star, res.theta_star, res.C_star, res.achieved_epsilon) == self.EXACT[name]
+
 
 def bisected_boundary_theta(state, k: float, C: float) -> tuple[float, float] | None:
     """The plain bisection that :func:`_boundary_theta` replays: one
@@ -319,13 +355,72 @@ class TestBoundaryTheta:
         cases = [
             # epsilon* = inf: the MGF bound passes, one call
             (toy_cfg(epsilon=math.inf), 50.0, 1, (theta_hi, objective(50.0, theta_hi, 0.7))),
-            # an unreachable epsilon*: the floor fails after the MGF bound
-            (toy_cfg(epsilon=1e-6), 50.0, 2, None),
+            # an unreachable epsilon*: the screen fails the MGF bound without
+            # a call (its lower bound there is 0.278), then the floor fails
+            (toy_cfg(epsilon=1e-6), 50.0, 1, None),
             # k near 1: c4's floor lies above the MGF bound, no call
             (toy_cfg(), 1.001, 0, None),
         ]
         for cfg, k, want_calls, want in cases:
+            state = _SearchState(cfg=cfg)
             before = calls[0]
-            assert _boundary_theta(_SearchState(cfg=cfg), k, 0.7) == want
+            assert _boundary_theta(state, k, 0.7) == want
             assert calls[0] - before == want_calls, k
             assert bisected_boundary_theta(_SearchState(cfg=cfg), k, 0.7) == want
+            assert (k, theta_hi, 0.7) not in state.c2_cache or cfg.target.epsilon_star == math.inf
+
+    def test_inconclusive_screen_accounts_the_top(self, monkeypatch):
+        # epsilon* = 2 at k = 50: the screen's bound at the MGF bound (0.278)
+        # is under 2 epsilon*, so the top is accounted (epsilon 5.9) and fails
+        cfg, k, C = toy_cfg(epsilon=2.0), 50.0, 0.7
+        theta_hi = (1.0 - 1e-6) / (C * 33)
+        assert _mgf_screen(cfg, k, theta_hi, C) is None
+        calls = self.counted_calls(monkeypatch)
+        state = _SearchState(cfg=cfg)
+        got = _boundary_theta(state, k, C)
+        assert not state.c2_cache[(k, theta_hi, C)]["passed"]
+        assert calls[0] >= 3  # the top, the floor, and Brent's probes
+        assert got == bisected_boundary_theta(_SearchState(cfg=cfg), k, C)
+        assert got[0] < theta_hi
+
+
+class TestMgfScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(log_k=st.floats(math.log(1.001), math.log(1e6)),
+           C=st.floats(0.1, 10.0),
+           theta_fraction=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+           zeta=st.floats(0.0, 1.0),
+           T=st.integers(1, 1000),
+           N=st.integers(1, 20_000),
+           L=st.integers(1, 64),
+           log_delta=st.floats(math.log(1e-10), math.log(0.1)),
+           epsilon_star=st.floats(1e-3, 50.0))
+    def test_lower_bound_is_sound(self, log_k, C, theta_fraction, zeta, T, N, L,
+                                  log_delta, epsilon_star):
+        k, delta = math.exp(log_k), math.exp(log_delta)
+        theta = theta_fraction * (1.0 - 1e-6) / (C * (L + 1))  # up to the MGF bound
+        job = AccountingJob(steps_T=T, sampling_rate_zeta=zeta, model_dim_N=N,
+                            clip_C=C, delta=delta, lambda_max=L)
+        params = GammaPlrvParams(k=k, theta=theta)
+        eps = account(params, job).epsilon
+        bound = plrv_epsilon_lower_bound(params, job)
+        assert bound <= eps
+        cfg = FeasibilityConfig(
+            clip_min=C, clip_max=C, job_skeleton=job,
+            target=PrivacyTarget(epsilon_star=epsilon_star, delta_star=delta))
+        screened = _mgf_screen(cfg, k, theta, C)
+        assert (screened is not None) == (bound >= 2.0 * epsilon_star)
+        if screened is not None:  # it fires only where the point fails c2
+            assert eps > epsilon_star
+            assert screened == pytest.approx(math.log(bound / epsilon_star), rel=1e-12)
+
+    def test_fires_near_the_mgf_bound_at_large_k(self):
+        # crit-8 config 3's first Phase B probe: the accounted epsilon at the
+        # MGF bound is about 1e6 times the target, and the bound is close
+        cfg = crit8_configs()[3]
+        k, C = 23596.350285372962, 0.9382267495871688
+        theta_hi = (1.0 - 1e-6) / (C * (cfg.job_skeleton.lambda_max + 1))
+        eps = account(GammaPlrvParams(k=k, theta=theta_hi), cfg.job_for(C)).epsilon
+        screened = _mgf_screen(cfg, k, theta_hi, C)
+        assert screened is not None
+        assert math.log(eps / cfg.target.epsilon_star) >= screened > math.log(2.0)
