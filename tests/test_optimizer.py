@@ -345,8 +345,8 @@ class TestBoundaryTheta:
             want = bisected_boundary_theta(_SearchState(cfg=cfg), k, C)
             assert got == want, (k, C)
         assert len(probed) >= 20
-        # a fresh state accounts the floor and the MGF bound too; the plain
-        # bisection needs about 33 calls per boundary
+        # a fresh state accounts the floor too, and the MGF bound unless the
+        # screen fails it; the plain bisection needs about 33 calls per boundary
         assert sum(per_boundary) / len(per_boundary) <= 12
 
     def test_early_exits(self, monkeypatch):
@@ -367,7 +367,8 @@ class TestBoundaryTheta:
             assert _boundary_theta(state, k, 0.7) == want
             assert calls[0] - before == want_calls, k
             assert bisected_boundary_theta(_SearchState(cfg=cfg), k, 0.7) == want
-            assert (k, theta_hi, 0.7) not in state.c2_cache or cfg.target.epsilon_star == math.inf
+            # only an accounted top is cached, never a screened one
+            assert ((k, theta_hi, 0.7) in state.c2_cache) == (cfg.target.epsilon_star == math.inf)
 
     def test_inconclusive_screen_accounts_the_top(self, monkeypatch):
         # epsilon* = 2 at k = 50: the screen's bound at the MGF bound (0.278)
