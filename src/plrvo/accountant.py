@@ -73,7 +73,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .majorization import MajorizationSet
-from .numerics import LOG_ZERO, gauss_legendre, log_binomial
+# log_binomial is no longer called here; perfbench/spans.py still wraps the name
+from .numerics import LOG_ZERO, gauss_legendre, log_binomial  # noqa: F401
 from .params import (
     AccountingJob,
     GammaPlrvParams,
@@ -92,36 +93,34 @@ _LINEAR_MIX_MAX_LOG = 300.0  # largest branch log the linear mix takes
 _SERIES_MAX = 1.0 / 16.0     # branch logs up to this size are expanded in series
 
 
-def _log_subsample_weights(zeta: float, lam: int) -> np.ndarray:
-    """log of C(lam+1, eta) (1-zeta)^(lam+1-eta) zeta^eta for eta = 0..lam+1.
-
-    Vanishing weights at zeta = 0 or 1 are exact -inf entries, never log(0).
-    """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    n = lam + 1
-    out = np.full(n + 1, LOG_ZERO)
-    if zeta == 0.0:
-        out[0] = 0.0
-        return out
-    if zeta == 1.0:
-        out[n] = 0.0
-        return out
-    log_z = math.log(zeta)
-    log_1mz = math.log1p(-zeta)
-    for eta in range(n + 1):
-        out[eta] = log_binomial(n, eta) + (n - eta) * log_1mz + eta * log_z
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def _log_weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
-    """Read-only (lam_cap, lam_cap + 2) matrix: row lam - 1 holds
-    :func:`_log_subsample_weights` of order lam and -inf beyond; built once
-    per (zeta, cap) and shared by every call and order."""
+    """Read-only (lam_cap, lam_cap + 2) matrix of the log subsampling
+    weights: row lam - 1 holds log C(lam+1, eta) (1-zeta)^(lam+1-eta) zeta^eta
+    for eta = 0..lam+1 and -inf beyond; built once per (zeta, cap) and shared
+    by every call and order.
+
+    The log binomial is lgamma(n+1) - lgamma(eta+1) - lgamma(n-eta+1), from
+    one table of ``math.lgamma``, in the operation order of
+    :func:`numerics.log_binomial` (exactly 0 at eta = 0 and n, as
+    lgamma(1) = 0). Vanishing
+    weights at zeta = 0 or 1 are exact -inf entries, never log(0)."""
+    if not 0.0 <= zeta <= 1.0:
+        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
+    n = np.arange(2, lam_cap + 2)[:, None]
+    eta = np.arange(lam_cap + 2)[None, :]
+    live = eta <= n
     out = np.full((lam_cap, lam_cap + 2), LOG_ZERO)
-    for lam in range(1, lam_cap + 1):
-        out[lam - 1, : lam + 2] = _log_subsample_weights(zeta, lam)
+    if zeta == 0.0:
+        out[:, 0] = 0.0
+    elif zeta == 1.0:
+        out[eta == n] = 0.0
+    else:
+        rest = np.where(live, n - eta, 0)
+        lgamma = np.array([math.lgamma(j + 1.0) for j in range(lam_cap + 2)])
+        log_binom = lgamma[n] - lgamma[eta] - lgamma[rest]
+        log_w = log_binom + rest * math.log1p(-zeta) + eta * math.log(zeta)
+        out[live] = log_w[live]
     out.flags.writeable = False
     return out
 

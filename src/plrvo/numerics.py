@@ -4,9 +4,10 @@ function, and a composite Gauss-Legendre rule.
 
 Everything here is pure and operates in log space where overflow is a risk;
 negative infinity is the canonical encoding of an exact zero. The incomplete
-gamma series is summed by sequential numpy accumulates, chunk by chunk, and
-returns the bits of the scalar term-by-term loop it replaces (tested against
-that loop as an oracle) at a fraction of its cost for large k.
+gamma series sums its first 64 terms by the scalar term-by-term loop and the
+rest by sequential numpy accumulates, chunk by chunk, with the bits of the
+scalar loop throughout (tested against that loop as an oracle): short series
+cost no numpy call, and long ones, at large k, a fraction of the loop.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 LOG_ZERO = float("-inf")
 _MAX_TERMS = 10_000  # series / continued-fraction cap of regularized_lower_gamma
+_SCALAR_TERMS = 64  # series terms summed by the scalar loop before the accumulates
 
 
 def log_gamma(x: float) -> float:
@@ -49,14 +51,22 @@ def _stirling_remainder(k: float) -> float:
 def _lower_gamma_series(k: float, x: float) -> float:
     """sum_{n>=0} x^n / (k (k+1) ... (k+n)) for 0 < x, in the bits of the
     scalar recurrence d += 1; t *= x / d; s += t from t = s = 1/k, d = k,
-    stopping after the first term t < s * 1e-17. Each chunk of terms is
-    three sequential accumulates: np.add.accumulate for the denominators and
-    the running total, np.multiply.accumulate for the terms, each seeded
-    with the previous chunk's last value. Chunks double from 64 terms.
-    Raises ArithmeticError when 10,000 terms do not converge."""
+    stopping after the first term t < s * 1e-17. The first 64 terms run that
+    recurrence as it stands: a short series, as at small k or x far below
+    k, costs no numpy call. Each later chunk of terms is three sequential
+    accumulates: np.add.accumulate for the denominators and the running
+    total, np.multiply.accumulate for the terms, each seeded with the
+    previous chunk's last value. Chunks double from 128 terms. Raises
+    ArithmeticError when 10,000 terms do not converge."""
     denom, term = k, 1.0 / k
     total = term
-    done, size = 0, 64
+    for _ in range(_SCALAR_TERMS):
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if term < total * 1e-17:
+            return total
+    done, size = _SCALAR_TERMS, 2 * _SCALAR_TERMS
     while done < _MAX_TERMS:
         m = min(size, _MAX_TERMS - done)
         d = np.ones(m + 1)

@@ -34,10 +34,27 @@ no midpoint. The MGF bound, the bracket's top, is first screened by a
 certified lower bound on epsilon (:func:`_mgf_screen`). Where that bound
 is at least twice the target, the top fails without an accountant call,
 which would be the boundary's costliest: its moments are mixed in log
-space. The result keeps the bisection's bits at about a third of its
-accountant calls. Bounds never enter the c2 cache, so every reported
-epsilon is an accounted one, and the final verification still accounts
-the returned point itself.
+space.
+
+The accountant sees theta and C only through the products theta * x_i,
+with x_i = C (sqrt(i) - sqrt(i-1)), and the MGF bound and J only through
+s = theta * C. So for each k the search keeps the largest s accounted as
+passing and the smallest accounted as failing, and a point whose s lies at
+least 1e-9 below (above) them, relative, takes a known pass (fail) with no
+accountant call. Across random (k, s, C, C', N, L, zeta, T) the accounted
+epsilon of two decompositions of s differs by at most a few 1e-15
+relative, over 10^5 times less than that margin (tested at 1e-12). Phase
+A's staircase asks for these verdicts before it accounts a grid point,
+and :func:`_boundary_theta` takes them at its ends, in its replay, and
+as Brent's starting bracket, so each clip slice and C probe no longer
+re-derives the boundary in s that the others found. At a single clip
+value monotonicity in theta stays exact, with no margin.
+
+Every inference keeps the bisection's and the grid's bits. Bounds and
+inferred verdicts never enter the c2 cache, so every reported epsilon is
+an accounted one, and the final verification still accounts the returned
+point itself. Exit-3 diagnostics account the grid points whose verdicts
+Phase A inferred, so they report accounted margins.
 """
 
 from __future__ import annotations
@@ -201,16 +218,104 @@ def _c1_floor(k: float, tol: float) -> float:
     return theta
 
 
+S_MARGIN = 1e-9  # relative margin of a c2 verdict inferred from theta * C
+
+
+@dataclass
+class _Bracket:
+    """The accounted points with the largest passing and the smallest failing
+    value of a coordinate that the accounted epsilon increases with."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_point: tuple[float, float, float] | None = None
+    hi_point: tuple[float, float, float] | None = None
+
+    def add(self, value: float, point: tuple[float, float, float], passed: bool) -> None:
+        if passed and value > self.lo:
+            self.lo, self.lo_point = value, point
+        elif not passed and value < self.hi:
+            self.hi, self.hi_point = value, point
+
+
+_NO_BRACKET = _Bracket()
+
+
 @dataclass
 class _SearchState:
+    """The search's accounted c2 entries, and the verdicts they imply.
+
+    Per k it keeps the bracket of accounted verdicts in s = theta * C (the
+    accounted epsilon depends on theta and C only through s) and per (k, C)
+    the bracket in theta. ``inferred`` collects the points whose verdict was
+    known without accounting them; they never enter ``c2_cache``."""
+
     cfg: FeasibilityConfig
     c2_cache: dict[tuple[float, float, float], dict] = field(default_factory=dict)
     theta_floors: dict[float, float] = field(default_factory=dict)
+    s_brackets: dict[float, _Bracket] = field(default_factory=dict)
+    theta_brackets: dict[tuple[float, float], _Bracket] = field(default_factory=dict)
+    inferred: set[tuple[float, float, float]] = field(default_factory=set)
 
     def c2_entry(self, point: tuple[float, float, float]) -> dict:
+        entry = self.c2_cache.get(point)
+        if entry is None:
+            entry = self.c2_cache[point] = _c2_report(point, self.cfg)
+            k, theta, C = point
+            self.s_brackets.setdefault(k, _Bracket()).add(theta * C, point, entry["passed"])
+            self.theta_brackets.setdefault((k, C), _Bracket()).add(theta, point,
+                                                                   entry["passed"])
+        return entry
+
+    def known(self, point: tuple[float, float, float]) -> bool | None:
+        """c2's verdict at point when the accounted entries decide it, else
+        None: its own entry; a theta at or beyond an accounted one at the
+        same (k, C), exactly; or an s = theta * C at least S_MARGIN beyond
+        an accounted one at k, relative. That margin is over 10^5 times the
+        spread of the accounted epsilon across decompositions of s."""
+        entry = self.c2_cache.get(point)
+        if entry is not None:
+            return entry["passed"]
+        k, theta, C = point
+        same_clip = self.theta_brackets.get((k, C), _NO_BRACKET)
+        if theta <= same_clip.lo:
+            return True
+        if theta >= same_clip.hi:
+            return False
+        s, at_k = theta * C, self.s_brackets.get(k, _NO_BRACKET)
+        if s <= at_k.lo * (1.0 - S_MARGIN):
+            return True
+        if s >= at_k.hi * (1.0 + S_MARGIN):
+            return False
+        return None
+
+    def passes(self, point: tuple[float, float, float]) -> bool:
+        """c2's verdict at point: the known one if there is one (recorded in
+        ``inferred`` unless accounted), else the accounted one."""
+        verdict = self.known(point)
+        if verdict is None:
+            return self.c2_entry(point)["passed"]
         if point not in self.c2_cache:
-            self.c2_cache[point] = _c2_report(point, self.cfg)
-        return self.c2_cache[point]
+            self.inferred.add(point)
+        return verdict
+
+    def bracket(self, k: float, C: float) -> tuple[tuple[float, dict | None],
+                                                   tuple[float, dict | None]]:
+        """The narrowest known bracket of c2's boundary in theta at (k, C):
+        ((theta, entry) of the passing end, (theta, entry) of the failing
+        end), from the accounted points at (k, C) and at k, the latter moved
+        to clip C at equal s. An end with no accounted point is (+-inf,
+        None)."""
+        same_clip = self.theta_brackets.get((k, C), _NO_BRACKET)
+        at_k = self.s_brackets.get(k, _NO_BRACKET)
+
+        def end(points, pick, none):
+            known = [(p[1] if p[2] == C else p[1] * p[2] / C, p) for p in points if p]
+            theta, point = pick(known) if known else (none, None)
+            return theta, None if point is None else self.c2_cache[point]
+
+        return (end((same_clip.lo_point, at_k.lo_point), max, -math.inf),
+                end((same_clip.hi_point, at_k.hi_point), min, math.inf))
 
     def theta_floor(self, k: float) -> float:
         """Smallest theta passing c1 and c4 at k > 1. Both are lower bounds
@@ -353,19 +458,20 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     bound, stopping once the bracket is at most 1e-7 wide. Returns
     (theta, J).
 
-    The bisection is replayed, not run: by monotonicity a midpoint at or
-    below the largest theta accounted as passing passes, and one at or above
-    the smallest accounted as failing fails. So the replay takes the same
-    verdicts at the same midpoints, and returns the same bits, while
-    accounting only the midpoints strictly inside that bracket. The floor
-    and MGF-bound entries seed the bracket (as the thetas accounted, since
-    exp(log(floor)) need not equal floor). The MGF bound's entry is not
-    accounted when :func:`_mgf_screen` shows it fails (and it is not cached
-    already); the screen's log excess then stands in for the accounted one
-    as Brent's value there. Before the replay, Brent's method on
-    log epsilon - log epsilon* in log theta narrows the bracket below 2e-9,
-    about 7 accountant calls; a dyadic midpoint rarely falls inside it, so
-    the replay seldom accounts anything."""
+    The bisection is replayed, not run: each midpoint takes its known
+    verdict (:meth:`_SearchState.known`), by monotonicity in theta at
+    (k, C) or through s = theta * C across clip values, and only a midpoint
+    that no accounted entry decides is accounted. So the replay takes the
+    same verdicts at the same midpoints, and returns the same bits. The MGF
+    bound and the floor take known verdicts too. The MGF bound's entry is
+    not accounted when :func:`_mgf_screen` shows it fails; the screen's log
+    excess then stands in for the accounted one as Brent's value there.
+    Before the replay, Brent's method on log epsilon - log epsilon* in
+    log theta narrows the narrowest known bracket (:meth:`_SearchState.bracket`)
+    below 2e-9: about 7 accountant calls from [floor, MGF bound], none when
+    another clip value's accounted entries at k already bracket s that
+    closely. A dyadic midpoint rarely falls inside the final bracket, so the
+    replay seldom accounts anything."""
     cfg = state.cfg
     if not (k > 1.0 and cfg.clip_min <= C <= cfg.clip_max):
         return None
@@ -382,36 +488,32 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
         return min(g, 0.0) if entry["passed"] else max(g, math.ulp(0.0))
 
     top = (k, theta_hi, C)
-    top_excess = None if top in state.c2_cache else _mgf_screen(cfg, k, theta_hi, C)
-    if top_excess is None:
-        entry = state.c2_entry(top)
-        if entry["passed"]:
-            return theta_hi, objective(k, theta_hi, C)
-        top_excess = excess(entry)
-    bottom = state.c2_entry((k, floor, C))
-    if not bottom["passed"]:
+    screened = None
+    top_passes = state.known(top)
+    if top_passes is None:
+        screened = _mgf_screen(cfg, k, theta_hi, C)
+        top_passes = screened is None and state.c2_entry(top)["passed"]
+    if top_passes:
+        return theta_hi, objective(k, theta_hi, C)
+    if not state.passes((k, floor, C)):
         return None
-    passing, failing = floor, theta_hi
-
-    def accounted(theta: float) -> dict:
-        nonlocal passing, failing
-        entry = state.c2_entry((k, theta, C))
-        if entry["passed"]:
-            passing = max(passing, theta)
-        else:
-            failing = min(failing, theta)
-        return entry
 
     def passes(theta: float) -> bool:
-        if theta <= passing:
+        if theta <= floor:
             return True
-        if theta >= failing:
+        if theta >= theta_hi:
             return False
-        return accounted(theta)["passed"]
+        return state.passes((k, theta, C))
 
-    lo, hi = math.log(floor), math.log(theta_hi)
-    _brent(lambda u: excess(accounted(math.exp(u))), lo, excess(bottom), hi, top_excess, 2e-9)
+    (lo, lo_entry), (hi, hi_entry) = state.bracket(k, C)
+    if screened is not None and theta_hi < hi:
+        hi, hi_excess = theta_hi, screened
+    else:
+        hi_excess = excess(hi_entry)
+    _brent(lambda u: excess(state.c2_entry((k, math.exp(u), C))),
+           math.log(lo), excess(lo_entry), math.log(hi), hi_excess, 2e-9)
     theta = floor
+    lo, hi = math.log(floor), math.log(theta_hi)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         if passes(math.exp(mid)):
@@ -433,7 +535,9 @@ def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> d
     for point in points:
         k, theta, C = point
         report = _cheap_constraints(k, theta, C, cfg)
-        cached = state.c2_cache.get(point)
+        # a verdict Phase A inferred is accounted here, for its margin
+        cached = (state.c2_entry(point) if point in state.inferred
+                  else state.c2_cache.get(point))
         if cached is not None:
             report["c2"] = cached
         failing = {n: e for n, e in report.items() if not e["passed"]}
@@ -467,8 +571,9 @@ def solve(cfg: FeasibilityConfig) -> OptimizationResult:
     # ascending-k walk with a descending theta pointer locates every
     # column's exact boundary in amortized O(#k + #theta) accountant calls.
     # Columns whose J even at the pointer cannot beat the incumbent are
-    # skipped without evaluation. The outcome is exactly the feasible grid
-    # argmax of J.
+    # skipped without evaluation, and a grid point whose verdict another
+    # clip slice's accounted entries decide (through theta * C) is not
+    # accounted. The outcome is exactly the feasible grid argmax of J.
     ks, slices = _phase_a_grid(cfg)
     best = None
     best_j = -math.inf
@@ -484,7 +589,7 @@ def solve(cfg: FeasibilityConfig) -> OptimizationResult:
             q = pointer
             if q < bot:
                 continue
-            while q >= bot and not state.c2_entry((k, float(thetas[q]), C))["passed"]:
+            while q >= bot and not state.passes((k, float(thetas[q]), C)):
                 q -= 1
             if q < bot:
                 pointer = bot - 1

@@ -31,9 +31,11 @@ class MgfDomainViolation(ValueError):
         self.max_admissible_lambda = max_admissible_lambda
 
 
-def _require(cond: bool, msg: str):
+def _require(cond: bool, msg: str, *args: Any) -> None:
+    """Raise ValueError(msg.format(*args)) unless cond: the message is
+    formatted only on failure."""
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg.format(*args))
 
 
 def _finite(x: float) -> bool:
@@ -87,9 +89,9 @@ class GammaPlrvParams:
     theta: float
 
     def __post_init__(self):
-        _require(_finite(self.k) and self.k > 0, f"k must be > 0, got {self.k}")
+        _require(_finite(self.k) and self.k > 0, "k must be > 0, got {}", self.k)
         _require(_finite(self.theta) and self.theta > 0,
-                 f"theta must be > 0, got {self.theta}")
+                 "theta must be > 0, got {}", self.theta)
 
     @property
     def finite_distortion(self) -> bool:
@@ -105,7 +107,7 @@ class GaussianParams:
 
     def __post_init__(self):
         _require(_finite(self.sigma) and self.sigma > 0,
-                 f"sigma must be > 0, got {self.sigma}")
+                 "sigma must be > 0, got {}", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class LaplaceParams:
     b: float
 
     def __post_init__(self):
-        _require(_finite(self.b) and self.b > 0, f"b must be > 0, got {self.b}")
+        _require(_finite(self.b) and self.b > 0, "b must be > 0, got {}", self.b)
 
 
 MechanismParams = GammaPlrvParams | GaussianParams | LaplaceParams
@@ -127,9 +129,9 @@ class PrivacyTarget:
     delta_star: float
 
     def __post_init__(self):
-        _require(self.epsilon_star > 0, f"epsilon_star must be > 0, got {self.epsilon_star}")
+        _require(self.epsilon_star > 0, "epsilon_star must be > 0, got {}", self.epsilon_star)
         _require(0.0 < self.delta_star < 1.0,
-                 f"delta_star must be in (0, 1), got {self.delta_star}")
+                 "delta_star must be in (0, 1), got {}", self.delta_star)
 
 
 @dataclass(frozen=True)
@@ -155,16 +157,16 @@ class AccountingJob:
 
     def __post_init__(self):
         _require(isinstance(self.steps_T, int) and self.steps_T >= 1,
-                 f"steps_T must be a positive integer, got {self.steps_T!r}")
+                 "steps_T must be a positive integer, got {!r}", self.steps_T)
         _require(0.0 <= self.sampling_rate_zeta <= 1.0,
-                 f"sampling_rate_zeta must be in [0, 1], got {self.sampling_rate_zeta}")
+                 "sampling_rate_zeta must be in [0, 1], got {}", self.sampling_rate_zeta)
         _require(isinstance(self.model_dim_N, int) and self.model_dim_N >= 1,
-                 f"model_dim_N must be a positive integer, got {self.model_dim_N!r}")
+                 "model_dim_N must be a positive integer, got {!r}", self.model_dim_N)
         _require(_finite(self.clip_C) and self.clip_C > 0,
-                 f"clip_C must be > 0, got {self.clip_C}")
-        _require(0.0 < self.delta < 1.0, f"delta must be in (0, 1), got {self.delta}")
+                 "clip_C must be > 0, got {}", self.clip_C)
+        _require(0.0 < self.delta < 1.0, "delta must be in (0, 1), got {}", self.delta)
         _require(isinstance(self.lambda_max, int) and self.lambda_max >= 1,
-                 f"lambda_max must be a positive integer, got {self.lambda_max!r}")
+                 "lambda_max must be a positive integer, got {!r}", self.lambda_max)
 
 
 def gamma_seed_lambda_cap(clip_C: float, theta: float) -> int:
@@ -225,15 +227,15 @@ class LogMomentCurve:
         ordered = dict(sorted((int(l), float(a)) for l, a in self.alpha_per_step.items()))
         prev = None
         for lam, a in ordered.items():
-            _require(lam >= 1, f"moment orders must be >= 1, got {lam}")
+            _require(lam >= 1, "moment orders must be >= 1, got {}", lam)
             if not _finite(a):
                 raise FloatingPointError(f"{self.mechanism} per-step log moment of order "
                                          f"{lam} is {a}")
-            _require(a >= 0.0, f"alpha({lam}) = {a} violates alpha >= 0")
+            _require(a >= 0.0, "alpha({}) = {} violates alpha >= 0", lam, a)
             if prev is not None:
                 _require(a >= prev - 1e-10 * max(1.0, abs(prev)),
-                         f"alpha must be nondecreasing in lambda; "
-                         f"alpha({lam}) = {a} < {prev}")
+                         "alpha must be nondecreasing in lambda; "
+                         "alpha({}) = {} < {}", lam, a, prev)
             prev = a
         object.__setattr__(self, "alpha_per_step", ordered)
 
@@ -269,7 +271,7 @@ class OptimizationResult:
     def __post_init__(self):
         for name, entry in self.constraint_report.items():
             _require(bool(entry.get("passed", False)),
-                     f"OptimizationResult carries a failing constraint {name!r}")
+                     "OptimizationResult carries a failing constraint {!r}", name)
 
     def to_json_dict(self) -> dict:
         return to_json_dict(self)

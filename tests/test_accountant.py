@@ -28,6 +28,7 @@ from plrvo.accountant import (
 )
 from plrvo.cli import main
 from plrvo.majorization import MajorizationSet
+from plrvo.numerics import log_binomial
 from plrvo.params import (
     AccountingJob,
     GammaPlrvParams,
@@ -545,6 +546,21 @@ def kernel_matrix(branches, x, eta_max):
     return log_g
 
 
+def scalar_log_weights(zeta: float, lam: int) -> np.ndarray:
+    """One row of the log subsampling weights, eta by eta through
+    ``log_binomial``: the loop the weight matrix's numpy build replaces, and
+    the oracle for its bits."""
+    n = lam + 1
+    out = np.full(n + 1, -np.inf)
+    if zeta in (0.0, 1.0):
+        out[0 if zeta == 0.0 else n] = 0.0
+        return out
+    log_z, log_1mz = math.log(zeta), math.log1p(-zeta)
+    for eta in range(n + 1):
+        out[eta] = log_binomial(n, eta) + (n - eta) * log_1mz + eta * log_z
+    return out
+
+
 def exact_log_sum_exp(log_w, log_g):
     """One log-sum-exp over the live weights per order, floored at zero."""
     out = []
@@ -615,9 +631,26 @@ class TestMixingKernel:
         assert accountant._log_weight_matrix(0.3, 12) is log_w
         assert not log_w.flags.writeable
         for lam in (1, 7, 12):
-            row = accountant._log_subsample_weights(0.3, lam)
+            row = scalar_log_weights(0.3, lam)
             assert np.array_equal(log_w[lam - 1, : lam + 2], row)
             assert np.all(log_w[lam - 1, lam + 2:] == -np.inf)
+
+    @pytest.mark.parametrize("zeta", [0.0, 1e-9, 0.0025, 0.01024, 0.3, 0.999, 1.0])
+    def test_weight_matrix_bitwise_equal_to_scalar_rows(self, zeta):
+        for lam_cap in (1, 16, 64, 119, 400):
+            log_w = accountant._log_weight_matrix(zeta, lam_cap)
+            for lam in range(1, lam_cap + 1):
+                want = scalar_log_weights(zeta, lam)
+                row = log_w[lam - 1]
+                # equal bits, signed zeros included
+                assert np.array_equal(row[: lam + 2], want), (lam_cap, lam)
+                assert np.array_equal(np.signbit(row[: lam + 2]), np.signbit(want))
+                assert np.all(row[lam + 2:] == -np.inf)
+
+    @pytest.mark.parametrize("zeta", [-0.1, 1.5, math.nan])
+    def test_weight_matrix_rejects_bad_zeta(self, zeta):
+        with pytest.raises(ValueError, match="zeta must be in"):
+            accountant._log_weight_matrix(zeta, 8)
 
     @pytest.mark.parametrize("k,theta,C,zeta,lam_cap", [
         (141.06, 8.32e-4, 10.0, 0.01024, 119),  # the paper configuration

@@ -157,6 +157,19 @@ def scalar_series(k: float, x: float) -> float:
     raise ArithmeticError("series did not converge in 10000 terms")
 
 
+def series_length(k: float, x: float) -> int:
+    """The number of terms :func:`scalar_series` adds before it stops."""
+    term = total = 1.0 / k
+    denom, n = k, 0
+    while True:
+        denom += 1.0
+        term *= x / denom
+        total += term
+        n += 1
+        if abs(term) < abs(total) * 1e-17:
+            return n
+
+
 class TestSeriesOracle:
     @staticmethod
     def corpus(n: int) -> list[tuple[float, float]]:
@@ -183,6 +196,17 @@ class TestSeriesOracle:
         got = [regularized_lower_gamma(k, x) for k, x in sample]
         monkeypatch.setattr(numerics, "_lower_gamma_series", scalar_series)
         assert [regularized_lower_gamma(k, x) for k, x in sample] == got
+
+    def test_bitwise_equal_across_the_scalar_head(self):
+        # the first 64 terms are summed by the scalar loop, the rest by
+        # accumulates: series ending on either side of that switch
+        from plrvo import numerics
+        lengths = set()
+        for k in (0.5, 3.0, 50.0, 400.0):
+            for x in np.linspace(0.0, k + 1.0, 1000, endpoint=False)[1:].tolist():
+                assert numerics._lower_gamma_series(k, x) == scalar_series(k, x), (k, x)
+                lengths.add(series_length(k, x))
+        assert {62, 63, 64, 65, 66} <= lengths
 
     @pytest.mark.parametrize("k", [2e6, 3e6, 1e7])
     def test_same_arithmetic_error_above_cap(self, k):

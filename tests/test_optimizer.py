@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from plrvo import optimizer
 from plrvo.accountant import account, plrv_epsilon_lower_bound
@@ -338,12 +338,14 @@ class TestBoundaryTheta:
         probed = list(dict.fromkeys(probed))
         calls = self.counted_calls(monkeypatch)
         per_boundary = []
+        shared = _SearchState(cfg=cfg)  # infers verdicts across the probes, as solve does
         for k, C in probed:
             before = calls[0]
             got = _boundary_theta(_SearchState(cfg=cfg), k, C)
             per_boundary.append(calls[0] - before)
             want = bisected_boundary_theta(_SearchState(cfg=cfg), k, C)
             assert got == want, (k, C)
+            assert _boundary_theta(shared, k, C) == want, (k, C)
         assert len(probed) >= 20
         # a fresh state accounts the floor too, and the MGF bound unless the
         # screen fails it; the plain bisection needs about 33 calls per boundary
@@ -425,3 +427,102 @@ class TestMgfScreen:
         screened = _mgf_screen(cfg, k, theta_hi, C)
         assert screened is not None
         assert math.log(eps / cfg.target.epsilon_star) >= screened > math.log(2.0)
+
+
+def c2_calls(monkeypatch) -> list[int]:
+    """Count the accountant calls behind c2 entries from now on."""
+    return TestBoundaryTheta.counted_calls(monkeypatch)
+
+
+class TestClipInvariance:
+    """The accounted epsilon depends on theta and C only through s = theta * C,
+    which lets the search carry c2 verdicts across clip values."""
+
+    # examples: the series path (every branch log within 1/16) taking 3,983 of
+    # the 4,096 head coordinates; the log-space mix taking the first 254 (near
+    # the MGF bound at k = 1e4); and every coordinate, head and tail
+    @settings(max_examples=80, deadline=None)
+    @example(log_k=math.log(10.0), log_fraction=math.log(0.133), C=0.37, C2=6.1, zeta=0.05,
+             T=100, N=4096, L=16, log_delta=math.log(1e-5))
+    @example(log_k=math.log(1e4), log_fraction=0.0, C=0.37, C2=6.1, zeta=0.05,
+             T=100, N=4096, L=16, log_delta=math.log(1e-5))
+    @example(log_k=math.log(1e6), log_fraction=0.0, C=9.9, C2=0.11, zeta=0.9,
+             T=1, N=20_000, L=64, log_delta=math.log(1e-10))
+    @given(log_k=st.floats(math.log(1.001), math.log(1e6)),
+           log_fraction=st.one_of(st.just(0.0), st.floats(math.log(1e-8), 0.0)),
+           C=st.floats(0.1, 10.0),
+           C2=st.floats(0.1, 10.0),
+           zeta=st.floats(0.0, 1.0),
+           T=st.integers(1, 1000),
+           N=st.integers(1, 20_000),
+           L=st.integers(1, 64),
+           log_delta=st.floats(math.log(1e-10), math.log(0.1)))
+    def test_epsilon_depends_on_theta_times_clip(self, log_k, log_fraction, C, C2, zeta,
+                                                 T, N, L, log_delta):
+        s = math.exp(log_fraction) * (1.0 - 1e-6) / (L + 1)  # up to the MGF bound
+        eps = [account(GammaPlrvParams(k=math.exp(log_k), theta=s / c),
+                       AccountingJob(steps_T=T, sampling_rate_zeta=zeta, model_dim_N=N,
+                                     clip_C=c, delta=math.exp(log_delta),
+                                     lambda_max=L)).epsilon
+               for c in (C, C2)]
+        # the search infers verdicts with a margin of 1e-9 in s
+        assert eps[1] == pytest.approx(eps[0], rel=1e-12)
+
+    def test_known_verdicts_keep_the_margin(self, monkeypatch):
+        cfg = toy_cfg()
+        k, theta, C, C2 = 50.0, 1e-3, 0.5, 0.8
+        state = _SearchState(cfg=cfg)
+        passed = state.c2_entry((k, theta, C))["passed"]
+        calls = c2_calls(monkeypatch)
+        s = theta * C
+        outside = s * (1.0 - 2e-9) if passed else s * (1.0 + 2e-9)
+        inside = s * (1.0 - 0.5e-9) if passed else s * (1.0 + 0.5e-9)
+        assert state.known((k, outside / C2, C2)) is passed
+        assert state.known((k, inside / C2, C2)) is None
+        # at the same clip monotonicity in theta is exact
+        same = math.nextafter(theta, 0.0 if passed else math.inf)
+        assert state.known((k, same, C)) is passed
+        assert state.known((2.0 * k, theta, C)) is None  # only the same k
+        assert state.passes((k, outside / C2, C2)) is passed
+        assert calls[0] == 0
+        assert (k, outside / C2, C2) in state.inferred
+        assert list(state.c2_cache) == [(k, theta, C)]
+
+    @pytest.mark.parametrize("index", [5, 7])
+    def test_inferred_verdicts_are_sound_and_never_cached(self, monkeypatch, index):
+        cfg = crit8_configs()[index]
+        states, accounted = [], []
+        c2_report = optimizer._c2_report
+
+        def recording(point, cfg):
+            accounted.append(point)
+            return c2_report(point, cfg)
+
+        class Recorded(_SearchState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        monkeypatch.setattr(optimizer, "_c2_report", recording)
+        monkeypatch.setattr(optimizer, "_SearchState", Recorded)
+        solve(cfg)
+        monkeypatch.undo()
+        (state,) = states
+        # the cache holds exactly the accounted entries, each accounted once
+        assert len(accounted) == len(set(accounted)) == len(state.c2_cache)
+        assert set(accounted) == set(state.c2_cache)
+        inferred = sorted(state.inferred - set(state.c2_cache))
+        assert len(inferred) >= 300
+        # and every inferred verdict is the one the accountant gives
+        for point in inferred:
+            assert state.known(point) == optimizer._c2_report(point, cfg)["passed"], point
+
+    # accountant calls per solve; at the parent commit, 246 / 274 / 1,150 / 318
+    @pytest.mark.parametrize("name,want", [
+        ("crit8-3", 244), ("crit8-6", 271), ("crit8-7", 507), ("train-demo", 313),
+    ])
+    def test_c2_call_counts_pinned(self, monkeypatch, name, want):
+        cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
+        calls = c2_calls(monkeypatch)
+        solve(cfg)
+        assert calls[0] == want

@@ -60,6 +60,38 @@ class TestInvariants:
         with pytest.raises(ValueError):
             make_job(**{field: value})
 
+    @pytest.mark.parametrize("make,want", [
+        (lambda: GammaPlrvParams(k=-1.0, theta=1.0), "k must be > 0, got -1.0"),
+        (lambda: GammaPlrvParams(k=2.0, theta=math.nan), "theta must be > 0, got nan"),
+        (lambda: GaussianParams(sigma=0.0), "sigma must be > 0, got 0.0"),
+        (lambda: LaplaceParams(b=-1e-300), "b must be > 0, got -1e-300"),
+        (lambda: PrivacyTarget(epsilon_star=0.0, delta_star=1e-5),
+         "epsilon_star must be > 0, got 0.0"),
+        (lambda: PrivacyTarget(epsilon_star=1.0, delta_star=1.0),
+         "delta_star must be in (0, 1), got 1.0"),
+        (lambda: make_job(steps_T="3"), "steps_T must be a positive integer, got '3'"),
+        (lambda: make_job(sampling_rate_zeta=1.5),
+         "sampling_rate_zeta must be in [0, 1], got 1.5"),
+        (lambda: make_job(model_dim_N=2.0), "model_dim_N must be a positive integer, got 2.0"),
+        (lambda: make_job(clip_C=math.inf), "clip_C must be > 0, got inf"),
+        (lambda: make_job(delta=0.0), "delta must be in (0, 1), got 0.0"),
+        (lambda: make_job(lambda_max=0), "lambda_max must be a positive integer, got 0"),
+        (lambda: LogMomentCurve("plrvo", {0: 0.1}), "moment orders must be >= 1, got 0"),
+        (lambda: LogMomentCurve("plrvo", {3: -0.25}), "alpha(3) = -0.25 violates alpha >= 0"),
+        (lambda: LogMomentCurve("plrvo", {1: 0.1, 2: 0.05}),
+         "alpha must be nondecreasing in lambda; alpha(2) = 0.05 < 0.1"),
+        (lambda: OptimizationResult(
+            k_star=2.0, theta_star=0.1, C_star=1.0, achieved_epsilon=1.0,
+            achieved_distortion=10.0, snr=0.1,
+            constraint_report={"c2": {"passed": False, "margin": -0.2}}),
+         "OptimizationResult carries a failing constraint 'c2'"),
+    ])
+    def test_messages(self, make, want):
+        # messages are formatted only on failure, to the same text
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == want
+
     def test_zeta_zero_job_allowed(self):
         assert make_job(sampling_rate_zeta=0.0).sampling_rate_zeta == 0.0
 
