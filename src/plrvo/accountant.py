@@ -28,9 +28,10 @@ size, K - 1 is summed from the nonnegative curvature terms of the branches
 by their series; elsewhere that cancellation costs at most about
 1e-15 * eta relative. A coordinate whose largest branch log exceeds 300 (a
 kernel near the MGF bound) is mixed in log space instead, by the shifted
-product of :func:`_mix` and its exact per-order fallback; so is everything
-at zeta = 0 or 1, where each order has a single live weight and its moment
-stays exact.
+product of :func:`_mix` and its exact per-order fallback. At zeta = 0 or 1
+each order has a single live weight, so the linear mix is log1p(K - 1)
+itself; a log-sum-exp of the two branches there would lose the relative
+precision of a tiny log K (1e-7 at k = 1e6, theta x = 5e-13).
 
 Coordinate sum. An l2-clipped model's per-step moment sums alpha over the
 majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N. The first 4,096
@@ -248,14 +249,13 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float, lam_cap: int,
              lambdas: Sequence[int]) -> np.ndarray:
     """(order, x) matrix of per-coordinate alpha for the sorted ``lambdas``:
     the linear mix log1p(W @ (K - 1)), with the log-space :func:`_mix` for
-    columns whose largest branch log exceeds 300 (or is not finite) and for
-    zeta = 0 or 1."""
+    columns whose largest branch log exceeds 300 (or is not finite). At
+    zeta = 0 or 1 each order has a single live weight, 1, so the linear mix
+    is log1p(K - 1) itself."""
     if lambdas[0] < 1:
         raise ValueError(f"moment orders must be positive integers, got {lambdas}")
     eta_max = lambdas[-1] + 1
     log_w = _log_weight_matrix(zeta, lam_cap)
-    if zeta in (0.0, 1.0):
-        return _mix(log_w, lambdas, _log_kernel(branches, x, eta_max))
     etas, b1, b2 = _branch_coefficients(eta_max)
     b1, b2 = b1[:, None], b2[:, None]
     lm1, lm2 = branches(x, etas)

@@ -21,11 +21,12 @@ import sys
 
 import numpy as np
 
-from . import accountant, distortion, dpsgd, optimizer, sampler
+from . import accountant, distortion, dpsgd, sampler
 from .params import (
     AccountingJob,
     GammaPlrvParams,
     GaussianParams,
+    InfeasibleError,
     LaplaceParams,
     MgfDomainViolation,
     PrivacyTarget,
@@ -125,6 +126,8 @@ def cmd_sweep_t(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimizer  # compiled only by the commands that solve
+
     spec = load_job_file(args.job_file)
     if spec["target"] is None or spec["optimizer"] is None:
         raise ValueError("optimize requires 'target' and 'optimizer' sections in the job file")
@@ -224,6 +227,8 @@ def cmd_train_demo(args) -> int:
     if args.mechanism == "gaussian":
         mechanism = GaussianParams(sigma=dpsgd.calibrate_gaussian_sigma(args.epsilon, loop.job))
     else:
+        from . import optimizer
+
         cfg = optimizer.FeasibilityConfig(clip_min=args.clip, clip_max=args.clip,
                                           target=target, job_skeleton=loop.job)
         result = optimizer.solve(cfg)
@@ -318,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except optimizer.InfeasibleError as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         print(json.dumps(exc.diagnostics, sort_keys=True, indent=2), file=sys.stderr)
         return 3

@@ -50,6 +50,20 @@ as Brent's starting bracket, so each clip slice and C probe no longer
 re-derives the boundary in s that the others found. At a single clip
 value monotonicity in theta stays exact, with no margin.
 
+The accounted epsilon also increases with k at fixed s: Gamma(k, theta)
+is stochastically increasing in k, so the inverse noise scale grows. So
+the search reads its accounted verdicts as two staircases over k: the
+largest passing s over k' >= k, and the smallest failing s over k' <= k.
+A point whose s lies 1e-9 below (above) them, relative, takes a known pass
+(fail), as across clip values. Phase B's golden-section k probes thus take
+most verdicts at their MGF bound and floor from other k. A new k's
+boundary is warm-started (:func:`_warm_start`): the boundaries solved at
+the nearest k, interpolated in (log k, log s), predict its root, which is
+accounted, and so is one Newton step from there, pushed just past the
+root it predicts. Brent starts from the narrowest bracket whose ends are
+both accounted at this k; it never interpolates a value accounted at
+another k.
+
 Every inference keeps the bisection's and the grid's bits. Bounds and
 inferred verdicts never enter the c2 cache, so every reported epsilon is
 an accounted one, and the final verification still accounts the returned
@@ -60,6 +74,7 @@ Phase A inferred, so they report accounted margins.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,6 +84,7 @@ from .numerics import regularized_lower_gamma
 from .params import (
     AccountingJob,
     GammaPlrvParams,
+    InfeasibleError,
     OptimizationResult,
     PrivacyTarget,
 )
@@ -80,20 +96,13 @@ THETA_GRID_LO, THETA_GRID_POINTS = 1e-7, 60
 C_GRID_POINTS = 8
 
 
-class InfeasibleError(RuntimeError):
-    """No point in the configured box satisfies every constraint."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
-
 @dataclass(frozen=True)
 class FeasibilityConfig:
     """Search box and tolerances for :func:`solve`.
 
     ``job_skeleton`` supplies (T, zeta, N, delta, lambda_max); its clip value
-    is ignored and replaced by each candidate C. ``gamma_cdf_tol``
+    is ignored and replaced by each candidate C. c2 accounts at the job's
+    delta, so the target's delta_star must equal it. ``gamma_cdf_tol``
     operationalizes the "approximately zero" Gamma CDF in c1;
     ``distortion_cap`` is c4's ceiling on 1 / ((k-1) * theta).
     """
@@ -109,6 +118,12 @@ class FeasibilityConfig:
         if not 0 < self.clip_min <= self.clip_max:
             raise ValueError(
                 f"need 0 < clip_min <= clip_max, got [{self.clip_min}, {self.clip_max}]")
+        if not math.isfinite(self.clip_max):
+            raise ValueError(
+                f"clip_min and clip_max must be finite, got [{self.clip_min}, {self.clip_max}]")
+        if self.target.delta_star != self.job_skeleton.delta:
+            raise ValueError(f"target delta_star must equal the job's delta "
+                             f"{self.job_skeleton.delta}, got {self.target.delta_star}")
         if not 0.0 < self.gamma_cdf_tol < 1.0:
             raise ValueError(f"gamma_cdf_tol must be in (0, 1), got {self.gamma_cdf_tol}")
         if not self.distortion_cap > 0:
@@ -219,6 +234,9 @@ def _c1_floor(k: float, tol: float) -> float:
 
 
 S_MARGIN = 1e-9  # relative margin of a c2 verdict inferred from theta * C
+NARROW = 1e-6  # relative width in s of a k's bracket that is a solved boundary
+NEAR = 3  # solved boundaries, the nearest in log k, that predict a new k's
+OVERSHOOT = 2.5e-10  # in log theta: the Newton step's push past the root it predicts
 
 
 @dataclass
@@ -237,8 +255,46 @@ class _Bracket:
         elif not passed and value < self.hi:
             self.hi, self.hi_point = value, point
 
+    def solved(self) -> bool:
+        """Whether the ends are within NARROW of each other, relative: a
+        boundary solved by Brent's method, not a Phase A grid cell."""
+        return self.hi <= self.lo * (1.0 + NARROW)
+
 
 _NO_BRACKET = _Bracket()
+
+
+@dataclass
+class _Staircase:
+    """The accounted (k, s) of one c2 verdict that no other of the same
+    verdict settles. The accounted epsilon increases with k at fixed s, so a
+    pass at (k', s') settles every k <= k' and s <= s', and a fail every
+    k >= k' and s >= s' (:meth:`_SearchState.known` keeps S_MARGIN clear of
+    both). Stored as (sign k, sign s) with sign +1 for passes
+    and -1 for fails, sorted by the first coordinate, the second then falls
+    strictly along the list."""
+
+    sign: float
+    keys: list[float] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+
+    def add(self, k: float, s: float) -> None:
+        key, value = self.sign * k, self.sign * s
+        i = bisect_left(self.keys, key)
+        if i < len(self.keys) and self.values[i] >= value:
+            return  # settled by a kept point
+        j = i + (i < len(self.keys) and self.keys[i] == key)
+        while i > 0 and self.values[i - 1] <= value:
+            i -= 1
+        self.keys[i:j] = [key]
+        self.values[i:j] = [value]
+
+    def bound(self, k: float) -> float:
+        """The largest passing s over the accounted k' >= k (passes), or the
+        smallest failing s over the accounted k' <= k (fails); -inf (+inf)
+        when there is none."""
+        i = bisect_left(self.keys, self.sign * k)
+        return self.sign * (self.values[i] if i < len(self.values) else -math.inf)
 
 
 @dataclass
@@ -246,15 +302,21 @@ class _SearchState:
     """The search's accounted c2 entries, and the verdicts they imply.
 
     Per k it keeps the bracket of accounted verdicts in s = theta * C (the
-    accounted epsilon depends on theta and C only through s) and per (k, C)
-    the bracket in theta. ``inferred`` collects the points whose verdict was
-    known without accounting them; they never enter ``c2_cache``."""
+    accounted epsilon depends on theta and C only through s), per (k, C) the
+    bracket in theta, and across k the staircases of passing and failing s
+    (epsilon increases with k at fixed s). ``solved_ks`` lists, sorted, the
+    k whose bracket in s is :meth:`_Bracket.solved`. ``inferred`` collects
+    the points whose verdict was known without accounting them; they never
+    enter ``c2_cache``."""
 
     cfg: FeasibilityConfig
     c2_cache: dict[tuple[float, float, float], dict] = field(default_factory=dict)
     theta_floors: dict[float, float] = field(default_factory=dict)
     s_brackets: dict[float, _Bracket] = field(default_factory=dict)
     theta_brackets: dict[tuple[float, float], _Bracket] = field(default_factory=dict)
+    passing: _Staircase = field(default_factory=lambda: _Staircase(1.0))
+    failing: _Staircase = field(default_factory=lambda: _Staircase(-1.0))
+    solved_ks: list[float] = field(default_factory=list)
     inferred: set[tuple[float, float, float]] = field(default_factory=set)
 
     def c2_entry(self, point: tuple[float, float, float]) -> dict:
@@ -262,17 +324,32 @@ class _SearchState:
         if entry is None:
             entry = self.c2_cache[point] = _c2_report(point, self.cfg)
             k, theta, C = point
-            self.s_brackets.setdefault(k, _Bracket()).add(theta * C, point, entry["passed"])
-            self.theta_brackets.setdefault((k, C), _Bracket()).add(theta, point,
-                                                                   entry["passed"])
+            passed, s = entry["passed"], theta * C
+            at_k = self.s_brackets.setdefault(k, _Bracket())
+            solved = at_k.solved()
+            at_k.add(s, point, passed)
+            if not solved and at_k.solved():
+                insort(self.solved_ks, k)
+            self.theta_brackets.setdefault((k, C), _Bracket()).add(theta, point, passed)
+            (self.passing if passed else self.failing).add(k, s)
         return entry
+
+    def excess(self, entry: dict) -> float:
+        """log epsilon - log epsilon* of an accounted entry, with the sign of
+        its verdict where the two logs round to a tie. It is never 0, so
+        Brent's method stops on its bracket's width alone."""
+        eps = entry["epsilon"]
+        g = (math.log(eps) - math.log(self.cfg.target.epsilon_star) if eps > 0.0
+             else -math.inf)
+        return min(g, -math.ulp(0.0)) if entry["passed"] else max(g, math.ulp(0.0))
 
     def known(self, point: tuple[float, float, float]) -> bool | None:
         """c2's verdict at point when the accounted entries decide it, else
         None: its own entry; a theta at or beyond an accounted one at the
         same (k, C), exactly; or an s = theta * C at least S_MARGIN beyond
-        an accounted one at k, relative. That margin is over 10^5 times the
-        spread of the accounted epsilon across decompositions of s."""
+        the staircases at k, relative: beyond a pass at some k' >= k or a
+        fail at some k' <= k. That margin is over 10^5 times the spread of
+        the accounted epsilon across decompositions of s."""
         entry = self.c2_cache.get(point)
         if entry is not None:
             return entry["passed"]
@@ -282,10 +359,10 @@ class _SearchState:
             return True
         if theta >= same_clip.hi:
             return False
-        s, at_k = theta * C, self.s_brackets.get(k, _NO_BRACKET)
-        if s <= at_k.lo * (1.0 - S_MARGIN):
+        s = theta * C
+        if s <= self.passing.bound(k) * (1.0 - S_MARGIN):
             return True
-        if s >= at_k.hi * (1.0 + S_MARGIN):
+        if s >= self.failing.bound(k) * (1.0 + S_MARGIN):
             return False
         return None
 
@@ -301,11 +378,11 @@ class _SearchState:
 
     def bracket(self, k: float, C: float) -> tuple[tuple[float, dict | None],
                                                    tuple[float, dict | None]]:
-        """The narrowest known bracket of c2's boundary in theta at (k, C):
-        ((theta, entry) of the passing end, (theta, entry) of the failing
-        end), from the accounted points at (k, C) and at k, the latter moved
-        to clip C at equal s. An end with no accounted point is (+-inf,
-        None)."""
+        """The narrowest bracket of c2's boundary in theta at (k, C) whose
+        ends are accounted at k: ((theta, entry) of the passing end, (theta,
+        entry) of the failing end), from the accounted points at (k, C) and
+        at k, the latter moved to clip C at equal s. An end with no accounted
+        point is (+-inf, None)."""
         same_clip = self.theta_brackets.get((k, C), _NO_BRACKET)
         at_k = self.s_brackets.get(k, _NO_BRACKET)
 
@@ -316,6 +393,30 @@ class _SearchState:
 
         return (end((same_clip.lo_point, at_k.lo_point), max, -math.inf),
                 end((same_clip.hi_point, at_k.hi_point), min, math.inf))
+
+    def neighbour_boundaries(self, k: float) -> list[tuple[float, float, float]]:
+        """(log k', log s', slope) for the NEAR k' nearest k in log k, with
+        distinct logs, whose bracket in s is solved (``solved_ks``):
+        the secant root s' of log epsilon - log epsilon* in log s between its
+        two ends, and the secant's slope (not finite where an end's excess is
+        not, and the root is then the ends' geometric mean). Nearest first."""
+        i = bisect_left(self.solved_ks, k)
+        window = self.solved_ks[max(i - NEAR, 0):i + NEAR]
+        window.sort(key=lambda near: abs(math.log(near / k)))
+        out = []
+        for near in window:
+            if len(out) == NEAR:
+                break
+            if any(math.log(near) == log_k for log_k, _, _ in out):
+                continue  # Lagrange interpolation needs distinct nodes
+            at_k = self.s_brackets[near]
+            g_lo = self.excess(self.c2_cache[at_k.lo_point])
+            g_hi = self.excess(self.c2_cache[at_k.hi_point])
+            u_lo, u_hi = math.log(at_k.lo), math.log(at_k.hi)
+            slope = (g_hi - g_lo) / (u_hi - u_lo) if u_hi > u_lo else math.nan
+            root = u_lo - g_lo / slope if math.isfinite(slope) else 0.5 * (u_lo + u_hi)
+            out.append((math.log(near), root, slope))
+        return out
 
     def theta_floor(self, k: float) -> float:
         """Smallest theta passing c1 and c4 at k > 1. Both are lower bounds
@@ -460,18 +561,26 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
 
     The bisection is replayed, not run: each midpoint takes its known
     verdict (:meth:`_SearchState.known`), by monotonicity in theta at
-    (k, C) or through s = theta * C across clip values, and only a midpoint
-    that no accounted entry decides is accounted. So the replay takes the
-    same verdicts at the same midpoints, and returns the same bits. The MGF
-    bound and the floor take known verdicts too. The MGF bound's entry is
-    not accounted when :func:`_mgf_screen` shows it fails; the screen's log
-    excess then stands in for the accounted one as Brent's value there.
+    (k, C), through s = theta * C across clip values, or from the staircases
+    across k, and only a midpoint that no accounted entry decides is
+    accounted. So the replay takes the same verdicts at the same midpoints,
+    and returns the same bits. The MGF bound and the floor take known
+    verdicts too. The MGF bound's entry is not accounted when
+    :func:`_mgf_screen` shows it fails; the screen's log excess then stands
+    in for the accounted one as Brent's value there.
+
     Before the replay, Brent's method on log epsilon - log epsilon* in
-    log theta narrows the narrowest known bracket (:meth:`_SearchState.bracket`)
-    below 2e-9: about 7 accountant calls from [floor, MGF bound], none when
-    another clip value's accounted entries at k already bracket s that
-    closely. A dyadic midpoint rarely falls inside the final bracket, so the
-    replay seldom accounts anything."""
+    log theta narrows the narrowest bracket accounted at k
+    (:meth:`_SearchState.bracket`) below 2e-9. When k has no such bracket,
+    :func:`_warm_start` first accounts its predicted root and one Newton
+    step past it. The two usually bracket the boundary, so a Phase B probe
+    costs two or three accountant calls in all. An end still missing,
+    because the floor's or the MGF bound's verdict came from another k, is
+    accounted at this k (or the MGF bound screened). From [floor, MGF bound]
+    Brent takes about 7 accountant calls, and none when another clip value's
+    accounted entries at k already bracket s within 2e-9. A dyadic midpoint
+    rarely falls inside the final bracket, so the replay seldom accounts
+    anything."""
     cfg = state.cfg
     if not (k > 1.0 and cfg.clip_min <= C <= cfg.clip_max):
         return None
@@ -479,13 +588,6 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     floor = state.theta_floor(k)
     if floor > theta_hi:
         return None
-    log_target = math.log(cfg.target.epsilon_star)
-
-    def excess(entry: dict) -> float:
-        eps = entry["epsilon"]
-        g = math.log(eps) - log_target if eps > 0.0 else -math.inf
-        # the verdict sets the sign where the two logs round to a tie
-        return min(g, 0.0) if entry["passed"] else max(g, math.ulp(0.0))
 
     top = (k, theta_hi, C)
     screened = None
@@ -506,12 +608,21 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
         return state.passes((k, theta, C))
 
     (lo, lo_entry), (hi, hi_entry) = state.bracket(k, C)
+    if lo_entry is None or hi_entry is None:
+        _warm_start(state, k, C, floor, theta_hi)
+        (lo, lo_entry), (hi, hi_entry) = state.bracket(k, C)
+    if lo_entry is None:  # the floor's verdict came from another k
+        lo, lo_entry = floor, state.c2_entry((k, floor, C))
+    if hi_entry is None and screened is None:  # so did the top's
+        screened = _mgf_screen(cfg, k, theta_hi, C)
+        if screened is None:
+            hi, hi_entry = theta_hi, state.c2_entry(top)
     if screened is not None and theta_hi < hi:
         hi, hi_excess = theta_hi, screened
     else:
-        hi_excess = excess(hi_entry)
-    _brent(lambda u: excess(state.c2_entry((k, math.exp(u), C))),
-           math.log(lo), excess(lo_entry), math.log(hi), hi_excess, 2e-9)
+        hi_excess = state.excess(hi_entry)
+    _brent(lambda u: state.excess(state.c2_entry((k, math.exp(u), C))),
+           math.log(lo), state.excess(lo_entry), math.log(hi), hi_excess, 2e-9)
     theta = floor
     lo, hi = math.log(floor), math.log(theta_hi)
     for _ in range(40):
@@ -523,6 +634,41 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
         if hi - lo <= 1e-7:
             break
     return theta, objective(k, theta, C)
+
+
+def _warm_start(state: _SearchState, k: float, C: float, floor: float,
+                theta_hi: float) -> None:
+    """Account c2 at (k, C) on both sides of its boundary, predicted from the
+    boundaries solved at the nearest k (:meth:`_SearchState.neighbour_boundaries`).
+
+    Their roots, interpolated in (log k, log s) through the Lagrange
+    polynomial, predict the root at k, which is accounted. One Newton step
+    from there, with the nearest k's slope of log epsilon in log s, is
+    pushed OVERSHOOT past the root it predicts and accounted too, so the two
+    usually bracket the boundary closely. Both thetas are clamped into the
+    band the staircases leave open, within [floor, theta_hi]."""
+    near = state.neighbour_boundaries(k)
+    log_k = math.log(k)
+    root = 0.0
+    for i, (log_ki, root_i, _) in enumerate(near):
+        weight = 1.0
+        for j, (log_kj, _, _) in enumerate(near):
+            if j != i:
+                weight *= (log_k - log_kj) / (log_ki - log_kj)
+        root += weight * root_i
+    if not (near and math.isfinite(root)):
+        return
+    s_lo = state.passing.bound(k) * (1.0 - S_MARGIN)
+    s_hi = state.failing.bound(k) * (1.0 + S_MARGIN)
+    u_lo = max(math.log(floor), math.log(s_lo / C) if s_lo > 0.0 else -math.inf)
+    u_hi = min(math.log(theta_hi), math.log(s_hi / C))
+    u = min(max(root - math.log(C), u_lo), u_hi)
+    g = state.excess(state.c2_entry((k, math.exp(u), C)))
+    slope = near[0][2]
+    if math.isfinite(g) and math.isfinite(slope) and slope > 0.0:
+        step = min(max(u - g / slope + math.copysign(OVERSHOOT, -g), u_lo), u_hi)
+        if step != u:
+            state.c2_entry((k, math.exp(step), C))
 
 
 def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> dict:

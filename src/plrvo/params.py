@@ -17,6 +17,9 @@ from typing import Any, Mapping, Type, TypeVar
 T = TypeVar("T")
 
 GAUSSIAN_LAPLACE_DEFAULT_LAMBDA_MAX = 64
+# Largest moment cap a job may ask for: the accountant's (lambda, eta)
+# weight matrices grow with its square (at 1e5 the first alone is 9.3 GiB)
+LAMBDA_MAX_LIMIT = 4096
 
 
 class MgfDomainViolation(ValueError):
@@ -29,6 +32,14 @@ class MgfDomainViolation(ValueError):
     def __init__(self, message: str, max_admissible_lambda: int | None = None):
         super().__init__(message)
         self.max_admissible_lambda = max_admissible_lambda
+
+
+class InfeasibleError(RuntimeError):
+    """No point in the optimizer's configured box satisfies every constraint."""
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 def _require(cond: bool, msg: str, *args: Any) -> None:
@@ -130,6 +141,8 @@ class PrivacyTarget:
 
     def __post_init__(self):
         _require(self.epsilon_star > 0, "epsilon_star must be > 0, got {}", self.epsilon_star)
+        _require(_finite(self.epsilon_star), "epsilon_star must be finite, got {}",
+                 self.epsilon_star)
         _require(0.0 < self.delta_star < 1.0,
                  "delta_star must be in (0, 1), got {}", self.delta_star)
 
@@ -167,6 +180,8 @@ class AccountingJob:
         _require(0.0 < self.delta < 1.0, "delta must be in (0, 1), got {}", self.delta)
         _require(isinstance(self.lambda_max, int) and self.lambda_max >= 1,
                  "lambda_max must be a positive integer, got {!r}", self.lambda_max)
+        _require(self.lambda_max <= LAMBDA_MAX_LIMIT, "lambda_max must be at most {}, got {}",
+                 LAMBDA_MAX_LIMIT, self.lambda_max)
 
 
 def gamma_seed_lambda_cap(clip_C: float, theta: float) -> int:

@@ -243,6 +243,17 @@ class TestPlrvUnivariate:
             got = plrv_univariate_log_moment(p, 0.8, zeta, lam)
             assert got == pytest.approx(exact, rel=1e-11, abs=1e-13)
 
+    @pytest.mark.parametrize("k,theta,x,lam", [
+        (1e6, 1e-12, 0.5, 64), (10.0, 1e-6, 1.0, 5), (1252.8, 2.08e-9, 2.98, 32)])
+    def test_no_subsampling_keeps_tiny_moments_precise(self, k, theta, x, lam):
+        # zeta = 1: alpha = log K(x, lam + 1), from 5e-10 to 3e-8 here; a
+        # log-sum-exp of the two branches, each near log(1/2), keeps about
+        # 1e-16 of absolute precision, up to 1e-7 relative here, enough to
+        # make epsilon fall with theta at the 1e-13 level
+        exact = float(mpmath.log(mp_plrv_kernel(k, mpmath.mpf(theta), x, lam + 1)))
+        got = plrv_univariate_log_moment(GammaPlrvParams(k=k, theta=theta), x, 1.0, lam)
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_monte_carlo_oracle(self):
         k, theta, C, zeta, lam = 10.0, 0.01, 1.0, 0.5, 1
         got = plrv_univariate_log_moment(GammaPlrvParams(k=k, theta=theta), C, zeta, lam)

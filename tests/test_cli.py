@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import hypothesis.strategies as st
@@ -31,6 +33,15 @@ class TestAccount:
                             "mode", "lambda_search"}
         assert out["mode"] == "exact"
         assert out["epsilon"] > 0
+
+    def test_account_leaves_the_optimizer_unloaded(self, tmp_path):
+        # every command imports plrvo.cli; only optimize and train-demo solve
+        code = ("import sys; from plrvo.cli import main; "
+                "assert main(['account', sys.argv[1]]) == 0; "
+                "print('plrvo.optimizer' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, write_job(tmp_path)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "False"
 
     def test_curve_export(self, tmp_path, capsys):
         curve_path = tmp_path / "curve.csv"
@@ -234,6 +245,22 @@ class TestInputValidation:
         assert main(["account", write_job(tmp_path, job=SMALL_JOB)]) == 1
         assert "PLRV_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["account", "sweep-t", "optimize"])
+    def test_huge_lambda_max_allocates_nothing(self, tmp_path, capsys, monkeypatch, command):
+        from plrvo import accountant
+
+        def weights(*args):
+            raise AssertionError("built a weight matrix for lambda_max = 100000")
+
+        monkeypatch.setattr(accountant, "_log_weight_matrix", weights)
+        monkeypatch.setattr(accountant, "_weight_matrix", weights)
+        doc = with_value(BASE_JOBS["plrvo"], "job", "lambda_max", 100_000)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)] + (["--t-values", "1"] if command == "sweep-t"
+                                            else [])) == 1
+        assert "lambda_max must be at most 4096, got 100000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--batch", "--examples"])
     def test_train_demo_zero_size(self, capsys, flag):
         assert main(["train-demo", "--mechanism", "gaussian", "--epsilon", "2.0",
@@ -368,6 +395,27 @@ class TestOptimizeCommand:
 
     def test_missing_sections_rejected(self, tmp_path):
         assert main(["optimize", write_job(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        # c2 accounts at the job's delta, so another delta_star would be ignored
+        ("target", "delta_star", 0.5, "delta_star must equal the job's delta 1e-05, got 0.5"),
+        ("target", "epsilon_star", math.inf, "epsilon_star must be finite, got inf"),
+        ("optimizer", "clip_max", math.inf,
+         "clip_min and clip_max must be finite, got [0.5, inf]"),
+    ])
+    def test_bad_target_or_clip_bound(self, tmp_path, capsys, monkeypatch,
+                                      section, key, value, message):
+        from plrvo import optimizer
+
+        def solve(cfg):
+            raise AssertionError("solved a job with a bad target or clip bound")
+
+        monkeypatch.setattr(optimizer, "solve", solve)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(with_value(BASE_JOBS["plrvo"], section, key, value)))
+        assert main(["optimize", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
 
 
 class TestSampleAndDistortion:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import hypothesis.strategies as st
 import mpmath
@@ -12,6 +13,7 @@ from plrvo.accountant import account, plrv_epsilon_lower_bound
 from plrvo.dpsgd import training_job
 from plrvo.numerics import regularized_lower_gamma
 from plrvo.optimizer import (
+    S_MARGIN,
     FeasibilityConfig,
     InfeasibleError,
     _boundary_theta,
@@ -24,6 +26,9 @@ from plrvo.optimizer import (
     solve,
 )
 from plrvo.params import AccountingJob, GammaPlrvParams, PrivacyTarget
+
+
+VACUOUS = sys.float_info.max  # an epsilon* no accounted epsilon exceeds
 
 
 def toy_cfg(epsilon=2.0, clip_min=0.5, clip_max=1.0, N=500, T=100, zeta=0.05,
@@ -110,10 +115,10 @@ class TestSolve:
         assert res.achieved_distortion <= 10.0 + 1e-9  # c4 cap
 
     def test_vacuous_privacy_pins_cheap_boundary(self):
-        # epsilon* = inf: the optimum is set by c1/c4/mgf alone; at the mgf
+        # a vacuous epsilon*: the optimum is set by c1/c4/mgf alone; at the mgf
         # boundary J -> C_max * (k-1) * (1-eps)/(C_max*(lam+1)), so J is
         # governed by the largest k whose gamma tail passes c1
-        cfg = toy_cfg(epsilon=math.inf, N=200, lambda_max=16)
+        cfg = toy_cfg(epsilon=VACUOUS, N=200, lambda_max=16)
         res = solve(cfg)
         # dense brute-force over the cheap constraints only
         ks = np.geomspace(1.001, 1e6, 400)
@@ -175,6 +180,24 @@ class TestSolve:
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
             toy_cfg(clip_min=2.0, clip_max=1.0)
+
+    @pytest.mark.parametrize("make,want", [
+        (lambda: toy_cfg(clip_min=2.0, clip_max=1.0),
+         "need 0 < clip_min <= clip_max, got [2.0, 1.0]"),
+        (lambda: toy_cfg(clip_max=math.inf),
+         "clip_min and clip_max must be finite, got [0.5, inf]"),
+        (lambda: toy_cfg(clip_min=math.inf, clip_max=math.inf),
+         "clip_min and clip_max must be finite, got [inf, inf]"),
+        (lambda: FeasibilityConfig(
+            clip_min=0.5, clip_max=1.0,
+            target=PrivacyTarget(epsilon_star=2.0, delta_star=0.5),
+            job_skeleton=toy_cfg().job_skeleton),
+         "target delta_star must equal the job's delta 1e-05, got 0.5"),
+    ])
+    def test_config_messages(self, make, want):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == want
 
 
 def gamma_quantile(k: float, tol: float) -> float:
@@ -355,8 +378,8 @@ class TestBoundaryTheta:
         calls = self.counted_calls(monkeypatch)
         theta_hi = (1.0 - 1e-6) / (0.7 * 33)
         cases = [
-            # epsilon* = inf: the MGF bound passes, one call
-            (toy_cfg(epsilon=math.inf), 50.0, 1, (theta_hi, objective(50.0, theta_hi, 0.7))),
+            # a vacuous epsilon*: the MGF bound passes, one call
+            (toy_cfg(epsilon=VACUOUS), 50.0, 1, (theta_hi, objective(50.0, theta_hi, 0.7))),
             # an unreachable epsilon*: the screen fails the MGF bound without
             # a call (its lower bound there is 0.278), then the floor fails
             (toy_cfg(epsilon=1e-6), 50.0, 1, None),
@@ -370,7 +393,7 @@ class TestBoundaryTheta:
             assert calls[0] - before == want_calls, k
             assert bisected_boundary_theta(_SearchState(cfg=cfg), k, 0.7) == want
             # only an accounted top is cached, never a screened one
-            assert ((k, theta_hi, 0.7) in state.c2_cache) == (cfg.target.epsilon_star == math.inf)
+            assert ((k, theta_hi, 0.7) in state.c2_cache) == (cfg.target.epsilon_star == VACUOUS)
 
     def test_inconclusive_screen_accounts_the_top(self, monkeypatch):
         # epsilon* = 2 at k = 50: the screen's bound at the MGF bound (0.278)
@@ -482,13 +505,18 @@ class TestClipInvariance:
         # at the same clip monotonicity in theta is exact
         same = math.nextafter(theta, 0.0 if passed else math.inf)
         assert state.known((k, same, C)) is passed
-        assert state.known((2.0 * k, theta, C)) is None  # only the same k
+        # across k, a pass settles smaller k and a fail larger k, with the margin
+        settled, unsettled = (k / 2.0, 2.0 * k) if passed else (2.0 * k, k / 2.0)
+        assert state.known((settled, outside / C2, C2)) is passed
+        assert state.known((settled, inside / C2, C2)) is None
+        assert state.known((unsettled, outside / C2, C2)) is None
+        assert state.known((2.0 * k, theta, C)) is None
         assert state.passes((k, outside / C2, C2)) is passed
         assert calls[0] == 0
         assert (k, outside / C2, C2) in state.inferred
         assert list(state.c2_cache) == [(k, theta, C)]
 
-    @pytest.mark.parametrize("index", [5, 7])
+    @pytest.mark.parametrize("index", [5, 7, 9])
     def test_inferred_verdicts_are_sound_and_never_cached(self, monkeypatch, index):
         cfg = crit8_configs()[index]
         states, accounted = [], []
@@ -501,7 +529,16 @@ class TestClipInvariance:
         class Recorded(_SearchState):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
+                self.across_k = set()
                 states.append(self)
+
+            def known(self, point):
+                # record the verdicts that no accounted point at their own k decides
+                verdict = super().known(point)
+                if verdict is not None and point not in self.c2_cache \
+                        and not settled_at_own_k(self, point):
+                    self.across_k.add(point)
+                return verdict
 
         monkeypatch.setattr(optimizer, "_c2_report", recording)
         monkeypatch.setattr(optimizer, "_SearchState", Recorded)
@@ -511,18 +548,94 @@ class TestClipInvariance:
         # the cache holds exactly the accounted entries, each accounted once
         assert len(accounted) == len(set(accounted)) == len(state.c2_cache)
         assert set(accounted) == set(state.c2_cache)
-        inferred = sorted(state.inferred - set(state.c2_cache))
+        inferred = sorted((state.inferred | state.across_k) - set(state.c2_cache))
         assert len(inferred) >= 300
+        # Phase B's boundaries take verdicts from other k (configs 5 and 7
+        # too, 48 and 50; config 9, on a fixed clip, 275)
+        assert len(state.across_k) >= 40
         # and every inferred verdict is the one the accountant gives
         for point in inferred:
             assert state.known(point) == optimizer._c2_report(point, cfg)["passed"], point
 
-    # accountant calls per solve; at the parent commit, 246 / 274 / 1,150 / 318
-    @pytest.mark.parametrize("name,want", [
-        ("crit8-3", 244), ("crit8-6", 271), ("crit8-7", 507), ("train-demo", 313),
-    ])
-    def test_c2_call_counts_pinned(self, monkeypatch, name, want):
+    # accountant calls per solve; before verdicts were inferred across k:
+    # 1,065 / 244 / 271 / 507 / 1,485 / 313
+    C2_CALLS = {"crit8-0": 437, "crit8-3": 154, "crit8-6": 154, "crit8-7": 391,
+                "crit8-9": 440, "train-demo": 153}
+
+    @pytest.mark.parametrize("name", list(C2_CALLS))
+    def test_c2_call_counts_pinned(self, monkeypatch, name):
         cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
         calls = c2_calls(monkeypatch)
         solve(cfg)
-        assert calls[0] == want
+        assert calls[0] == self.C2_CALLS[name]
+
+
+def settled_at_own_k(state, point) -> bool:
+    """Whether the accounted points at point's own k decide its c2 verdict."""
+    k, theta, C = point
+    same_clip = state.theta_brackets.get((k, C), optimizer._NO_BRACKET)
+    at_k = state.s_brackets.get(k, optimizer._NO_BRACKET)
+    s = theta * C
+    return (theta <= same_clip.lo or theta >= same_clip.hi
+            or s <= at_k.lo * (1.0 - S_MARGIN) or s >= at_k.hi * (1.0 + S_MARGIN))
+
+
+class TestKMonotonicity:
+    """At fixed s = theta * C the accounted epsilon increases with k (a larger
+    mean inverse scale is less noise), which lets the search carry c2
+    verdicts across k: a pass at (k', s') settles k <= k' and s below s' by
+    S_MARGIN, a fail settles k >= k' and s above it."""
+
+    # examples: the series path (every branch log within 1/16) over most of
+    # the head; the log-space mix on its first coordinates (near the MGF
+    # bound at k = 1e4); k' = 1e6 with every coordinate, head and tail; and
+    # no subsampling at s = 6e-9, whose moments below 1e-7 need the linear
+    # mix's relative precision
+    @settings(max_examples=80, deadline=None)
+    @example(log_k=math.log(10.0), k_fraction=1e-3, log_fraction=math.log(0.133), C=0.37,
+             C2=6.1, zeta=0.05, T=100, N=4096, L=16, log_delta=math.log(1e-5))
+    @example(log_k=math.log(1e4), k_fraction=1e-9, log_fraction=0.0, C=0.37, C2=6.1,
+             zeta=0.05, T=100, N=4096, L=16, log_delta=math.log(1e-5))
+    @example(log_k=math.log(1e3), k_fraction=1.0, log_fraction=0.0, C=9.9, C2=0.11,
+             zeta=0.9, T=1, N=20_000, L=64, log_delta=math.log(1e-10))
+    @example(log_k=math.log(1252.8), k_fraction=0.0, log_fraction=math.log(6.23e-9 * 33),
+             C=2.98, C2=7.41, zeta=1.0, T=300, N=289, L=32, log_delta=math.log(1e-10))
+    @given(log_k=st.floats(math.log(1.001), math.log(1e6)),
+           k_fraction=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 1.0)),
+           log_fraction=st.one_of(st.just(0.0), st.floats(math.log(1e-8), 0.0)),
+           C=st.floats(0.1, 10.0),
+           C2=st.floats(0.1, 10.0),
+           zeta=st.floats(0.0, 1.0),
+           T=st.integers(1, 1000),
+           N=st.integers(1, 20_000),
+           L=st.integers(1, 64),
+           log_delta=st.floats(math.log(1e-10), math.log(0.1)))
+    def test_epsilon_increases_with_k(self, log_k, k_fraction, log_fraction, C, C2, zeta,
+                                      T, N, L, log_delta):
+        k = math.exp(log_k)
+        k2 = math.exp(log_k + k_fraction * (math.log(1e6) - log_k))  # k <= k2 <= 1e6
+        s = math.exp(log_fraction) * (1.0 - 1e-6) / (L + 1)  # up to the MGF bound
+
+        def epsilon(k, s, C):
+            return account(GammaPlrvParams(k=k, theta=s / C),
+                           AccountingJob(steps_T=T, sampling_rate_zeta=zeta, model_dim_N=N,
+                                         clip_C=C, delta=math.exp(log_delta),
+                                         lambda_max=L)).epsilon
+
+        assert epsilon(k, s, C) <= epsilon(k2, s * (1.0 + S_MARGIN), C2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8), st.booleans()),
+                           max_size=30),
+           k=st.integers(0, 9))
+    def test_staircases_match_a_scan(self, points, k):
+        state = _SearchState(cfg=toy_cfg())
+        for k_i, s_i, passed in points:
+            (state.passing if passed else state.failing).add(float(k_i), float(s_i))
+        passes = [s_i for k_i, s_i, passed in points if passed and k_i >= k]
+        fails = [s_i for k_i, s_i, passed in points if not passed and k_i <= k]
+        assert state.passing.bound(float(k)) == max(passes, default=-math.inf)
+        assert state.failing.bound(float(k)) == min(fails, default=math.inf)
+        for staircase in (state.passing, state.failing):
+            assert staircase.keys == sorted(set(staircase.keys))
+            assert all(a > b for a, b in zip(staircase.values, staircase.values[1:]))

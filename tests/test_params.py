@@ -4,6 +4,7 @@ import math
 import pytest
 
 from plrvo.params import (
+    LAMBDA_MAX_LIMIT,
     AccountingJob,
     GammaPlrvParams,
     GaussianParams,
@@ -76,6 +77,9 @@ class TestInvariants:
         (lambda: make_job(clip_C=math.inf), "clip_C must be > 0, got inf"),
         (lambda: make_job(delta=0.0), "delta must be in (0, 1), got 0.0"),
         (lambda: make_job(lambda_max=0), "lambda_max must be a positive integer, got 0"),
+        (lambda: make_job(lambda_max=100_000), "lambda_max must be at most 4096, got 100000"),
+        (lambda: PrivacyTarget(epsilon_star=math.inf, delta_star=1e-5),
+         "epsilon_star must be finite, got inf"),
         (lambda: LogMomentCurve("plrvo", {0: 0.1}), "moment orders must be >= 1, got 0"),
         (lambda: LogMomentCurve("plrvo", {3: -0.25}), "alpha(3) = -0.25 violates alpha >= 0"),
         (lambda: LogMomentCurve("plrvo", {1: 0.1, 2: 0.05}),
@@ -92,6 +96,11 @@ class TestInvariants:
             make()
         assert str(exc.value) == want
 
+    def test_lambda_max_limit(self):
+        assert make_job(lambda_max=LAMBDA_MAX_LIMIT).lambda_max == 4096
+        with pytest.raises(ValueError):
+            make_job(lambda_max=LAMBDA_MAX_LIMIT + 1)
+
     def test_zeta_zero_job_allowed(self):
         assert make_job(sampling_rate_zeta=0.0).sampling_rate_zeta == 0.0
 
@@ -107,7 +116,8 @@ class TestValidate:
         assert "119" in str(exc.value)
 
     def test_tiny_theta_always_passes(self):
-        validate(make_job(lambda_max=10**6), GammaPlrvParams(k=5.0, theta=1e-12))
+        # the largest cap a job may ask for
+        validate(make_job(lambda_max=LAMBDA_MAX_LIMIT), GammaPlrvParams(k=5.0, theta=1e-12))
 
     def test_cap_formula(self):
         assert gamma_seed_lambda_cap(10.0, 8.32e-4) == 119
