@@ -11,8 +11,8 @@ finishes in seconds.
 import argparse
 import pathlib
 
-from plrvo.accountant import build_curve, coarse_lambda_ladder, compose, epsilon_from_delta
-from plrvo.params import AccountingJob, GammaPlrvParams, effective_lambda_max
+from plrvo.accountant import build_curve, compose, epsilon_from_delta
+from plrvo.params import AccountingJob, GammaPlrvParams
 
 
 def main():
@@ -39,8 +39,7 @@ def main():
         job = AccountingJob(steps_T=1, sampling_rate_zeta=args.zeta,
                             model_dim_N=args.model_dim, clip_C=clip,
                             delta=args.delta, lambda_max=args.lambda_max)
-        ladder = coarse_lambda_ladder(effective_lambda_max(job, params))
-        curve = build_curve(params, job, lambdas=ladder)
+        curve = build_curve(params, job)
         path = out_dir / f"epsilon_vs_T_clip{clip:g}.csv"
         with open(path, "w") as fh:
             fh.write("T,epsilon\n")

@@ -74,8 +74,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .majorization import MajorizationSet
-# log_binomial is no longer called here; perfbench/spans.py still wraps the name
-from .numerics import LOG_ZERO, gauss_legendre, log_binomial  # noqa: F401
+from .numerics import LOG_ZERO, gauss_legendre
 from .params import (
     AccountingJob,
     GammaPlrvParams,
@@ -159,7 +158,12 @@ def _plrv_branches(params: GammaPlrvParams) -> BranchFn:
         if bends:  # k (-log1p(-w) - w) at w = y and w = -z
             return tuple(k * np.where(np.abs(w) <= _SERIES_MAX, _series(w, _LOG1P_TERMS),
                                       -np.log1p(-w) - w) for w in (y, -z))
-        return -k * np.log1p(-y), -k * np.log1p(z)
+        # -k log1p(-y) and -k log1p(z), built in y and z
+        lm1 = np.log1p(np.negative(y, out=y), out=y)
+        lm1 *= -k
+        lm2 = np.log1p(z, out=z)
+        lm2 *= -k
+        return lm1, lm2
 
     return branches
 
@@ -262,15 +266,24 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float, lam_cap: int,
     # lm1 and -lm2 grow with eta: the last row holds each column's largest
     log_space = ~(lm1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
     small = np.maximum(lm1[-1], -lm2[-1]) <= _SERIES_MAX
-    with np.errstate(over="ignore", invalid="ignore"):
-        k_minus_1 = b1 * np.expm1(lm1) + b2 * np.expm1(lm2)
+    bent = None
     if small.any():  # the tangents cancel: K - 1 is a sum of nonnegative bends
         bend1, bend2 = branches(x[small], etas, bends=True)
-        k_minus_1[:, small] = (b1 * (_series(lm1[:, small], _EXPM1_TERMS) + bend1)
-                               + b2 * (_series(lm2[:, small], _EXPM1_TERMS) + bend2))
+        bent = (b1 * (_series(lm1[:, small], _EXPM1_TERMS) + bend1)
+                + b2 * (_series(lm2[:, small], _EXPM1_TERMS) + bend2))
+    # K - 1 = b1 expm1(lm1) + b2 expm1(lm2), built in lm1
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_minus_1 = np.expm1(lm1, out=lm1)
+        k_minus_1 *= b1
+        np.expm1(lm2, out=lm2)
+        lm2 *= b2
+        k_minus_1 += lm2
+    if bent is not None:
+        k_minus_1[:, small] = bent
     w = _weight_matrix(zeta, lam_cap)[np.asarray(lambdas) - 1, 2 : eta_max + 1]
     with np.errstate(invalid="ignore"):
-        alpha = np.log1p(w @ k_minus_1)
+        alpha = w @ k_minus_1
+        np.log1p(alpha, out=alpha)
     if log_space.any():
         alpha[:, log_space] = _mix(log_w, lambdas,
                                    _log_kernel(branches, x[log_space], eta_max))
@@ -351,7 +364,7 @@ def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
 def plrv_multivariate_log_moments(params: GammaPlrvParams, job: AccountingJob,
                                   lambdas: Sequence[int]) -> dict[int, float]:
     """Batch form of :func:`plrv_multivariate_log_moment` (shared kernel work
-    across orders; used by the lambda searches)."""
+    across orders; used by the lambda search)."""
     validate(job, params)
     return _multivariate_log_moments(_plrv_branches(params), job, lambdas)
 
@@ -434,39 +447,6 @@ def delta_from_epsilon(curve: LogMomentCurve, epsilon: float) -> float:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     best = min(curve.alpha_per_step[lam] - lam * epsilon for lam in curve.alpha_per_step)
     return min(1.0, math.exp(best))
-
-
-def coarse_lambda_ladder(lambda_max: int) -> list[int]:
-    """Powers of two up to the cap, plus the cap itself."""
-    ladder = []
-    lam = 1
-    while lam <= lambda_max:
-        ladder.append(lam)
-        lam *= 2
-    if ladder[-1] != lambda_max:
-        ladder.append(lambda_max)
-    return ladder
-
-
-def minimize_epsilon_lazy(alpha_total_fn: Callable[[Sequence[int]], dict[int, float]],
-                          lambda_max: int, delta: float) -> tuple[float, int, dict[int, float]]:
-    """Coarse-to-fine minimization of the conversion over lambda.
-
-    Evaluates a power-of-two ladder first, then densifies one octave on each
-    side of the coarse argmin. ``alpha_total_fn`` receives a batch of orders
-    and returns composed (total) log moments. Returns (epsilon, argmin,
-    every alpha evaluated).
-    """
-    ladder = coarse_lambda_ladder(lambda_max)
-    evaluated = dict(alpha_total_fn(ladder))
-    eps0, lam0 = _grid_min(evaluated, delta)
-    lo = max(1, lam0 // 2)
-    hi = min(lambda_max, lam0 * 2)
-    dense = [l for l in range(lo, hi + 1) if l not in evaluated]
-    if dense:
-        evaluated.update(alpha_total_fn(dense))
-    eps, lam = _grid_min(evaluated, delta)
-    return eps, lam, evaluated
 
 
 def _grid_min(alphas: dict[int, float], delta: float) -> tuple[float, int]:
@@ -562,14 +542,14 @@ def _tail_slack(params: MechanismParams, job: AccountingJob,
 
 def account(params: MechanismParams, job: AccountingJob,
             lambda_search: str = "full", mode: str = "exact") -> AccountResult:
-    """End-to-end accounting: per-step moments, T-fold composition, tight
-    conversion at the job's delta.
+    """End-to-end accounting: per-step moments at every integer order up to
+    the effective cap, T-fold composition, tight conversion at the job's
+    delta.
 
-    ``lambda_search='full'`` evaluates every integer order up to the
-    effective cap; ``'coarse'`` runs the coarse-to-fine search, evaluating
-    only the ladder plus one octave around its argmin. Both modes run the
-    same coordinate sum; ``mode='accelerated'`` also reports the largest
-    per-step tail slack as ``accel_error_estimate``.
+    ``lambda_search`` ('full' or 'coarse') and ``mode`` ('exact' or
+    'accelerated') are validated and echoed; every value runs the same
+    search and coordinate sum. ``mode='accelerated'`` also reports the
+    largest per-step tail slack as ``accel_error_estimate``.
     """
     if lambda_search not in ("full", "coarse"):
         raise ValueError(f"lambda_search must be 'full' or 'coarse', got {lambda_search}")
@@ -580,31 +560,18 @@ def account(params: MechanismParams, job: AccountingJob,
     job_eff = job if lam_cap == job.lambda_max else AccountingJob(
         job.steps_T, job.sampling_rate_zeta, job.model_dim_N,
         job.clip_C, job.delta, lam_cap)
-
-    per_step_cache: dict[int, float] = {}
-
-    def total_batch(lams: Sequence[int]) -> dict[int, float]:
-        missing = [l for l in lams if l not in per_step_cache]
-        if missing:
-            vals = per_step_alpha_batch(params, job_eff, missing)
-            for l, alpha in vals.items():
-                if not math.isfinite(alpha):
-                    raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
-                                             f"moment of order {l} is {alpha}")
-            per_step_cache.update(vals)
-        return {l: job.steps_T * per_step_cache[l] for l in lams}
-
-    if lambda_search == "full":
-        totals = total_batch(list(range(1, lam_cap + 1)))
-        eps, lam = _grid_min(totals, job.delta)
-    else:
-        eps, lam, _ = minimize_epsilon_lazy(total_batch, lam_cap, job.delta)
+    per_step = per_step_alpha_batch(params, job_eff, list(range(1, lam_cap + 1)))
+    for l, alpha in per_step.items():
+        if not math.isfinite(alpha):
+            raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
+                                     f"moment of order {l} is {alpha}")
+    eps, lam = _grid_min({l: job.steps_T * a for l, a in per_step.items()}, job.delta)
     return AccountResult(
         epsilon=eps,
         argmin_lambda=lam,
-        per_step_alpha_at_argmin=per_step_cache[lam],
+        per_step_alpha_at_argmin=per_step[lam],
         mode=mode,
         lambda_search=lambda_search,
-        accel_error_estimate=(_tail_slack(params, job_eff, list(per_step_cache))
+        accel_error_estimate=(_tail_slack(params, job_eff, list(per_step))
                               if mode == "accelerated" else None),
     )

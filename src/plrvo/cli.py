@@ -31,7 +31,6 @@ from .params import (
     MgfDomainViolation,
     PrivacyTarget,
     check_json_section,
-    effective_lambda_max,
     from_json_dict,
 )
 
@@ -108,10 +107,7 @@ def cmd_sweep_t(args) -> int:
     if not t_values or any(t < 1 for t in t_values):
         raise ValueError(f"--t-values must be positive integers, got {args.t_values!r}")
     job = spec["job"]
-    lambdas = None
-    if args.lambda_search == "coarse":
-        lambdas = accountant.coarse_lambda_ladder(effective_lambda_max(job, spec["params"]))
-    curve = accountant.build_curve(spec["params"], job, lambdas=lambdas)
+    curve = accountant.build_curve(spec["params"], job)
     lines = ["T,epsilon"]
     for t in t_values:
         eps, _ = accountant.epsilon_from_delta(accountant.compose(curve, t), job.delta)
@@ -252,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("account", help="epsilon(delta) for one job file")
     p.add_argument("job_file")
     p.add_argument("--mode", choices=["exact", "accelerated"], default="exact")
-    p.add_argument("--lambda-search", choices=["full", "coarse"], default="full")
+    p.add_argument("--lambda-search", choices=["full", "coarse"], default="full",
+                   help="accepted; every value runs the full order grid")
     p.add_argument("--curve", metavar="OUT_CSV", default=None,
                    help="also write the full per-step moment curve")
     p.set_defaults(fn=cmd_account)
@@ -260,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-t", help="epsilon vs step count, one curve reused")
     p.add_argument("job_file")
     p.add_argument("--t-values", required=True, help="comma-separated step counts")
-    p.add_argument("--lambda-search", choices=["full", "coarse"], default="full")
+    p.add_argument("--lambda-search", choices=["full", "coarse"], default="full",
+                   help="accepted; every value runs the full order grid")
     p.add_argument("--out", default=None, help="CSV destination (default stdout)")
     p.set_defaults(fn=cmd_sweep_t)
 

@@ -15,14 +15,12 @@ from plrvo import accountant
 from plrvo.accountant import (
     account,
     build_curve,
-    coarse_lambda_ladder,
     compose,
     delta_from_epsilon,
     epsilon_from_delta,
     gaussian_subsampled_log_moment,
     laplace_multivariate_log_moment,
     laplace_univariate_log_moment,
-    minimize_epsilon_lazy,
     plrv_multivariate_log_moment,
     plrv_univariate_log_moment,
 )
@@ -492,12 +490,8 @@ class TestConversion:
 
 
 class TestLambdaSearch:
-    def test_ladder_contains_cap(self):
-        assert coarse_lambda_ladder(64) == [1, 2, 4, 8, 16, 32, 64]
-        assert coarse_lambda_ladder(100) == [1, 2, 4, 8, 16, 32, 64, 100]
-        assert coarse_lambda_ladder(1) == [1]
-
     def test_coarse_agrees_with_full_on_small_jobs(self):
+        # every lambda_search value runs the one full-grid search
         p = GammaPlrvParams(k=80.0, theta=4e-4)
         for zeta in (0.01, 0.1):
             job = make_job(model_dim_N=100, clip_C=1.0, lambda_max=64,
@@ -505,14 +499,7 @@ class TestLambdaSearch:
             full = account(p, job, lambda_search="full")
             coarse = account(p, job, lambda_search="coarse")
             assert coarse.epsilon == pytest.approx(full.epsilon, rel=5e-3)
-
-    def test_lazy_matches_grid_min_when_dense(self):
-        alphas = {l: 0.001 * l**1.5 for l in range(1, 65)}
-        eps, lam, _ = minimize_epsilon_lazy(
-            lambda ls: {l: alphas[l] for l in ls}, 64, 1e-5)
-        b_eps, b_lam = brute_force_epsilon(alphas, 1e-5)
-        # densification brackets one octave around the coarse argmin
-        assert eps == pytest.approx(b_eps, rel=5e-3)
+            assert coarse.argmin_lambda == full.argmin_lambda
 
 
 class TestAccountDriver:
@@ -687,6 +674,73 @@ class TestMixingKernel:
 PAPER = GammaPlrvParams(k=141.06, theta=8.32e-4)
 PAPER_JOB = dict(steps_T=250, sampling_rate_zeta=0.01024, clip_C=10.0, delta=2e-5,
                  lambda_max=119)
+
+
+def allocating_moments(params, x, zeta, lam_cap, lambdas):
+    """``accountant._moments`` written with allocating expressions: the
+    branch logs -k log1p(-y) and -k log1p(z), K - 1 = b1 expm1(lm1) +
+    b2 expm1(lm2), then log1p(W @ (K - 1)); the series columns and the
+    log-space columns are filled as the accountant fills them. Also returns
+    whether any column took the series and the log-space paths."""
+    branches = (accountant._plrv_branches(params) if isinstance(params, GammaPlrvParams)
+                else accountant._laplace_branches(params))
+    eta_max = lambdas[-1] + 1
+    etas, b1, b2 = accountant._branch_coefficients(eta_max)
+    b1, b2 = b1[:, None], b2[:, None]
+    if isinstance(params, GammaPlrvParams):
+        y = (etas[:, None] - 1.0) * params.theta * x[None, :]
+        z = etas[:, None] * params.theta * x[None, :]
+        lm1, lm2 = -params.k * np.log1p(-y), -params.k * np.log1p(z)
+    else:
+        lm1, lm2 = branches(x, etas)
+    log_space = ~(lm1[-1] <= accountant._LINEAR_MIX_MAX_LOG)
+    small = np.maximum(lm1[-1], -lm2[-1]) <= accountant._SERIES_MAX
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_minus_1 = b1 * np.expm1(lm1) + b2 * np.expm1(lm2)
+    if small.any():
+        bend1, bend2 = branches(x[small], etas, bends=True)
+        terms = accountant._EXPM1_TERMS
+        k_minus_1[:, small] = (b1 * (accountant._series(lm1[:, small], terms) + bend1)
+                               + b2 * (accountant._series(lm2[:, small], terms) + bend2))
+    w = accountant._weight_matrix(zeta, lam_cap)[np.asarray(lambdas) - 1, 2 : eta_max + 1]
+    with np.errstate(invalid="ignore"):
+        alpha = np.log1p(w @ k_minus_1)
+    if log_space.any():
+        alpha[:, log_space] = accountant._mix(
+            accountant._log_weight_matrix(zeta, lam_cap), lambdas,
+            accountant._log_kernel(branches, x[log_space], eta_max))
+    return np.maximum(alpha, 0.0), bool(small.any()), bool(log_space.any())
+
+
+class TestInPlaceKernel:
+    """``_moments`` builds the branch logs, K - 1 and the mix in arrays it
+    already owns; every bit must match the allocating expressions."""
+
+    @pytest.mark.parametrize("params,C,zeta,lam_cap,series,log_space", [
+        (GammaPlrvParams(k=0.5, theta=1e-3), 1.0, 0.05, 32, True, False),  # k < 1
+        (GammaPlrvParams(k=20.0, theta=0.002), 1.5, 0.0, 32, True, False),
+        (GammaPlrvParams(k=20.0, theta=0.002), 1.5, 1.0, 32, True, False),
+        (PAPER, 10.0, 0.01024, 119, True, True),  # x = C: 119 theta C = 0.99
+        (GammaPlrvParams(k=2000.0, theta=0.05), 1.0, 0.07, 16, True, True),
+        (LaplaceParams(b=2.0), 10.0, 0.1, 64, True, True),  # 64 C / b = 320
+        (LaplaceParams(b=0.5), 1.0, 1.0, 16, True, False),
+    ], ids=["k<1", "zeta=0", "zeta=1", "paper", "k=2000", "laplace", "laplace-zeta=1"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_equal_to_allocating_kernel(self, params, C, zeta, lam_cap,
+                                                series, log_space, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([[C, 0.0], C * 10.0 ** rng.uniform(-7.0, 0.0, 300)])
+        subset = sorted(set(rng.integers(1, lam_cap, 5).tolist()))
+        branches = (accountant._plrv_branches(params) if isinstance(params, GammaPlrvParams)
+                    else accountant._laplace_branches(params))
+        full = list(range(1, lam_cap + 1))
+        for lambdas in (full, subset):
+            got = accountant._moments(branches, x, zeta, lam_cap, lambdas)
+            want, took_series, took_log_space = allocating_moments(
+                params, x, zeta, lam_cap, lambdas)
+            assert got.tobytes() == want.tobytes(), lambdas
+            if lambdas is full:  # the case reaches the paths it is named for
+                assert (took_series, took_log_space) == (series, log_space)
 
 
 class TestDeterminism:

@@ -121,6 +121,34 @@ class TestAccount:
         assert out["mode"] == "accelerated"
         assert "accel_error_estimate" in out
 
+    def test_lambda_search_values_run_one_search(self, tmp_path, capsys):
+        # --lambda-search is validated and echoed; every value runs the full grid
+        paper = write_job(tmp_path, name="paper.json",
+                          job={"steps_T": 250, "sampling_rate_zeta": 0.01024,
+                               "model_dim_N": 10**6, "clip_C": 10.0, "delta": 2e-5,
+                               "lambda_max": 119})
+        small = write_job(tmp_path, name="small.json", params={"k": 80.0, "theta": 4e-4},
+                          job={"steps_T": 200, "sampling_rate_zeta": 0.1,
+                               "model_dim_N": 100, "clip_C": 1.0, "delta": 1e-5,
+                               "lambda_max": 16})
+        coarse = {}
+        for path in (paper, small):
+            out = {}
+            for search in ("full", "coarse"):
+                assert main(["account", path, "--lambda-search", search]) == 0
+                out[search] = capsys.readouterr().out
+            assert out["coarse"] == out["full"].replace('"lambda_search": "full"',
+                                                        '"lambda_search": "coarse"')
+            coarse[path] = json.loads(out["coarse"])
+            for search in ("full", "coarse"):
+                assert main(["sweep-t", path, "--t-values", "1,10,100,250",
+                             "--lambda-search", search]) == 0
+                out[search] = capsys.readouterr().out
+            assert out["coarse"] == out["full"]
+        assert coarse[paper]["lambda_search"] == "coarse"
+        assert coarse[paper]["argmin_lambda"] == 10
+        assert coarse[paper]["epsilon"] == pytest.approx(1.602532303704121, rel=1e-12)
+
 
 class TestExitCodes:
     def test_schema_error_unknown_key(self, tmp_path, capsys):
