@@ -23,15 +23,19 @@ def main():
     ap.add_argument("--delta", type=float, default=1e-5)
     ap.add_argument("--model-dim", type=int, default=10**5)
     ap.add_argument("--clips", default="0.05,0.1,0.5,1.0")
-    ap.add_argument("--t-max", type=int, default=500)
+    ap.add_argument("--t-max", type=int, default=500,
+                    help="largest step count; the rows stop there")
     ap.add_argument("--lambda-max", type=int, default=256)
     ap.add_argument("--out-dir", default="sweep_out")
     args = ap.parse_args()
+    if args.t_max < 1:
+        ap.error(f"--t-max must be a positive integer, got {args.t_max}")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = GammaPlrvParams(k=args.k, theta=args.theta)
-    t_values = sorted({1, 2, 5, 10, 25, 50, 100, 250, args.t_max})
+    t_values = sorted({t for t in (1, 2, 5, 10, 25, 50, 100, 250) if t < args.t_max}
+                      | {args.t_max})
 
     print(f"{'T':>6} " + " ".join(f"C={c:>8}" for c in args.clips.split(",")))
     rows = {t: [] for t in t_values}

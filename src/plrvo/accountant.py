@@ -59,6 +59,22 @@ near f(4096) / (24 * 4096) where alpha grows like x^2) plus the slack: at
 most 1e-8 of the exact sum (measured 6e-12 to 1.5e-10 on the paper
 configuration at N = 1e6). For N <= 4,096 the sum is exact.
 
+Order search. :func:`account` minimizes the conversion over orders 1..m,
+m = 16 (or the cap) at first, doubled until a certificate shows that no
+later order converts to a smaller epsilon. Every order's conversion is a
+valid (epsilon, delta) bound, so the minimum over the evaluated orders is
+safe wherever the search stops: a wrong stop could only make it looser.
+The certificate is convexity: a per-coordinate moment log E[(1 - zeta +
+zeta L)^(lambda+1)], L a likelihood ratio, is convex in lambda (van Erven &
+Harremoes 2014; Mironov, Talwar & Zhang 2019), and so are its floor at 0
+and the positive combinations head sum and I32. So g = head + I32, which
+leaves out the slack and is at most the reported moment, lies above its
+tangent through orders m - 1 and m at every later order. The conversion
+increases with the moment: once the tangent's conversion exceeds the best
+epsilon by 1e-9 of its size (for rounding) at every order in (m, cap], the
+search stops, with the whole grid's epsilon, argmin and moment. The x-free
+Gaussian moment and :func:`build_curve` take the whole grid.
+
 The accountant starts no threads; the BLAS library splits the product by
 output blocks, never along eta, so its thread count cannot change a result
 (tested).
@@ -68,7 +84,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -91,6 +107,7 @@ HEAD_COORDINATES = 4096  # summed exactly; the rest by the tail integral
 _TAIL_PANELS = 32        # Gauss-Legendre panels of the tail integral, in log t
 _LINEAR_MIX_MAX_LOG = 300.0  # largest branch log the linear mix takes
 _SERIES_MAX = 1.0 / 16.0     # branch logs up to this size are expanded in series
+_FIRST_ROWS = 16             # orders the search evaluates first (see account)
 
 
 @functools.lru_cache(maxsize=16)
@@ -204,13 +221,15 @@ def _branch_coefficients(eta_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return etas, etas / (2.0 * etas - 1.0), (etas - 1.0) / (2.0 * etas - 1.0)
 
 
-def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray) -> np.ndarray:
+def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray,
+         rows: int | None = None) -> np.ndarray:
     """Log-space mix: (order, x) matrix of alpha = max(0, log sum_eta
-    w(lam, eta) K(x, eta)), one row per entry of ``lambdas``, from rows
-    lam - 1 of the log weight matrix and the (eta, x) log kernel ``log_g``,
-    by one shifted matrix product. A column with a scaled sum below 1e-250,
-    or not finite, has lost precision and is mixed again by the exact
-    per-order log-sum-exp; so is every column when a row has one live
+    w(lam, eta) K(x, eta)), one row per entry of ``lambdas`` (the first
+    ``rows`` of them, default all), from rows lam - 1 of the log weight
+    matrix and the (eta, x) log kernel ``log_g``, by one shifted matrix
+    product over the whole batch. A column with a scaled sum below 1e-250 in
+    any order, or not finite, has lost precision and is mixed again by the
+    exact per-order log-sum-exp; so is every column when a row has one live
     weight (zeta = 0 or 1), whose moment is then exact."""
     if min(lambdas) < 1:
         raise ValueError(f"moment orders must be positive integers, got {lambdas}")
@@ -221,9 +240,10 @@ def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray) -> np.nda
         alpha = np.exp(log_w - rmax) @ np.exp(log_g - cmax)
         redo = ~np.all(alpha >= 1e-250, axis=0)  # NaN fails the test too
         redo |= np.any(np.count_nonzero(log_w != LOG_ZERO, axis=1) == 1)
+        alpha = alpha[:rows]
         np.log(alpha, out=alpha)
         alpha += cmax
-        alpha += rmax
+        alpha += rmax[:rows]
         if redo.any():
             g = log_g[:, redo]
             for row, w in zip(alpha, log_w):
@@ -250,43 +270,54 @@ def _log_kernel(branches: BranchFn, x: np.ndarray, eta_max: int) -> np.ndarray:
 
 
 def _moments(branches: BranchFn, x: np.ndarray, zeta: float, lam_cap: int,
-             lambdas: Sequence[int]) -> np.ndarray:
-    """(order, x) matrix of per-coordinate alpha for the sorted ``lambdas``:
-    the linear mix log1p(W @ (K - 1)), with the log-space :func:`_mix` for
-    columns whose largest branch log exceeds 300 (or is not finite). At
-    zeta = 0 or 1 each order has a single live weight, 1, so the linear mix
-    is log1p(K - 1) itself."""
+             lambdas: Sequence[int], rows: int | None = None) -> np.ndarray:
+    """(order, x) matrix of per-coordinate alpha for the first ``rows``
+    (default all) of the sorted ``lambdas``: the linear mix
+    log1p(W @ (K - 1)), with the log-space :func:`_mix` for columns whose
+    largest branch log exceeds 300 (or is not finite). At zeta = 0 or 1 each
+    order has a single live weight, 1, so the linear mix is log1p(K - 1)
+    itself.
+
+    Branch rows are built only up to eta = lambdas[rows - 1] + 1, with the
+    bits of the whole batch: the column masks come from one extra row at
+    its largest eta, K - 1 is zero-padded to its shape so the weight product
+    keeps its shape (BLAS bits depend on it), and the log-space columns are
+    mixed on its whole kernel."""
     if lambdas[0] < 1:
         raise ValueError(f"moment orders must be positive integers, got {lambdas}")
+    rows = len(lambdas) if rows is None else rows
     eta_max = lambdas[-1] + 1
     log_w = _log_weight_matrix(zeta, lam_cap)
-    etas, b1, b2 = _branch_coefficients(eta_max)
+    etas, b1, b2 = _branch_coefficients(lambdas[rows - 1] + 1)
     b1, b2 = b1[:, None], b2[:, None]
     lm1, lm2 = branches(x, etas)
-    # lm1 and -lm2 grow with eta: the last row holds each column's largest
-    log_space = ~(lm1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
-    small = np.maximum(lm1[-1], -lm2[-1]) <= _SERIES_MAX
+    # lm1 and -lm2 grow with eta: the eta_max row holds each column's largest
+    top1, top2 = ((lm1, lm2) if etas.size == eta_max - 1
+                  else branches(x, np.array([float(eta_max)])))
+    log_space = ~(top1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
+    small = np.maximum(top1[-1], -top2[-1]) <= _SERIES_MAX
     bent = None
     if small.any():  # the tangents cancel: K - 1 is a sum of nonnegative bends
         bend1, bend2 = branches(x[small], etas, bends=True)
         bent = (b1 * (_series(lm1[:, small], _EXPM1_TERMS) + bend1)
                 + b2 * (_series(lm2[:, small], _EXPM1_TERMS) + bend2))
-    # K - 1 = b1 expm1(lm1) + b2 expm1(lm2), built in lm1
+    # K - 1 = b1 expm1(lm1) + b2 expm1(lm2), built in the rows of k_minus_1
+    k_minus_1 = np.zeros((eta_max - 1, x.size)) if etas.size < eta_max - 1 else lm1
     with np.errstate(over="ignore", invalid="ignore"):
-        k_minus_1 = np.expm1(lm1, out=lm1)
-        k_minus_1 *= b1
+        built = np.expm1(lm1, out=k_minus_1[: etas.size])
+        built *= b1
         np.expm1(lm2, out=lm2)
         lm2 *= b2
-        k_minus_1 += lm2
+        built += lm2
     if bent is not None:
-        k_minus_1[:, small] = bent
+        built[:, small] = bent
     w = _weight_matrix(zeta, lam_cap)[np.asarray(lambdas) - 1, 2 : eta_max + 1]
     with np.errstate(invalid="ignore"):
-        alpha = w @ k_minus_1
+        alpha = (w @ k_minus_1)[:rows]
         np.log1p(alpha, out=alpha)
     if log_space.any():
         alpha[:, log_space] = _mix(log_w, lambdas,
-                                   _log_kernel(branches, x[log_space], eta_max))
+                                   _log_kernel(branches, x[log_space], eta_max), rows)
     return np.maximum(alpha, 0.0, out=alpha)
 
 
@@ -329,36 +360,44 @@ def _gaussian_log_moments(params: GaussianParams, log_w: np.ndarray,
 
 
 def _tail(branches: BranchFn, job: AccountingJob, lam_cap: int,
-          lambdas: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(I32, |I32 - I16|) per order: the integral of alpha(x(t)) over
-    [HEAD_COORDINATES + 1/2, N + 1/2], in u = log t on 32 and on 16 panels.
-    Needs N > HEAD_COORDINATES."""
+          lambdas: Sequence[int], rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(I32, |I32 - I16|) for the first ``rows`` orders: the integral of
+    alpha(x(t)) over [HEAD_COORDINATES + 1/2, N + 1/2], in u = log t on 32
+    and on 16 panels. Needs N > HEAD_COORDINATES."""
     a, b = math.log(HEAD_COORDINATES + 0.5), math.log(job.model_dim_N + 0.5)
     u_fine, w_fine = gauss_legendre(a, b, _TAIL_PANELS)
     u_coarse, w_coarse = gauss_legendre(a, b, _TAIL_PANELS // 2)
     t = np.exp(np.concatenate([u_fine, u_coarse]))
     x = job.clip_C / (np.sqrt(t) + np.sqrt(t - 1.0))
-    f = _moments(branches, x, job.sampling_rate_zeta, lam_cap, lambdas)
+    f = _moments(branches, x, job.sampling_rate_zeta, lam_cap, lambdas, rows)
     f *= t  # dt = t du
     fine = (f[:, : u_fine.size] * w_fine).sum(axis=1)
     coarse = (f[:, u_fine.size :] * w_coarse).sum(axis=1)
     return fine, np.abs(fine - coarse)
 
 
-def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
-                              lambdas: Sequence[int]) -> dict[int, float]:
+def _coordinate_sums(branches: BranchFn, job: AccountingJob, lambdas: Sequence[int],
+                     rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-step moments over the majorization set x_i = C (sqrt(i) -
-    sqrt(i-1)), i = 1..N, for each requested order: the exact head sum plus
-    the tail's integral and slack (see the module docstring)."""
-    lambdas = sorted(set(int(l) for l in lambdas))
+    sqrt(i-1)), i = 1..N, for the first ``rows`` of the sorted ``lambdas``:
+    the exact head sum plus the tail's integral and slack (see the module
+    docstring). Also returns head + I32 without the slack, which is convex
+    in the order (see "Order search" there)."""
     lam_cap = max(job.lambda_max, lambdas[-1])
     head = min(job.model_dim_N, HEAD_COORDINATES)
     xs = MajorizationSet(job.clip_C, job.model_dim_N).coordinates(1, head)
-    total = _moments(branches, xs, job.sampling_rate_zeta, lam_cap, lambdas).sum(axis=1)
-    if job.model_dim_N > HEAD_COORDINATES:
-        integral, slack = _tail(branches, job, lam_cap, lambdas)
-        total += integral + slack
-    return dict(zip(lambdas, total.tolist()))
+    total = _moments(branches, xs, job.sampling_rate_zeta, lam_cap, lambdas, rows).sum(axis=1)
+    if job.model_dim_N <= HEAD_COORDINATES:
+        return total, total
+    integral, slack = _tail(branches, job, lam_cap, lambdas, rows)
+    return total + (integral + slack), total + integral
+
+
+def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
+                              lambdas: Sequence[int]) -> dict[int, float]:
+    """:func:`_coordinate_sums` for each requested order, as a dict."""
+    lambdas = sorted(set(int(l) for l in lambdas))
+    return dict(zip(lambdas, _coordinate_sums(branches, job, lambdas)[0].tolist()))
 
 
 def plrv_multivariate_log_moments(params: GammaPlrvParams, job: AccountingJob,
@@ -483,12 +522,19 @@ def per_step_alpha_batch(params: MechanismParams, job: AccountingJob,
     raise TypeError(f"unsupported mechanism params {type(params).__name__}")
 
 
+def _effective_job(job: AccountingJob, params: MechanismParams) -> AccountingJob:
+    """The job with its lambda_max lowered to the effective cap."""
+    lam_cap = effective_lambda_max(job, params)
+    return job if lam_cap == job.lambda_max else replace(job, lambda_max=lam_cap)
+
+
 def build_curve(params: MechanismParams, job: AccountingJob,
                 lambdas: Iterable[int] | None = None) -> LogMomentCurve:
     """Per-step log-moment curve on an explicit grid (default: every integer
-    order up to the effective cap)."""
+    order up to the effective cap), for the job at its effective cap."""
+    job = _effective_job(job, params)
     if lambdas is None:
-        lambdas = range(1, effective_lambda_max(job, params) + 1)
+        lambdas = range(1, job.lambda_max + 1)
     alphas = per_step_alpha_batch(params, job, list(lambdas))
     return LogMomentCurve(
         mechanism=MECHANISM_TAGS[type(params)],
@@ -526,52 +572,89 @@ class AccountResult:
         return out
 
 
-def _tail_slack(params: MechanismParams, job: AccountingJob,
-                lambdas: Sequence[int]) -> float | None:
-    """Largest per-step tail slack |I32 - I16| over ``lambdas``: 0.0 when
-    N <= HEAD_COORDINATES, None for the x-free Gaussian moment."""
+def _branch_fn(params: MechanismParams) -> BranchFn:
+    if isinstance(params, GammaPlrvParams):
+        return _plrv_branches(params)
+    if isinstance(params, LaplaceParams):
+        return _laplace_branches(params)
+    raise TypeError(f"unsupported mechanism params {type(params).__name__}")
+
+
+def _tail_slack(params: MechanismParams, job: AccountingJob) -> float | None:
+    """Largest per-step tail slack |I32 - I16| over every order up to
+    ``job.lambda_max``: 0.0 when N <= HEAD_COORDINATES, None for the x-free
+    Gaussian moment."""
     if isinstance(params, GaussianParams):
         return None
     if job.model_dim_N <= HEAD_COORDINATES:
         return 0.0
-    branches = (_plrv_branches(params) if isinstance(params, GammaPlrvParams)
-                else _laplace_branches(params))
-    lambdas = sorted(lambdas)
-    return float(_tail(branches, job, max(job.lambda_max, lambdas[-1]), lambdas)[1].max())
+    grid = range(1, job.lambda_max + 1)
+    return float(_tail(_branch_fn(params), job, job.lambda_max, grid)[1].max())
+
+
+def _tangent_bound(lower: np.ndarray, lam_cap: int, steps_T: int,
+                   delta: float) -> np.ndarray:
+    """Lower bounds on the conversion at the orders m + 1..lam_cap from the
+    tangent to ``lower`` (orders 1..m) through its last two orders; inf
+    past the float range."""
+    m = lower.size
+    lam = np.arange(m + 1, lam_cap + 1, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tangent = lower[-1] + (lam - m) * (lower[-1] - lower[-2])
+        return (steps_T * tangent / lam + np.log(lam / (lam + 1.0))
+                - (math.log(delta) + np.log(lam + 1.0)) / lam)
 
 
 def account(params: MechanismParams, job: AccountingJob,
             lambda_search: str = "full", mode: str = "exact") -> AccountResult:
-    """End-to-end accounting: per-step moments at every integer order up to
-    the effective cap, T-fold composition, tight conversion at the job's
-    delta.
+    """End-to-end accounting: per-step moments, T-fold composition, and the
+    tight conversion at the job's delta, minimized over the integer orders
+    up to the effective cap.
 
     ``lambda_search`` ('full' or 'coarse') and ``mode`` ('exact' or
     'accelerated') are validated and echoed; every value runs the same
     search and coordinate sum. ``mode='accelerated'`` also reports the
-    largest per-step tail slack as ``accel_error_estimate``.
+    largest per-step tail slack over every order up to the cap as
+    ``accel_error_estimate``.
+
+    How the orders are searched, and why stopping early is safe, is told
+    under "Order search" in the module docstring.
     """
     if lambda_search not in ("full", "coarse"):
         raise ValueError(f"lambda_search must be 'full' or 'coarse', got {lambda_search}")
     if mode not in ("exact", "accelerated"):
         raise ValueError(f"mode must be 'exact' or 'accelerated', got {mode}")
-    lam_cap = effective_lambda_max(job, params)
-    # the moment kernels validate job_eff's MGF domain themselves
-    job_eff = job if lam_cap == job.lambda_max else AccountingJob(
-        job.steps_T, job.sampling_rate_zeta, job.model_dim_N,
-        job.clip_C, job.delta, lam_cap)
-    per_step = per_step_alpha_batch(params, job_eff, list(range(1, lam_cap + 1)))
-    for l, alpha in per_step.items():
-        if not math.isfinite(alpha):
-            raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
-                                     f"moment of order {l} is {alpha}")
-    eps, lam = _grid_min({l: job.steps_T * a for l, a in per_step.items()}, job.delta)
+    job_eff = _effective_job(job, params)
+    lam_cap = job_eff.lambda_max
+    grid = range(1, lam_cap + 1)
+    if isinstance(params, GammaPlrvParams):
+        validate(job_eff, params)
+    rows = lam_cap if isinstance(params, GaussianParams) else min(_FIRST_ROWS, lam_cap)
+    while True:
+        if isinstance(params, GaussianParams):  # x-free: the whole grid is cheap
+            per_step = list(per_step_alpha_batch(params, job_eff, grid).values())
+        else:
+            per_step, lower = _coordinate_sums(_branch_fn(params), job_eff, grid, rows)
+            per_step = per_step.tolist()
+        for l, alpha in enumerate(per_step, start=1):
+            if not math.isfinite(alpha):
+                raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
+                                         f"moment of order {l} is {alpha}")
+        eps, lam = _grid_min({l: job.steps_T * a for l, a in enumerate(per_step, start=1)},
+                             job.delta)
+        if rows == lam_cap or np.all(_tangent_bound(lower, lam_cap, job.steps_T, job.delta)
+                                     > eps + 1e-9 * abs(eps)):
+            break
+        rows = min(2 * rows, lam_cap)
+    if lam is None:
+        raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} log moments composed "
+                                 f"over {job.steps_T} steps overflow at every order")
     return AccountResult(
         epsilon=eps,
         argmin_lambda=lam,
-        per_step_alpha_at_argmin=per_step[lam],
+        per_step_alpha_at_argmin=per_step[lam - 1],
         mode=mode,
         lambda_search=lambda_search,
-        accel_error_estimate=(_tail_slack(params, job_eff, list(per_step))
+        accel_error_estimate=(_tail_slack(params, job_eff)
                               if mode == "accelerated" else None),
     )

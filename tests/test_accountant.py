@@ -712,27 +712,34 @@ def allocating_moments(params, x, zeta, lam_cap, lambdas):
     return np.maximum(alpha, 0.0), bool(small.any()), bool(log_space.any())
 
 
+KERNEL_CASES = pytest.mark.parametrize("params,C,zeta,lam_cap,series,log_space", [
+    (GammaPlrvParams(k=0.5, theta=1e-3), 1.0, 0.05, 32, True, False),  # k < 1
+    (GammaPlrvParams(k=20.0, theta=0.002), 1.5, 0.0, 32, True, False),
+    (GammaPlrvParams(k=20.0, theta=0.002), 1.5, 1.0, 32, True, False),
+    (PAPER, 10.0, 0.01024, 119, True, True),  # x = C: 119 theta C = 0.99
+    (GammaPlrvParams(k=2000.0, theta=0.05), 1.0, 0.07, 16, True, True),
+    (LaplaceParams(b=2.0), 10.0, 0.1, 64, True, True),  # 64 C / b = 320
+    (LaplaceParams(b=0.5), 1.0, 1.0, 16, True, False),
+], ids=["k<1", "zeta=0", "zeta=1", "paper", "k=2000", "laplace", "laplace-zeta=1"])
+
+
+def kernel_inputs(C, lam_cap, seed):
+    """Seeded coordinates (x = C and x = 0 among them) and order subset."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[C, 0.0], C * 10.0 ** rng.uniform(-7.0, 0.0, 300)])
+    return x, sorted(set(rng.integers(1, lam_cap, 5).tolist()))
+
+
 class TestInPlaceKernel:
     """``_moments`` builds the branch logs, K - 1 and the mix in arrays it
     already owns; every bit must match the allocating expressions."""
 
-    @pytest.mark.parametrize("params,C,zeta,lam_cap,series,log_space", [
-        (GammaPlrvParams(k=0.5, theta=1e-3), 1.0, 0.05, 32, True, False),  # k < 1
-        (GammaPlrvParams(k=20.0, theta=0.002), 1.5, 0.0, 32, True, False),
-        (GammaPlrvParams(k=20.0, theta=0.002), 1.5, 1.0, 32, True, False),
-        (PAPER, 10.0, 0.01024, 119, True, True),  # x = C: 119 theta C = 0.99
-        (GammaPlrvParams(k=2000.0, theta=0.05), 1.0, 0.07, 16, True, True),
-        (LaplaceParams(b=2.0), 10.0, 0.1, 64, True, True),  # 64 C / b = 320
-        (LaplaceParams(b=0.5), 1.0, 1.0, 16, True, False),
-    ], ids=["k<1", "zeta=0", "zeta=1", "paper", "k=2000", "laplace", "laplace-zeta=1"])
+    @KERNEL_CASES
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bitwise_equal_to_allocating_kernel(self, params, C, zeta, lam_cap,
                                                 series, log_space, seed):
-        rng = np.random.default_rng(seed)
-        x = np.concatenate([[C, 0.0], C * 10.0 ** rng.uniform(-7.0, 0.0, 300)])
-        subset = sorted(set(rng.integers(1, lam_cap, 5).tolist()))
-        branches = (accountant._plrv_branches(params) if isinstance(params, GammaPlrvParams)
-                    else accountant._laplace_branches(params))
+        x, subset = kernel_inputs(C, lam_cap, seed)
+        branches = accountant._branch_fn(params)
         full = list(range(1, lam_cap + 1))
         for lambdas in (full, subset):
             got = accountant._moments(branches, x, zeta, lam_cap, lambdas)
@@ -741,6 +748,20 @@ class TestInPlaceKernel:
             assert got.tobytes() == want.tobytes(), lambdas
             if lambdas is full:  # the case reaches the paths it is named for
                 assert (took_series, took_log_space) == (series, log_space)
+
+    @KERNEL_CASES
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_leading_rows_keep_the_batch_bits(self, params, C, zeta, lam_cap,
+                                              series, log_space, seed):
+        # the order search builds only the first rows of a batch; its series
+        # and log-space columns are chosen at the batch's largest eta
+        x, subset = kernel_inputs(C, lam_cap, seed)
+        branches = accountant._branch_fn(params)
+        for lambdas in (list(range(1, lam_cap + 1)), subset):
+            whole = accountant._moments(branches, x, zeta, lam_cap, lambdas)
+            for rows in range(1, len(lambdas) + 1):
+                got = accountant._moments(branches, x, zeta, lam_cap, lambdas, rows)
+                assert got.tobytes() == whole[:rows].tobytes(), (lambdas, rows)
 
 
 class TestDeterminism:
@@ -874,3 +895,68 @@ class TestCoordinateSum:
         lo, hi = sorted([c1, c2])
         a, b = self.paper_epsilon(clip_C=lo), self.paper_epsilon(clip_C=hi)
         assert b >= a * (1.0 - 1e-12)
+
+
+# --- the order search --------------------------------------------------------
+
+MOMENT_JOBS = dict(
+    laplace=st.booleans(), log_k=st.floats(-0.5, 4.0), log_mgf=st.floats(-3.0, -0.01),
+    log_b=st.floats(-0.5, 2.5), log_c=st.floats(-1.0, 1.0),
+    zeta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-4, 0.5)),
+    n=st.one_of(st.integers(1, accountant.HEAD_COORDINATES),
+                st.integers(accountant.HEAD_COORDINATES + 1, 10**7)),
+    steps=st.integers(1, 5000), log_delta=st.floats(-8.0, -3.0),
+    lam_cap=st.integers(1, 200))
+
+
+def moment_job(laplace, log_k, log_mgf, log_b, log_c, zeta, n, steps, log_delta, lam_cap):
+    """A plrvo or Laplace job; (lam_cap + 1) theta C = 10^log_mgf < 1."""
+    C = 10.0**log_c
+    params = (LaplaceParams(b=10.0**log_b) if laplace else
+              GammaPlrvParams(k=10.0**log_k, theta=10.0**log_mgf / ((lam_cap + 1) * C)))
+    return params, AccountingJob(steps, zeta, n, C, 10.0**log_delta, lam_cap)
+
+
+class TestOrderSearch:
+    """``account`` stops its order search once a convexity certificate rules
+    out every later order; what it prints keeps the whole grid's bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**MOMENT_JOBS)
+    def test_matches_full_grid_oracle(self, **draw):
+        params, job = moment_job(**draw)
+        got = account(params, job)
+        curve = build_curve(params, job)
+        eps, lam = epsilon_from_delta(compose(curve, job.steps_T), job.delta)
+        assert ((got.epsilon.hex(), got.argmin_lambda, got.per_step_alpha_at_argmin.hex())
+                == (eps.hex(), lam, curve.alpha_per_step[lam].hex()))
+
+    @settings(max_examples=20, deadline=None)
+    @given(**MOMENT_JOBS)
+    def test_tangent_bound_below_later_conversions(self, **draw):
+        params, job = moment_job(**draw)
+        grid = range(1, job.lambda_max + 1)
+        alpha, lower = accountant._coordinate_sums(accountant._branch_fn(params), job, grid)
+        assert np.all(lower <= alpha)
+        conv = np.array([accountant._conversion_term(job.steps_T * a, lam, job.delta)
+                         for lam, a in zip(grid, alpha.tolist())])
+        # up to rounding, far inside the 1e-9 margin the search leaves
+        for m in range(2, job.lambda_max):
+            bound = accountant._tangent_bound(lower[:m], job.lambda_max, job.steps_T,
+                                              job.delta)
+            assert np.all(bound <= conv[m:] + 1e-12 * np.abs(conv[m:])), m
+
+    def test_paper_job_stops_at_the_first_rows(self, monkeypatch):
+        rows = []
+        evaluate = accountant._coordinate_sums
+        monkeypatch.setattr(accountant, "_coordinate_sums",
+                            lambda *args: rows.append(args[3]) or evaluate(*args))
+        res = account(PAPER, AccountingJob(model_dim_N=10**6, **PAPER_JOB))
+        assert (res.argmin_lambda, rows) == (10, [16])
+
+    def test_accelerated_slack_covers_every_order(self):
+        job = AccountingJob(model_dim_N=10**6, **PAPER_JOB)
+        branches = accountant._plrv_branches(PAPER)
+        slack = accountant._tail(branches, job, 119, range(1, 120))[1]
+        res = account(PAPER, job, mode="accelerated")
+        assert res.accel_error_estimate == slack.max() > slack[:16].max()

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -209,6 +211,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "laplace per-step log moment of order 1" in err
 
+    def test_non_finite_moment_exit_2_in_the_first_search_rows(self, tmp_path, capsys):
+        # lambda_max 64: the order search's first round, orders 1..16, meets the NaN
+        job = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
+               "clip_C": 1e10, "delta": 1e-5, "lambda_max": 64}
+        path = write_job(tmp_path, mechanism="laplace", params={"b": 1e-308}, job=job)
+        for flags in ([], ["--mode", "accelerated"]):
+            assert main(["account", path, *flags]) == 2
+            assert capsys.readouterr().err == (
+                "numerical error: laplace per-step log moment of order 1 is nan\n")
+
+    def test_composed_overflow_exit_2(self, tmp_path, capsys):
+        # finite per-step moments near 1e300, times T = 1e9, overflow
+        job = {"steps_T": 10**9, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
+               "clip_C": 1.0, "delta": 1e-5, "lambda_max": 64}
+        path = write_job(tmp_path, mechanism="laplace", params={"b": 1e-300}, job=job)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["account", path]) == 2
+        assert capsys.readouterr().err == ("numerical error: laplace log moments composed "
+                                           "over 1000000000 steps overflow at every order\n")
+
     def test_laplace_overflow_warns_nothing(self, tmp_path, capsys):
         job = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
                "clip_C": 1e10, "delta": 1e-5, "lambda_max": 8}
@@ -372,6 +395,21 @@ class TestInputValidation:
 
 
 class TestSweep:
+    def test_lambda_max_above_the_mgf_cap(self, tmp_path, capsys):
+        # lambda_max 1000 runs at the effective cap 119, as lambda_max 119 does
+        outs = {}
+        for lam_max in (119, 1000):
+            path = write_job(tmp_path, name=f"job{lam_max}.json",
+                             job={"steps_T": 250, "sampling_rate_zeta": 0.01024,
+                                  "model_dim_N": 10**5, "clip_C": 10.0, "delta": 2e-5,
+                                  "lambda_max": lam_max})
+            curve = tmp_path / f"curve{lam_max}.csv"
+            assert main(["sweep-t", path, "--t-values", "1,10,250"]) == 0
+            assert main(["account", path, "--curve", str(curve)]) == 0
+            outs[lam_max] = capsys.readouterr().out + curve.read_text()
+        assert outs[1000] == outs[119]
+        assert outs[119].count("\n") == 4 + 7 + 120  # sweep rows, account json, curve
+
     def test_monotone_and_csv(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         job = {"steps_T": 1, "sampling_rate_zeta": 0.05, "model_dim_N": 100,
@@ -399,6 +437,17 @@ class TestSweep:
             lines = out_path.read_text().strip().split("\n")[1:]
             results[C] = [float(line.split(",")[1]) for line in lines]
         assert all(a <= b for a, b in zip(results[0.5], results[1.0]))
+
+    def test_sweep_script_stops_at_t_max(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_privacy_loss.py"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(script.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, str(script), "--model-dim", "1000",
+                              "--clips", "0.5", "--t-max", "7", "--out-dir", str(tmp_path)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert [line.split()[0] for line in out.splitlines()[2:]] == ["1", "2", "5", "7"]
+        csv = (tmp_path / "epsilon_vs_T_clip0.5.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in csv] == ["T", "1", "2", "5", "7"]
 
 
 class TestOptimizeCommand:
