@@ -60,20 +60,22 @@ most 1e-8 of the exact sum (measured 6e-12 to 1.5e-10 on the paper
 configuration at N = 1e6). For N <= 4,096 the sum is exact.
 
 Order search. :func:`account` minimizes the conversion over orders 1..m,
-m = 16 (or the cap) at first, doubled until a certificate shows that no
-later order converts to a smaller epsilon. Every order's conversion is a
-valid (epsilon, delta) bound, so the minimum over the evaluated orders is
-safe wherever the search stops: a wrong stop could only make it looser.
+m = 16 (or the cap) at first, for every mechanism. Every order's conversion
+is a valid (epsilon, delta) bound, so the minimum over the evaluated orders
+is safe wherever the search stops: a wrong stop could only make it looser.
 The certificate is convexity: a per-coordinate moment log E[(1 - zeta +
 zeta L)^(lambda+1)], L a likelihood ratio, is convex in lambda (van Erven &
-Harremoes 2014; Mironov, Talwar & Zhang 2019), and so are its floor at 0
-and the positive combinations head sum and I32. So g = head + I32, which
-leaves out the slack and is at most the reported moment, lies above its
-tangent through orders m - 1 and m at every later order. The conversion
-increases with the moment: once the tangent's conversion exceeds the best
-epsilon by 1e-9 of its size (for rounding) at every order in (m, cap], the
-search stops, with the whole grid's epsilon, argmin and moment. The x-free
-Gaussian moment and :func:`build_curve` take the whole grid.
+Harremoes 2014; Mironov, Talwar & Zhang 2019), and so are its floor at 0,
+the x-free Gaussian moment, and the positive combinations head sum and I32.
+So g = head + I32 (for the Gaussian, its moment), which leaves out the
+slack and is at most the reported moment, lies above its tangent through
+orders m - 1 and m at every later order. The conversion increases with the
+moment: once the tangent's conversion exceeds the best epsilon by 1e-9 of
+its size (for rounding) at every order in (m, cap], the search stops, with
+the whole grid's epsilon, argmin and moment. Otherwise the next round runs
+to the last order left open, past which the new tangent lies above the old
+one, so a search usually takes at most two rounds. :func:`build_curve`
+takes the whole grid.
 
 The accountant starts no threads; the BLAS library splits the product by
 output blocks, never along eta, so its thread count cannot change a result
@@ -85,11 +87,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .majorization import MajorizationSet
+from .majorization import MajorizationSet, majorizing_coordinates
 from .numerics import LOG_ZERO, gauss_legendre
 from .params import (
     AccountingJob,
@@ -221,19 +223,15 @@ def _branch_coefficients(eta_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return etas, etas / (2.0 * etas - 1.0), (etas - 1.0) / (2.0 * etas - 1.0)
 
 
-def _mix(log_w: np.ndarray, lambdas: Sequence[int], log_g: np.ndarray,
-         rows: int | None = None) -> np.ndarray:
+def _mix(log_w: np.ndarray, log_g: np.ndarray, rows: int) -> np.ndarray:
     """Log-space mix: (order, x) matrix of alpha = max(0, log sum_eta
-    w(lam, eta) K(x, eta)), one row per entry of ``lambdas`` (the first
-    ``rows`` of them, default all), from rows lam - 1 of the log weight
-    matrix and the (eta, x) log kernel ``log_g``, by one shifted matrix
-    product over the whole batch. A column with a scaled sum below 1e-250 in
-    any order, or not finite, has lost precision and is mixed again by the
-    exact per-order log-sum-exp; so is every column when a row has one live
-    weight (zeta = 0 or 1), whose moment is then exact."""
-    if min(lambdas) < 1:
-        raise ValueError(f"moment orders must be positive integers, got {lambdas}")
-    log_w = log_w[np.asarray(lambdas) - 1, : log_g.shape[0]]
+    w(lam, eta) K(x, eta)) for orders 1..rows, from the log weight matrix
+    and the (eta, x) log kernel ``log_g`` of every order up to its cap, by
+    one shifted matrix product over the whole batch. A column with a scaled
+    sum below 1e-250 in any order, or not finite, has lost precision and is
+    mixed again by the exact per-order log-sum-exp; so is every column when
+    a row has one live weight (zeta = 0 or 1), whose moment is then exact."""
+    log_w = log_w[:, : log_g.shape[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
         rmax = log_w.max(axis=1, keepdims=True)
         cmax = log_g.max(axis=0)
@@ -270,29 +268,27 @@ def _log_kernel(branches: BranchFn, x: np.ndarray, eta_max: int) -> np.ndarray:
 
 
 def _moments(branches: BranchFn, x: np.ndarray, zeta: float, lam_cap: int,
-             lambdas: Sequence[int], rows: int | None = None) -> np.ndarray:
-    """(order, x) matrix of per-coordinate alpha for the first ``rows``
-    (default all) of the sorted ``lambdas``: the linear mix
+             rows: int) -> np.ndarray:
+    """(order, x) matrix of per-coordinate alpha for orders 1..rows of a
+    batch of every order up to ``lam_cap``: the linear mix
     log1p(W @ (K - 1)), with the log-space :func:`_mix` for columns whose
     largest branch log exceeds 300 (or is not finite). At zeta = 0 or 1 each
     order has a single live weight, 1, so the linear mix is log1p(K - 1)
     itself.
 
-    Branch rows are built only up to eta = lambdas[rows - 1] + 1, with the
-    bits of the whole batch: the column masks come from one extra row at
-    its largest eta, K - 1 is zero-padded to its shape so the weight product
-    keeps its shape (BLAS bits depend on it), and the log-space columns are
-    mixed on its whole kernel."""
-    if lambdas[0] < 1:
-        raise ValueError(f"moment orders must be positive integers, got {lambdas}")
-    rows = len(lambdas) if rows is None else rows
-    eta_max = lambdas[-1] + 1
-    log_w = _log_weight_matrix(zeta, lam_cap)
-    etas, b1, b2 = _branch_coefficients(lambdas[rows - 1] + 1)
+    Branch rows are built only up to eta = rows + 1, with the bits of the
+    whole batch: the column masks come from one extra row at its largest
+    eta, K - 1 is zero-padded to its shape so the weight product keeps its
+    shape (BLAS bits depend on it), and the log-space columns are mixed on
+    its whole kernel."""
+    if rows < 1:
+        raise ValueError(f"moment orders must be positive integers, got {rows}")
+    eta_max = lam_cap + 1
+    etas, b1, b2 = _branch_coefficients(rows + 1)
     b1, b2 = b1[:, None], b2[:, None]
     lm1, lm2 = branches(x, etas)
     # lm1 and -lm2 grow with eta: the eta_max row holds each column's largest
-    top1, top2 = ((lm1, lm2) if etas.size == eta_max - 1
+    top1, top2 = ((lm1, lm2) if rows == lam_cap
                   else branches(x, np.array([float(eta_max)])))
     log_space = ~(top1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
     small = np.maximum(top1[-1], -top2[-1]) <= _SERIES_MAX
@@ -302,117 +298,131 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float, lam_cap: int,
         bent = (b1 * (_series(lm1[:, small], _EXPM1_TERMS) + bend1)
                 + b2 * (_series(lm2[:, small], _EXPM1_TERMS) + bend2))
     # K - 1 = b1 expm1(lm1) + b2 expm1(lm2), built in the rows of k_minus_1
-    k_minus_1 = np.zeros((eta_max - 1, x.size)) if etas.size < eta_max - 1 else lm1
+    k_minus_1 = lm1 if rows == lam_cap else np.zeros((lam_cap, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        built = np.expm1(lm1, out=k_minus_1[: etas.size])
+        built = np.expm1(lm1, out=k_minus_1[:rows])
         built *= b1
         np.expm1(lm2, out=lm2)
         lm2 *= b2
         built += lm2
     if bent is not None:
         built[:, small] = bent
-    w = _weight_matrix(zeta, lam_cap)[np.asarray(lambdas) - 1, 2 : eta_max + 1]
+    w = _weight_matrix(zeta, lam_cap)[:, 2 : eta_max + 1]
     with np.errstate(invalid="ignore"):
         alpha = (w @ k_minus_1)[:rows]
         np.log1p(alpha, out=alpha)
     if log_space.any():
-        alpha[:, log_space] = _mix(log_w, lambdas,
+        alpha[:, log_space] = _mix(_log_weight_matrix(zeta, lam_cap),
                                    _log_kernel(branches, x[log_space], eta_max), rows)
     return np.maximum(alpha, 0.0, out=alpha)
 
 
-def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,
-                               lam: int) -> float:
-    """Order-lambda log moment of the subsampled gamma-seed mechanism applied
-    to a single coordinate bounded by x."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if lam * x * params.theta >= 1.0:
-        raise MgfDomainViolation(
-            f"lambda * x * theta = {lam * x * params.theta:.6g} >= 1",
-            max_admissible_lambda=int(math.floor(1.0 / (x * params.theta))) - 1,
-        )
-    return float(_moments(_plrv_branches(params), np.array([float(x)]), zeta, lam,
-                          [lam])[0, 0])
+def _branches(params: MechanismParams) -> BranchFn | None:
+    """The mechanism's branch function; None for the x-free Gaussian."""
+    if isinstance(params, GammaPlrvParams):
+        return _plrv_branches(params)
+    if isinstance(params, LaplaceParams):
+        return _laplace_branches(params)
+    if isinstance(params, GaussianParams):
+        return None
+    raise TypeError(f"unsupported mechanism params {type(params).__name__}")
 
 
-def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
-                                  lam: int) -> float:
-    """Order-lambda log moment of the subsampled fixed-scale Laplace mechanism
-    on a single coordinate bounded by x."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return float(_moments(_laplace_branches(params), np.array([float(x)]), zeta, lam,
-                          [lam])[0, 0])
-
-
-def gaussian_subsampled_log_moment(params: GaussianParams, zeta: float, lam: int) -> float:
-    """Per-step log moment of the subsampled Gaussian mechanism."""
-    return _gaussian_log_moments(params, _log_weight_matrix(zeta, lam), [lam])[lam]
-
-
-def _gaussian_log_moments(params: GaussianParams, log_w: np.ndarray,
-                          lambdas: Sequence[int]) -> dict[int, float]:
-    """The binomial mixture with the x-free kernel exp((eta^2 - eta) / (2 sigma^2))."""
-    eta = np.arange(max(lambdas) + 2, dtype=np.float64)
-    log_g = (eta * eta - eta) * (1.0 / (2.0 * params.sigma * params.sigma))
-    return dict(zip(lambdas, _mix(log_w, lambdas, log_g[:, None])[:, 0].tolist()))
-
-
-def _tail(branches: BranchFn, job: AccountingJob, lam_cap: int,
-          lambdas: Sequence[int], rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(I32, |I32 - I16|) for the first ``rows`` orders: the integral of
-    alpha(x(t)) over [HEAD_COORDINATES + 1/2, N + 1/2], in u = log t on 32
-    and on 16 panels. Needs N > HEAD_COORDINATES."""
+def _tail(branches: BranchFn, job: AccountingJob, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I32, |I32 - I16|) for orders 1..rows: the integral of alpha(x(t))
+    over [HEAD_COORDINATES + 1/2, N + 1/2], in u = log t on 32 and on 16
+    panels. Needs N > HEAD_COORDINATES."""
     a, b = math.log(HEAD_COORDINATES + 0.5), math.log(job.model_dim_N + 0.5)
     u_fine, w_fine = gauss_legendre(a, b, _TAIL_PANELS)
     u_coarse, w_coarse = gauss_legendre(a, b, _TAIL_PANELS // 2)
     t = np.exp(np.concatenate([u_fine, u_coarse]))
-    x = job.clip_C / (np.sqrt(t) + np.sqrt(t - 1.0))
-    f = _moments(branches, x, job.sampling_rate_zeta, lam_cap, lambdas, rows)
+    x = majorizing_coordinates(job.clip_C, t)
+    f = _moments(branches, x, job.sampling_rate_zeta, job.lambda_max, rows)
     f *= t  # dt = t du
     fine = (f[:, : u_fine.size] * w_fine).sum(axis=1)
     coarse = (f[:, u_fine.size :] * w_coarse).sum(axis=1)
     return fine, np.abs(fine - coarse)
 
 
-def _coordinate_sums(branches: BranchFn, job: AccountingJob, lambdas: Sequence[int],
-                     rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step moments over the majorization set x_i = C (sqrt(i) -
-    sqrt(i-1)), i = 1..N, for the first ``rows`` of the sorted ``lambdas``:
-    the exact head sum plus the tail's integral and slack (see the module
-    docstring). Also returns head + I32 without the slack, which is convex
-    in the order (see "Order search" there)."""
-    lam_cap = max(job.lambda_max, lambdas[-1])
+def _per_step(params: MechanismParams, job: AccountingJob,
+              rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step moments of orders 1..rows (default: the job's lambda_max),
+    with the bits of the whole batch up to the job's lambda_max, and a
+    lower bound on them that is convex in the order (see "Order search" in
+    the module docstring).
+
+    The Gaussian mixes its x-free kernel exp((eta^2 - eta) / (2 sigma^2));
+    that moment is its own lower bound. plrvo and Laplace sum over the
+    majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N: the exact head
+    sum plus the tail's integral and slack; the bound leaves out the slack."""
+    lam_cap, zeta = job.lambda_max, job.sampling_rate_zeta
+    rows = lam_cap if rows is None else rows
+    branches = _branches(params)
+    if branches is None:
+        eta = np.arange(lam_cap + 2, dtype=np.float64)
+        log_g = (eta * eta - eta) * (1.0 / (2.0 * params.sigma * params.sigma))
+        alpha = _mix(_log_weight_matrix(zeta, lam_cap), log_g[:, None], rows)[:, 0]
+        return alpha, alpha
     head = min(job.model_dim_N, HEAD_COORDINATES)
     xs = MajorizationSet(job.clip_C, job.model_dim_N).coordinates(1, head)
-    total = _moments(branches, xs, job.sampling_rate_zeta, lam_cap, lambdas, rows).sum(axis=1)
+    total = _moments(branches, xs, zeta, lam_cap, rows).sum(axis=1)
     if job.model_dim_N <= HEAD_COORDINATES:
         return total, total
-    integral, slack = _tail(branches, job, lam_cap, lambdas, rows)
+    integral, slack = _tail(branches, job, rows)
     return total + (integral + slack), total + integral
 
 
-def _multivariate_log_moments(branches: BranchFn, job: AccountingJob,
-                              lambdas: Sequence[int]) -> dict[int, float]:
-    """:func:`_coordinate_sums` for each requested order, as a dict."""
-    lambdas = sorted(set(int(l) for l in lambdas))
-    return dict(zip(lambdas, _coordinate_sums(branches, job, lambdas)[0].tolist()))
+def _order(params: MechanismParams, job: AccountingJob, lam: int) -> float:
+    """Row lam of :func:`_per_step` at the cap max(job.lambda_max, lam)."""
+    job = replace(job, lambda_max=max(job.lambda_max, lam))
+    return float(_per_step(params, job, lam)[0][-1])
 
 
-def plrv_multivariate_log_moments(params: GammaPlrvParams, job: AccountingJob,
-                                  lambdas: Sequence[int]) -> dict[int, float]:
-    """Batch form of :func:`plrv_multivariate_log_moment` (shared kernel work
-    across orders; used by the lambda search)."""
-    validate(job, params)
-    return _multivariate_log_moments(_plrv_branches(params), job, lambdas)
+def _univariate(branches: BranchFn, x: float, zeta: float, lam: int) -> float:
+    """Row lam of one coordinate's moments at the cap lam."""
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    return float(_moments(branches, np.array([float(x)]), zeta, lam, lam)[-1, 0])
+
+
+def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,
+                               lam: int) -> float:
+    """Order-lambda log moment of the subsampled gamma-seed mechanism applied
+    to a single coordinate bounded by x."""
+    if lam * x * params.theta >= 1.0:
+        raise MgfDomainViolation(
+            f"lambda * x * theta = {lam * x * params.theta:.6g} >= 1",
+            max_admissible_lambda=int(math.floor(1.0 / (x * params.theta))) - 1,
+        )
+    return _univariate(_plrv_branches(params), x, zeta, lam)
+
+
+def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
+                                  lam: int) -> float:
+    """Order-lambda log moment of the subsampled fixed-scale Laplace mechanism
+    on a single coordinate bounded by x."""
+    return _univariate(_laplace_branches(params), x, zeta, lam)
+
+
+def gaussian_subsampled_log_moment(params: GaussianParams, zeta: float, lam: int) -> float:
+    """Per-step log moment of the subsampled Gaussian mechanism."""
+    # the x-free moment reads only the job's sampling rate and order cap
+    return _order(params, AccountingJob(1, zeta, 1, 1.0, 0.5, lam), lam)
 
 
 def plrv_multivariate_log_moment(params: GammaPlrvParams, job: AccountingJob,
                                  lam: int) -> float:
     """Per-step alpha(lambda) of the gamma-seed mechanism on an l2-clipped
     model of N coordinates, via the majorization set."""
-    return plrv_multivariate_log_moments(params, job, [lam])[lam]
+    validate(job, params)
+    return _order(params, job, lam)
+
+
+def laplace_multivariate_log_moment(params: LaplaceParams, job: AccountingJob,
+                                    lam: int) -> float:
+    """Per-step alpha(lambda) of the fixed-scale Laplace mechanism on an
+    l2-clipped model of N coordinates, via the majorization set."""
+    return _order(params, job, lam)
 
 
 def plrv_epsilon_lower_bound(params: GammaPlrvParams, job: AccountingJob) -> float:
@@ -436,18 +446,6 @@ def plrv_epsilon_lower_bound(params: GammaPlrvParams, job: AccountingJob) -> flo
     alpha = np.maximum(log_w + log_b1 + lm1 - slack, 0.0)  # log_w = -inf at zeta = 0
     totals = {lam: job.steps_T * a for lam, a in enumerate(alpha.tolist(), start=1)}
     return _grid_min(totals, job.delta)[0]
-
-
-def laplace_multivariate_log_moments(params: LaplaceParams, job: AccountingJob,
-                                     lambdas: Sequence[int]) -> dict[int, float]:
-    return _multivariate_log_moments(_laplace_branches(params), job, lambdas)
-
-
-def laplace_multivariate_log_moment(params: LaplaceParams, job: AccountingJob,
-                                    lam: int) -> float:
-    """Per-step alpha(lambda) of the fixed-scale Laplace mechanism on an
-    l2-clipped model of N coordinates, via the majorization set."""
-    return laplace_multivariate_log_moments(params, job, [lam])[lam]
 
 
 def compose(curve: LogMomentCurve, steps_T: int) -> LogMomentCurve:
@@ -509,36 +507,23 @@ MECHANISM_TAGS = {
 }
 
 
-def per_step_alpha_batch(params: MechanismParams, job: AccountingJob,
-                         lambdas: Sequence[int]) -> dict[int, float]:
-    """Per-step alpha(lambda) for a batch of orders, dispatched on mechanism."""
-    if isinstance(params, GammaPlrvParams):
-        return plrv_multivariate_log_moments(params, job, lambdas)
-    if isinstance(params, LaplaceParams):
-        return laplace_multivariate_log_moments(params, job, lambdas)
-    if isinstance(params, GaussianParams):
-        log_w = _log_weight_matrix(job.sampling_rate_zeta, max(job.lambda_max, *lambdas))
-        return _gaussian_log_moments(params, log_w, lambdas)
-    raise TypeError(f"unsupported mechanism params {type(params).__name__}")
-
-
 def _effective_job(job: AccountingJob, params: MechanismParams) -> AccountingJob:
-    """The job with its lambda_max lowered to the effective cap."""
+    """The job with its lambda_max lowered to the effective cap, after the
+    gamma-seed MGF check."""
     lam_cap = effective_lambda_max(job, params)
-    return job if lam_cap == job.lambda_max else replace(job, lambda_max=lam_cap)
+    job = job if lam_cap == job.lambda_max else replace(job, lambda_max=lam_cap)
+    if isinstance(params, GammaPlrvParams):
+        validate(job, params)
+    return job
 
 
-def build_curve(params: MechanismParams, job: AccountingJob,
-                lambdas: Iterable[int] | None = None) -> LogMomentCurve:
-    """Per-step log-moment curve on an explicit grid (default: every integer
-    order up to the effective cap), for the job at its effective cap."""
+def build_curve(params: MechanismParams, job: AccountingJob) -> LogMomentCurve:
+    """Per-step log-moment curve on every integer order up to the effective
+    cap, for the job at its effective cap."""
     job = _effective_job(job, params)
-    if lambdas is None:
-        lambdas = range(1, job.lambda_max + 1)
-    alphas = per_step_alpha_batch(params, job, list(lambdas))
     return LogMomentCurve(
         mechanism=MECHANISM_TAGS[type(params)],
-        alpha_per_step=alphas,
+        alpha_per_step=dict(enumerate(_per_step(params, job)[0].tolist(), start=1)),
         job={
             "steps_T": job.steps_T,
             "sampling_rate_zeta": job.sampling_rate_zeta,
@@ -572,37 +557,15 @@ class AccountResult:
         return out
 
 
-def _branch_fn(params: MechanismParams) -> BranchFn:
-    if isinstance(params, GammaPlrvParams):
-        return _plrv_branches(params)
-    if isinstance(params, LaplaceParams):
-        return _laplace_branches(params)
-    raise TypeError(f"unsupported mechanism params {type(params).__name__}")
-
-
-def _tail_slack(params: MechanismParams, job: AccountingJob) -> float | None:
-    """Largest per-step tail slack |I32 - I16| over every order up to
-    ``job.lambda_max``: 0.0 when N <= HEAD_COORDINATES, None for the x-free
-    Gaussian moment."""
-    if isinstance(params, GaussianParams):
-        return None
-    if job.model_dim_N <= HEAD_COORDINATES:
-        return 0.0
-    grid = range(1, job.lambda_max + 1)
-    return float(_tail(_branch_fn(params), job, job.lambda_max, grid)[1].max())
-
-
 def _tangent_bound(lower: np.ndarray, lam_cap: int, steps_T: int,
                    delta: float) -> np.ndarray:
     """Lower bounds on the conversion at the orders m + 1..lam_cap from the
     tangent to ``lower`` (orders 1..m) through its last two orders; inf
     past the float range."""
-    m = lower.size
-    lam = np.arange(m + 1, lam_cap + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tangent = lower[-1] + (lam - m) * (lower[-1] - lower[-2])
-        return (steps_T * tangent / lam + np.log(lam / (lam + 1.0))
-                - (math.log(delta) + np.log(lam + 1.0)) / lam)
+    m, last = lower.size, float(lower[-1])
+    slope = last - float(lower[-2])
+    return np.array([_conversion_term(steps_T * (last + (lam - m) * slope), lam, delta)
+                     for lam in range(m + 1, lam_cap + 1)])
 
 
 def account(params: MechanismParams, job: AccountingJob,
@@ -615,7 +578,8 @@ def account(params: MechanismParams, job: AccountingJob,
     'accelerated') are validated and echoed; every value runs the same
     search and coordinate sum. ``mode='accelerated'`` also reports the
     largest per-step tail slack over every order up to the cap as
-    ``accel_error_estimate``.
+    ``accel_error_estimate`` (0.0 with no tail; None for the x-free
+    Gaussian moment).
 
     How the orders are searched, and why stopping early is safe, is told
     under "Order search" in the module docstring.
@@ -626,35 +590,36 @@ def account(params: MechanismParams, job: AccountingJob,
         raise ValueError(f"mode must be 'exact' or 'accelerated', got {mode}")
     job_eff = _effective_job(job, params)
     lam_cap = job_eff.lambda_max
-    grid = range(1, lam_cap + 1)
-    if isinstance(params, GammaPlrvParams):
-        validate(job_eff, params)
-    rows = lam_cap if isinstance(params, GaussianParams) else min(_FIRST_ROWS, lam_cap)
+    rows = min(_FIRST_ROWS, lam_cap)
     while True:
-        if isinstance(params, GaussianParams):  # x-free: the whole grid is cheap
-            per_step = list(per_step_alpha_batch(params, job_eff, grid).values())
-        else:
-            per_step, lower = _coordinate_sums(_branch_fn(params), job_eff, grid, rows)
-            per_step = per_step.tolist()
+        per_step, lower = _per_step(params, job_eff, rows)
+        per_step = per_step.tolist()
         for l, alpha in enumerate(per_step, start=1):
             if not math.isfinite(alpha):
                 raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
                                          f"moment of order {l} is {alpha}")
         eps, lam = _grid_min({l: job.steps_T * a for l, a in enumerate(per_step, start=1)},
                              job.delta)
-        if rows == lam_cap or np.all(_tangent_bound(lower, lam_cap, job.steps_T, job.delta)
-                                     > eps + 1e-9 * abs(eps)):
+        if rows == lam_cap:
             break
-        rows = min(2 * rows, lam_cap)
+        open_orders = np.flatnonzero(~(_tangent_bound(lower, lam_cap, job.steps_T, job.delta)
+                                       > eps + 1e-9 * abs(eps)))
+        if open_orders.size == 0:
+            break
+        rows += 1 + int(open_orders[-1])
     if lam is None:
         raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} log moments composed "
                                  f"over {job.steps_T} steps overflow at every order")
+    slack = None
+    branches = _branches(params)
+    if mode == "accelerated" and branches is not None:
+        slack = (float(_tail(branches, job_eff, lam_cap)[1].max())
+                 if job_eff.model_dim_N > HEAD_COORDINATES else 0.0)
     return AccountResult(
         epsilon=eps,
         argmin_lambda=lam,
         per_step_alpha_at_argmin=per_step[lam - 1],
         mode=mode,
         lambda_search=lambda_search,
-        accel_error_estimate=(_tail_slack(params, job_eff)
-                              if mode == "accelerated" else None),
+        accel_error_estimate=slack,
     )

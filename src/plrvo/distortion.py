@@ -52,8 +52,8 @@ def plrv_distortion(params: GammaPlrvParams) -> DistortionReport:
 
 def gaussian_distortion(params: GaussianParams, clip_C: float) -> float:
     """E|z_i| of the Gaussian mechanism at effective scale C * sigma."""
-    if clip_C < 0:
-        raise ValueError(f"clip_C must be >= 0, got {clip_C}")
+    if not (math.isfinite(clip_C) and clip_C >= 0):
+        raise ValueError(f"clip_C must be finite and >= 0, got {clip_C}")
     return clip_C * params.sigma * math.sqrt(2.0 / math.pi)
 
 

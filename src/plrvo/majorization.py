@@ -15,6 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def majorizing_coordinates(clip_C: float, t):
+    """x(t) = C (sqrt(t) - sqrt(t-1)) for real t >= 1 (a number or an
+    array), via the cancellation-free form C / (sqrt(t) + sqrt(t-1))
+    (algebraically identical, accurate at any t)."""
+    return clip_C / (np.sqrt(t) + np.sqrt(t - 1.0))
+
+
 @dataclass(frozen=True)
 class MajorizationSet:
     clip_C: float
@@ -27,18 +34,16 @@ class MajorizationSet:
             raise ValueError(f"dim_n must be a positive integer, got {self.dim_n}")
 
     def coordinate(self, i: int) -> float:
-        """x_i = C (sqrt(i) - sqrt(i-1)), via the cancellation-free form
-        C / (sqrt(i) + sqrt(i-1)) (algebraically identical, accurate at any i)."""
+        """x_i, by :func:`majorizing_coordinates`."""
         if not 1 <= i <= self.dim_n:
             raise IndexError(f"index {i} outside [1, {self.dim_n}]")
-        return self.clip_C / (np.sqrt(i) + np.sqrt(i - 1.0))
+        return majorizing_coordinates(self.clip_C, i)
 
     def coordinates(self, lo: int, hi: int) -> np.ndarray:
         """Vector of x_i for i in [lo, hi], inclusive. Streaming-friendly."""
         if not (1 <= lo <= hi <= self.dim_n):
             raise IndexError(f"range [{lo}, {hi}] outside [1, {self.dim_n}]")
-        i = np.arange(lo, hi + 1, dtype=np.float64)
-        return self.clip_C / (np.sqrt(i) + np.sqrt(i - 1.0))
+        return majorizing_coordinates(self.clip_C, np.arange(lo, hi + 1, dtype=np.float64))
 
     def weakly_majorizes(self, g: np.ndarray) -> bool:
         """True iff the sorted |g| is weakly majorized from below by the set,

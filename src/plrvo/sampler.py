@@ -339,6 +339,6 @@ def sample_plrv_noise_rows(params: GammaPlrvParams, rows: int, n: int,
 
 def sample_gaussian_noise(sigma_eff: float, n: int, rng) -> np.ndarray:
     """n i.i.d. normal draws with standard deviation sigma_eff."""
-    if not sigma_eff >= 0:
-        raise ValueError(f"sigma_eff must be >= 0, got {sigma_eff}")
+    if not (math.isfinite(sigma_eff) and sigma_eff >= 0):
+        raise ValueError(f"sigma_eff must be finite and >= 0, got {sigma_eff}")
     return sigma_eff * standard_normal(rng, n)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -576,16 +577,11 @@ def scaled_sums(log_w, log_g):
                 @ np.exp(log_g - log_g.max(axis=0)))
 
 
-def mixed(log_w_full, lambdas, log_g):
-    return accountant._mix(log_w_full, lambdas, log_g)
-
-
 class TestMixingKernel:
     def check(self, branches, x, zeta, lam_cap, cols=slice(None)):
-        lambdas = list(range(1, lam_cap + 1))
         log_w = accountant._log_weight_matrix(zeta, lam_cap)
         log_g = kernel_matrix(branches, x, lam_cap + 1)
-        got = mixed(log_w, lambdas, log_g)[:, cols]
+        got = accountant._mix(log_w, log_g, lam_cap)[:, cols]
         want = exact_log_sum_exp(log_w, log_g[:, cols])
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -613,9 +609,8 @@ class TestMixingKernel:
     def test_single_live_weight_is_exact(self, zeta):
         p = GammaPlrvParams(k=20.0, theta=0.002)
         x = MajorizationSet(1.5, 300).coordinates(1, 300)
-        lambdas = list(range(1, 33))
         log_g = kernel_matrix(accountant._plrv_branches(p), x, 33)
-        got = mixed(accountant._log_weight_matrix(zeta, 32), lambdas, log_g)
+        got = accountant._mix(accountant._log_weight_matrix(zeta, 32), log_g, 32)
         # zeta = 0 keeps only eta = 0 (K = 1), zeta = 1 only eta = lam + 1
         want = np.zeros_like(got) if zeta == 0.0 else np.maximum(log_g[2:], 0.0)
         assert np.array_equal(got, want)
@@ -659,7 +654,8 @@ class TestMixingKernel:
         lambdas = sorted(set(range(1, lam_cap + 1, 2)) | {lam_cap})
         for i in (1, 10**6, 10**8):
             x = C / (math.sqrt(i) + math.sqrt(i - 1.0))
-            got = accountant._moments(branches, np.array([x]), zeta, lam_cap, lambdas)[:, 0]
+            got = accountant._moments(branches, np.array([x]), zeta, lam_cap, lam_cap)[
+                np.array(lambdas) - 1, 0]
             want = [mp_univariate_log_moment(lambda eta: mp_plrv_kernel(k, theta, x, eta),
                                              zeta, lam) for lam in lambdas]
             assert got == pytest.approx(want, rel=1e-11), i
@@ -676,15 +672,15 @@ PAPER_JOB = dict(steps_T=250, sampling_rate_zeta=0.01024, clip_C=10.0, delta=2e-
                  lambda_max=119)
 
 
-def allocating_moments(params, x, zeta, lam_cap, lambdas):
-    """``accountant._moments`` written with allocating expressions: the
-    branch logs -k log1p(-y) and -k log1p(z), K - 1 = b1 expm1(lm1) +
-    b2 expm1(lm2), then log1p(W @ (K - 1)); the series columns and the
-    log-space columns are filled as the accountant fills them. Also returns
-    whether any column took the series and the log-space paths."""
-    branches = (accountant._plrv_branches(params) if isinstance(params, GammaPlrvParams)
-                else accountant._laplace_branches(params))
-    eta_max = lambdas[-1] + 1
+def allocating_moments(params, x, zeta, lam_cap):
+    """``accountant._moments`` of every order up to ``lam_cap``, written
+    with allocating expressions: the branch logs -k log1p(-y) and
+    -k log1p(z), K - 1 = b1 expm1(lm1) + b2 expm1(lm2), then
+    log1p(W @ (K - 1)); the series columns and the log-space columns are
+    filled as the accountant fills them. Also returns whether any column
+    took the series and the log-space paths."""
+    branches = accountant._branches(params)
+    eta_max = lam_cap + 1
     etas, b1, b2 = accountant._branch_coefficients(eta_max)
     b1, b2 = b1[:, None], b2[:, None]
     if isinstance(params, GammaPlrvParams):
@@ -702,13 +698,13 @@ def allocating_moments(params, x, zeta, lam_cap, lambdas):
         terms = accountant._EXPM1_TERMS
         k_minus_1[:, small] = (b1 * (accountant._series(lm1[:, small], terms) + bend1)
                                + b2 * (accountant._series(lm2[:, small], terms) + bend2))
-    w = accountant._weight_matrix(zeta, lam_cap)[np.asarray(lambdas) - 1, 2 : eta_max + 1]
+    w = accountant._weight_matrix(zeta, lam_cap)[:, 2:]
     with np.errstate(invalid="ignore"):
         alpha = np.log1p(w @ k_minus_1)
     if log_space.any():
         alpha[:, log_space] = accountant._mix(
-            accountant._log_weight_matrix(zeta, lam_cap), lambdas,
-            accountant._log_kernel(branches, x[log_space], eta_max))
+            accountant._log_weight_matrix(zeta, lam_cap),
+            accountant._log_kernel(branches, x[log_space], eta_max), lam_cap)
     return np.maximum(alpha, 0.0), bool(small.any()), bool(log_space.any())
 
 
@@ -723,11 +719,10 @@ KERNEL_CASES = pytest.mark.parametrize("params,C,zeta,lam_cap,series,log_space",
 ], ids=["k<1", "zeta=0", "zeta=1", "paper", "k=2000", "laplace", "laplace-zeta=1"])
 
 
-def kernel_inputs(C, lam_cap, seed):
-    """Seeded coordinates (x = C and x = 0 among them) and order subset."""
+def kernel_inputs(C, seed):
+    """Seeded coordinates, x = C and x = 0 among them."""
     rng = np.random.default_rng(seed)
-    x = np.concatenate([[C, 0.0], C * 10.0 ** rng.uniform(-7.0, 0.0, 300)])
-    return x, sorted(set(rng.integers(1, lam_cap, 5).tolist()))
+    return np.concatenate([[C, 0.0], C * 10.0 ** rng.uniform(-7.0, 0.0, 300)])
 
 
 class TestInPlaceKernel:
@@ -738,16 +733,12 @@ class TestInPlaceKernel:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bitwise_equal_to_allocating_kernel(self, params, C, zeta, lam_cap,
                                                 series, log_space, seed):
-        x, subset = kernel_inputs(C, lam_cap, seed)
-        branches = accountant._branch_fn(params)
-        full = list(range(1, lam_cap + 1))
-        for lambdas in (full, subset):
-            got = accountant._moments(branches, x, zeta, lam_cap, lambdas)
-            want, took_series, took_log_space = allocating_moments(
-                params, x, zeta, lam_cap, lambdas)
-            assert got.tobytes() == want.tobytes(), lambdas
-            if lambdas is full:  # the case reaches the paths it is named for
-                assert (took_series, took_log_space) == (series, log_space)
+        x = kernel_inputs(C, seed)
+        got = accountant._moments(accountant._branches(params), x, zeta, lam_cap, lam_cap)
+        want, took_series, took_log_space = allocating_moments(params, x, zeta, lam_cap)
+        assert got.tobytes() == want.tobytes()
+        # the case reaches the paths it is named for
+        assert (took_series, took_log_space) == (series, log_space)
 
     @KERNEL_CASES
     @pytest.mark.parametrize("seed", [0, 1])
@@ -755,13 +746,12 @@ class TestInPlaceKernel:
                                               series, log_space, seed):
         # the order search builds only the first rows of a batch; its series
         # and log-space columns are chosen at the batch's largest eta
-        x, subset = kernel_inputs(C, lam_cap, seed)
-        branches = accountant._branch_fn(params)
-        for lambdas in (list(range(1, lam_cap + 1)), subset):
-            whole = accountant._moments(branches, x, zeta, lam_cap, lambdas)
-            for rows in range(1, len(lambdas) + 1):
-                got = accountant._moments(branches, x, zeta, lam_cap, lambdas, rows)
-                assert got.tobytes() == whole[:rows].tobytes(), (lambdas, rows)
+        x = kernel_inputs(C, seed)
+        branches = accountant._branches(params)
+        whole = accountant._moments(branches, x, zeta, lam_cap, lam_cap)
+        for rows in range(1, lam_cap + 1):
+            got = accountant._moments(branches, x, zeta, lam_cap, rows)
+            assert got.tobytes() == whole[:rows].tobytes(), rows
 
 
 class TestDeterminism:
@@ -801,15 +791,15 @@ class TestDeterminism:
 
 # --- the coordinate sum: exact head, Hermite-Hadamard tail -------------------
 
-def exact_coordinate_sum(branches, job, lambdas):
-    """Every coordinate's moments from the accountant's own kernel, summed
-    with no tail bound."""
+def exact_coordinate_sum(params, job):
+    """Every coordinate's moments of every order up to the job's cap, from
+    the accountant's own kernel, summed with no tail bound."""
     mset = MajorizationSet(job.clip_C, job.model_dim_N)
-    total = np.zeros(len(lambdas))
+    total = np.zeros(job.lambda_max)
     for lo in range(1, job.model_dim_N + 1, 1 << 16):
         xs = mset.coordinates(lo, min(lo + (1 << 16) - 1, job.model_dim_N))
-        total += accountant._moments(branches, xs, job.sampling_rate_zeta,
-                                     job.lambda_max, lambdas).sum(axis=1)
+        total += accountant._moments(accountant._branches(params), xs, job.sampling_rate_zeta,
+                                     job.lambda_max, job.lambda_max).sum(axis=1)
     return total
 
 
@@ -817,11 +807,9 @@ TAIL_EXCESS = 1e-8  # the accountant's stated bound on the tail's relative exces
 
 
 class TestCoordinateSum:
-    def check_upper_bound(self, branches, job):
-        lambdas = list(range(1, job.lambda_max + 1))
-        got = accountant._multivariate_log_moments(branches, job, lambdas)
-        got = np.array([got[lam] for lam in lambdas])
-        want = exact_coordinate_sum(branches, job, lambdas)
+    def check_upper_bound(self, params, job):
+        got = accountant._per_step(params, job)[0]
+        want = exact_coordinate_sum(params, job)
         assert np.all(got >= want)
         assert np.all(got - want <= TAIL_EXCESS * want)
 
@@ -834,7 +822,7 @@ class TestCoordinateSum:
         C = 10.0**log_c
         p = GammaPlrvParams(k=10.0**log_k, theta=10.0**log_mgf / ((lam_cap + 1) * C))
         job = make_job(model_dim_N=n, clip_C=C, sampling_rate_zeta=zeta, lambda_max=lam_cap)
-        self.check_upper_bound(accountant._plrv_branches(p), job)
+        self.check_upper_bound(p, job)
 
     @settings(max_examples=5, deadline=None)
     @given(log_b=st.floats(-0.5, 1.5), log_c=st.floats(-1.0, 1.0),
@@ -843,14 +831,13 @@ class TestCoordinateSum:
     def test_laplace_bound_dominates_exact_sum(self, log_b, log_c, zeta, n, lam_cap):
         job = make_job(model_dim_N=n, clip_C=10.0**log_c, sampling_rate_zeta=zeta,
                        lambda_max=lam_cap)
-        self.check_upper_bound(accountant._laplace_branches(LaplaceParams(b=10.0**log_b)), job)
+        self.check_upper_bound(LaplaceParams(b=10.0**log_b), job)
 
     def test_head_is_exact(self):
         job = AccountingJob(model_dim_N=accountant.HEAD_COORDINATES, **PAPER_JOB)
-        lambdas = [1, 10, 119]
-        got = accountant.plrv_multivariate_log_moments(PAPER, job, lambdas)
-        want = exact_coordinate_sum(accountant._plrv_branches(PAPER), job, lambdas)
-        assert [got[lam] for lam in lambdas] == want.tolist()
+        alpha, lower = accountant._per_step(PAPER, job)
+        want = exact_coordinate_sum(PAPER, job)
+        assert alpha.tolist() == lower.tolist() == want.tolist()
 
     def test_coarse_and_full_search_agree_at_model_scale(self):
         # a moment no longer depends on the other orders of its batch
@@ -900,8 +887,9 @@ class TestCoordinateSum:
 # --- the order search --------------------------------------------------------
 
 MOMENT_JOBS = dict(
-    laplace=st.booleans(), log_k=st.floats(-0.5, 4.0), log_mgf=st.floats(-3.0, -0.01),
-    log_b=st.floats(-0.5, 2.5), log_c=st.floats(-1.0, 1.0),
+    mechanism=st.sampled_from(["plrvo", "laplace", "gaussian"]),
+    log_k=st.floats(-0.5, 4.0), log_mgf=st.floats(-3.0, -0.01),
+    log_b=st.floats(-0.5, 2.5), log_sigma=st.floats(-0.3, 1.5), log_c=st.floats(-1.0, 1.0),
     zeta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-4, 0.5)),
     n=st.one_of(st.integers(1, accountant.HEAD_COORDINATES),
                 st.integers(accountant.HEAD_COORDINATES + 1, 10**7)),
@@ -909,11 +897,16 @@ MOMENT_JOBS = dict(
     lam_cap=st.integers(1, 200))
 
 
-def moment_job(laplace, log_k, log_mgf, log_b, log_c, zeta, n, steps, log_delta, lam_cap):
-    """A plrvo or Laplace job; (lam_cap + 1) theta C = 10^log_mgf < 1."""
+def moment_job(mechanism, log_k, log_mgf, log_b, log_sigma, log_c, zeta, n, steps,
+               log_delta, lam_cap):
+    """A plrvo, Laplace or Gaussian job; (lam_cap + 1) theta C = 10^log_mgf < 1."""
     C = 10.0**log_c
-    params = (LaplaceParams(b=10.0**log_b) if laplace else
-              GammaPlrvParams(k=10.0**log_k, theta=10.0**log_mgf / ((lam_cap + 1) * C)))
+    if mechanism == "plrvo":
+        params = GammaPlrvParams(k=10.0**log_k, theta=10.0**log_mgf / ((lam_cap + 1) * C))
+    elif mechanism == "laplace":
+        params = LaplaceParams(b=10.0**log_b)
+    else:
+        params = GaussianParams(sigma=10.0**log_sigma)
     return params, AccountingJob(steps, zeta, n, C, 10.0**log_delta, lam_cap)
 
 
@@ -936,7 +929,7 @@ class TestOrderSearch:
     def test_tangent_bound_below_later_conversions(self, **draw):
         params, job = moment_job(**draw)
         grid = range(1, job.lambda_max + 1)
-        alpha, lower = accountant._coordinate_sums(accountant._branch_fn(params), job, grid)
+        alpha, lower = accountant._per_step(params, job)
         assert np.all(lower <= alpha)
         conv = np.array([accountant._conversion_term(job.steps_T * a, lam, job.delta)
                          for lam, a in zip(grid, alpha.tolist())])
@@ -946,17 +939,52 @@ class TestOrderSearch:
                                               job.delta)
             assert np.all(bound <= conv[m:] + 1e-12 * np.abs(conv[m:])), m
 
-    def test_paper_job_stops_at_the_first_rows(self, monkeypatch):
+    @staticmethod
+    def searched_rows(monkeypatch, params, job):
         rows = []
-        evaluate = accountant._coordinate_sums
-        monkeypatch.setattr(accountant, "_coordinate_sums",
-                            lambda *args: rows.append(args[3]) or evaluate(*args))
-        res = account(PAPER, AccountingJob(model_dim_N=10**6, **PAPER_JOB))
-        assert (res.argmin_lambda, rows) == (10, [16])
+        evaluate = accountant._per_step
+        monkeypatch.setattr(accountant, "_per_step",
+                            lambda *args: rows.append(args[2]) or evaluate(*args))
+        return account(params, job).argmin_lambda, rows
+
+    def test_paper_job_stops_at_the_first_rows(self, monkeypatch):
+        job = AccountingJob(model_dim_N=10**6, **PAPER_JOB)
+        assert self.searched_rows(monkeypatch, PAPER, job) == (10, [16])
+
+    def test_second_round_runs_to_the_last_open_order(self, monkeypatch):
+        # argmin at the cap: the first tangent leaves every later order
+        # open, so the second round is the whole grid, not a doubling
+        job = AccountingJob(**dict(PAPER_JOB, model_dim_N=10**6, steps_T=1,
+                                   sampling_rate_zeta=0.001))
+        assert self.searched_rows(monkeypatch, PAPER, job) == (119, [16, 119])
 
     def test_accelerated_slack_covers_every_order(self):
         job = AccountingJob(model_dim_N=10**6, **PAPER_JOB)
-        branches = accountant._plrv_branches(PAPER)
-        slack = accountant._tail(branches, job, 119, range(1, 120))[1]
+        slack = accountant._tail(accountant._plrv_branches(PAPER), job, 119)[1]
         res = account(PAPER, job, mode="accelerated")
         assert res.accel_error_estimate == slack.max() > slack[:16].max()
+
+
+class TestSingleOrderRows:
+    """Each public single-order function reads one row of the evaluation
+    ``build_curve`` reads: the multivariate ones at the job's cap, the
+    univariate ones (and the x-free Gaussian) at the cap lam, where a job
+    with N = 1 and C = x sums the one coordinate x."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(draw=st.fixed_dictionaries(MOMENT_JOBS), data=st.data())
+    def test_bitwise_equal_to_curve_row(self, draw, data):
+        params, job = moment_job(**draw)
+        lam = data.draw(st.integers(1, job.lambda_max))
+        single = replace(job, model_dim_N=1, lambda_max=lam)
+        zeta, x = job.sampling_rate_zeta, job.clip_C
+        if isinstance(params, GaussianParams):
+            pairs = [(gaussian_subsampled_log_moment(params, zeta, lam), single)]
+        elif isinstance(params, LaplaceParams):
+            pairs = [(laplace_multivariate_log_moment(params, job, lam), job),
+                     (laplace_univariate_log_moment(params, x, zeta, lam), single)]
+        else:
+            pairs = [(plrv_multivariate_log_moment(params, job, lam), job),
+                     (plrv_univariate_log_moment(params, x, zeta, lam), single)]
+        for got, curve_job in pairs:
+            assert got.hex() == build_curve(params, curve_job).alpha_per_step[lam].hex()

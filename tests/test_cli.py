@@ -280,11 +280,19 @@ class TestInputValidation:
         (["--mechanism", "laplace", "--b", "-1"], "b must be > 0"),
         (["--n", "0"], "--n"),
         (["--draws", "-1"], "--draws"),
+        (["--mechanism", "gaussian", "--sigma-eff", "inf"], "sigma_eff must be finite"),
+        (["--mechanism", "gaussian", "--sigma-eff", "nan"], "sigma_eff must be finite"),
     ])
     def test_bad_sample_flag(self, capsys, flags, named):
         argv = ["sample", "--k", "10", "--theta", "0.1", "--n", "4", "--draws", "3"]
         assert main(argv + flags) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("clip", ["inf", "nan", "-1"])
+    def test_bad_distortion_flag(self, capsys, clip):
+        argv = ["distortion", "--mechanism", "gaussian", "--sigma", "1", "--clip", clip]
+        assert main(argv) == 1
+        assert "clip_C must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_bad_thread_flag(self, tmp_path, capsys, threads):
