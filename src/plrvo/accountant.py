@@ -72,10 +72,8 @@ slack and is at most the reported moment, lies above its tangent through
 orders m - 1 and m at every later order. The conversion increases with the
 moment: once the tangent's conversion exceeds the best epsilon by 1e-9 of
 its size (for rounding) at every order in (m, cap], the search stops, with
-the whole grid's epsilon, argmin and moment. Otherwise the next round runs
-to the last order left open, past which the new tangent lies above the old
-one, so a search usually takes at most two rounds. :func:`build_curve`
-takes the whole grid.
+the whole grid's epsilon, argmin and moment; otherwise m doubles, up to
+the cap. :func:`build_curve` takes the whole grid.
 
 The accountant starts no threads; the BLAS library splits the product by
 output blocks, never along eta, so its thread count cannot change a result
@@ -231,6 +229,8 @@ def _mix(log_w: np.ndarray, log_g: np.ndarray, rows: int) -> np.ndarray:
     sum below 1e-250 in any order, or not finite, has lost precision and is
     mixed again by the exact per-order log-sum-exp; so is every column when
     a row has one live weight (zeta = 0 or 1), whose moment is then exact."""
+    if rows < 1:
+        raise ValueError(f"moment orders must be positive integers, got [{rows}]")
     log_w = log_w[:, : log_g.shape[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
         rmax = log_w.max(axis=1, keepdims=True)
@@ -282,7 +282,7 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float, lam_cap: int,
     shape (BLAS bits depend on it), and the log-space columns are mixed on
     its whole kernel."""
     if rows < 1:
-        raise ValueError(f"moment orders must be positive integers, got {rows}")
+        raise ValueError(f"moment orders must be positive integers, got [{rows}]")
     eta_max = lam_cap + 1
     etas, b1, b2 = _branch_coefficients(rows + 1)
     b1, b2 = b1[:, None], b2[:, None]
@@ -328,54 +328,57 @@ def _branches(params: MechanismParams) -> BranchFn | None:
     raise TypeError(f"unsupported mechanism params {type(params).__name__}")
 
 
-def _tail(branches: BranchFn, job: AccountingJob, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(I32, |I32 - I16|) for orders 1..rows: the integral of alpha(x(t))
-    over [HEAD_COORDINATES + 1/2, N + 1/2], in u = log t on 32 and on 16
-    panels. Needs N > HEAD_COORDINATES."""
+def _tail(branches: BranchFn, job: AccountingJob, lam_cap: int,
+          rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I32, |I32 - I16|) for orders 1..rows of a batch of every order up to
+    ``lam_cap``: the integral of alpha(x(t)) over [HEAD_COORDINATES + 1/2,
+    N + 1/2], in u = log t on 32 and on 16 panels. Needs N >
+    HEAD_COORDINATES."""
     a, b = math.log(HEAD_COORDINATES + 0.5), math.log(job.model_dim_N + 0.5)
     u_fine, w_fine = gauss_legendre(a, b, _TAIL_PANELS)
     u_coarse, w_coarse = gauss_legendre(a, b, _TAIL_PANELS // 2)
     t = np.exp(np.concatenate([u_fine, u_coarse]))
     x = majorizing_coordinates(job.clip_C, t)
-    f = _moments(branches, x, job.sampling_rate_zeta, job.lambda_max, rows)
+    f = _moments(branches, x, job.sampling_rate_zeta, lam_cap, rows)
     f *= t  # dt = t du
     fine = (f[:, : u_fine.size] * w_fine).sum(axis=1)
     coarse = (f[:, u_fine.size :] * w_coarse).sum(axis=1)
     return fine, np.abs(fine - coarse)
 
 
+def _gaussian(params: GaussianParams, zeta: float, lam_cap: int, rows: int) -> np.ndarray:
+    """Per-step moments of orders 1..rows of the subsampled Gaussian, from
+    its x-free kernel exp((eta^2 - eta) / (2 sigma^2)) mixed over every
+    order up to ``lam_cap``."""
+    eta = np.arange(lam_cap + 2, dtype=np.float64)
+    log_g = (eta * eta - eta) * (1.0 / (2.0 * params.sigma * params.sigma))
+    return _mix(_log_weight_matrix(zeta, lam_cap), log_g[:, None], rows)[:, 0]
+
+
 def _per_step(params: MechanismParams, job: AccountingJob,
               rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-step moments of orders 1..rows (default: the job's lambda_max),
-    with the bits of the whole batch up to the job's lambda_max, and a
-    lower bound on them that is convex in the order (see "Order search" in
-    the module docstring).
+    with the bits of the whole batch up to the cap max(lambda_max, rows),
+    and a lower bound on them that is convex in the order (see "Order
+    search" in the module docstring).
 
-    The Gaussian mixes its x-free kernel exp((eta^2 - eta) / (2 sigma^2));
-    that moment is its own lower bound. plrvo and Laplace sum over the
-    majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N: the exact head
-    sum plus the tail's integral and slack; the bound leaves out the slack."""
-    lam_cap, zeta = job.lambda_max, job.sampling_rate_zeta
-    rows = lam_cap if rows is None else rows
+    The Gaussian moment is its own lower bound. plrvo and Laplace sum over
+    the majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N: the exact
+    head sum plus the tail's integral and slack; the bound leaves out the
+    slack."""
+    rows = job.lambda_max if rows is None else rows
+    lam_cap, zeta = max(job.lambda_max, rows), job.sampling_rate_zeta
     branches = _branches(params)
     if branches is None:
-        eta = np.arange(lam_cap + 2, dtype=np.float64)
-        log_g = (eta * eta - eta) * (1.0 / (2.0 * params.sigma * params.sigma))
-        alpha = _mix(_log_weight_matrix(zeta, lam_cap), log_g[:, None], rows)[:, 0]
+        alpha = _gaussian(params, zeta, lam_cap, rows)
         return alpha, alpha
     head = min(job.model_dim_N, HEAD_COORDINATES)
     xs = MajorizationSet(job.clip_C, job.model_dim_N).coordinates(1, head)
     total = _moments(branches, xs, zeta, lam_cap, rows).sum(axis=1)
     if job.model_dim_N <= HEAD_COORDINATES:
         return total, total
-    integral, slack = _tail(branches, job, rows)
+    integral, slack = _tail(branches, job, lam_cap, rows)
     return total + (integral + slack), total + integral
-
-
-def _order(params: MechanismParams, job: AccountingJob, lam: int) -> float:
-    """Row lam of :func:`_per_step` at the cap max(job.lambda_max, lam)."""
-    job = replace(job, lambda_max=max(job.lambda_max, lam))
-    return float(_per_step(params, job, lam)[0][-1])
 
 
 def _univariate(branches: BranchFn, x: float, zeta: float, lam: int) -> float:
@@ -406,8 +409,7 @@ def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
 
 def gaussian_subsampled_log_moment(params: GaussianParams, zeta: float, lam: int) -> float:
     """Per-step log moment of the subsampled Gaussian mechanism."""
-    # the x-free moment reads only the job's sampling rate and order cap
-    return _order(params, AccountingJob(1, zeta, 1, 1.0, 0.5, lam), lam)
+    return float(_gaussian(params, zeta, lam, lam)[-1])
 
 
 def plrv_multivariate_log_moment(params: GammaPlrvParams, job: AccountingJob,
@@ -415,14 +417,14 @@ def plrv_multivariate_log_moment(params: GammaPlrvParams, job: AccountingJob,
     """Per-step alpha(lambda) of the gamma-seed mechanism on an l2-clipped
     model of N coordinates, via the majorization set."""
     validate(job, params)
-    return _order(params, job, lam)
+    return float(_per_step(params, job, lam)[0][-1])
 
 
 def laplace_multivariate_log_moment(params: LaplaceParams, job: AccountingJob,
                                     lam: int) -> float:
     """Per-step alpha(lambda) of the fixed-scale Laplace mechanism on an
     l2-clipped model of N coordinates, via the majorization set."""
-    return _order(params, job, lam)
+    return float(_per_step(params, job, lam)[0][-1])
 
 
 def plrv_epsilon_lower_bound(params: GammaPlrvParams, job: AccountingJob) -> float:
@@ -600,20 +602,17 @@ def account(params: MechanismParams, job: AccountingJob,
                                          f"moment of order {l} is {alpha}")
         eps, lam = _grid_min({l: job.steps_T * a for l, a in enumerate(per_step, start=1)},
                              job.delta)
-        if rows == lam_cap:
+        if rows == lam_cap or np.all(_tangent_bound(lower, lam_cap, job.steps_T, job.delta)
+                                     > eps + 1e-9 * abs(eps)):
             break
-        open_orders = np.flatnonzero(~(_tangent_bound(lower, lam_cap, job.steps_T, job.delta)
-                                       > eps + 1e-9 * abs(eps)))
-        if open_orders.size == 0:
-            break
-        rows += 1 + int(open_orders[-1])
+        rows = min(2 * rows, lam_cap)
     if lam is None:
         raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} log moments composed "
                                  f"over {job.steps_T} steps overflow at every order")
     slack = None
     branches = _branches(params)
     if mode == "accelerated" and branches is not None:
-        slack = (float(_tail(branches, job_eff, lam_cap)[1].max())
+        slack = (float(_tail(branches, job_eff, lam_cap, lam_cap)[1].max())
                  if job_eff.model_dim_N > HEAD_COORDINATES else 0.0)
     return AccountResult(
         epsilon=eps,

@@ -951,16 +951,15 @@ class TestOrderSearch:
         job = AccountingJob(model_dim_N=10**6, **PAPER_JOB)
         assert self.searched_rows(monkeypatch, PAPER, job) == (10, [16])
 
-    def test_second_round_runs_to_the_last_open_order(self, monkeypatch):
-        # argmin at the cap: the first tangent leaves every later order
-        # open, so the second round is the whole grid, not a doubling
+    def test_rounds_double_up_to_the_cap(self, monkeypatch):
+        # argmin at the cap: every tangent leaves a later order open
         job = AccountingJob(**dict(PAPER_JOB, model_dim_N=10**6, steps_T=1,
                                    sampling_rate_zeta=0.001))
-        assert self.searched_rows(monkeypatch, PAPER, job) == (119, [16, 119])
+        assert self.searched_rows(monkeypatch, PAPER, job) == (119, [16, 32, 64, 119])
 
     def test_accelerated_slack_covers_every_order(self):
         job = AccountingJob(model_dim_N=10**6, **PAPER_JOB)
-        slack = accountant._tail(accountant._plrv_branches(PAPER), job, 119)[1]
+        slack = accountant._tail(accountant._plrv_branches(PAPER), job, 119, 119)[1]
         res = account(PAPER, job, mode="accelerated")
         assert res.accel_error_estimate == slack.max() > slack[:16].max()
 
@@ -988,3 +987,45 @@ class TestSingleOrderRows:
                      (plrv_univariate_log_moment(params, x, zeta, lam), single)]
         for got, curve_job in pairs:
             assert got.hex() == build_curve(params, curve_job).alpha_per_step[lam].hex()
+
+    JOB = AccountingJob(10, 0.01, 50, 1.0, 1e-5, 8)
+    SINGLE_ORDER = {
+        "plrv_univariate": lambda lam, zeta: plrv_univariate_log_moment(
+            GammaPlrvParams(k=10.0, theta=0.02), 0.3, zeta, lam),
+        "laplace_univariate": lambda lam, zeta: laplace_univariate_log_moment(
+            LaplaceParams(b=1.0), 0.3, zeta, lam),
+        "gaussian": lambda lam, zeta: gaussian_subsampled_log_moment(
+            GaussianParams(sigma=1.0), zeta, lam),
+        "plrv_multivariate": lambda lam, zeta: plrv_multivariate_log_moment(
+            GammaPlrvParams(k=10.0, theta=0.02), replace(TestSingleOrderRows.JOB,
+                                                         sampling_rate_zeta=zeta), lam),
+        "laplace_multivariate": lambda lam, zeta: laplace_multivariate_log_moment(
+            LaplaceParams(b=1.0), replace(TestSingleOrderRows.JOB,
+                                          sampling_rate_zeta=zeta), lam),
+    }
+
+    @pytest.mark.parametrize("name", SINGLE_ORDER)
+    def test_order_zero_rejected(self, name):
+        with pytest.raises(ValueError) as err:
+            self.SINGLE_ORDER[name](0, 0.01)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "moment orders must be positive integers, got [0]"
+
+    @pytest.mark.parametrize("name", SINGLE_ORDER)
+    def test_numpy_integer_order_above_the_job_cap(self, name):
+        # 12 > the job's lambda_max of 8: the multivariate cap rises to 12
+        got = self.SINGLE_ORDER[name](np.int64(12), 0.01)
+        assert got.hex() == self.SINGLE_ORDER[name](12, 0.01).hex()
+
+    @pytest.mark.parametrize("name", ["plrv_univariate", "laplace_univariate", "gaussian"])
+    @pytest.mark.parametrize("zeta", [1.5, -0.1, math.nan])
+    def test_zeta_out_of_range_rejected(self, name, zeta):
+        with pytest.raises(ValueError) as err:
+            self.SINGLE_ORDER[name](5, zeta)
+        assert str(err.value) == f"zeta must be in [0, 1], got {zeta}"
+
+    def test_order_above_the_job_file_limit(self, monkeypatch):
+        # the job-file limit on lambda_max does not bound a single order
+        monkeypatch.setattr("plrvo.params.LAMBDA_MAX_LIMIT", 8)
+        for name, moment in self.SINGLE_ORDER.items():
+            assert math.isfinite(moment(12, 0.01)), name

@@ -221,6 +221,18 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 "numerical error: laplace per-step log moment of order 1 is nan\n")
 
+    def test_gaussian_overflow_past_the_searched_rows(self, tmp_path, capsys):
+        # the kernel overflows from eta of about 40 on, but the search stops
+        # after orders 1..16, all finite: order 1's bound is printed
+        job = {"steps_T": 1, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
+               "clip_C": 1.0, "delta": 1e-5, "lambda_max": 64}
+        path = write_job(tmp_path, mechanism="gaussian", params={"sigma": 2e-153}, job=job)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the kernel
+            assert main(["account", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["argmin_lambda"], out["epsilon"]) == (1, 2.5e305)
+
     def test_composed_overflow_exit_2(self, tmp_path, capsys):
         # finite per-step moments near 1e300, times T = 1e9, overflow
         job = {"steps_T": 10**9, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
