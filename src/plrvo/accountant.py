@@ -75,6 +75,10 @@ its size (for rounding) at every order in (m, cap], the search stops, with
 the whole grid's epsilon, argmin and moment; otherwise m doubles, up to
 the cap. :func:`build_curve` takes the whole grid.
 
+Every epsilon comes from this one sum and search. :func:`tail_slack`
+reports the tail's slack, the largest |I32 - I16| over every order up to
+the cap.
+
 The accountant starts no threads; the BLAS library splits the product by
 output blocks, never along eta, so its thread count cannot change a result
 (tested).
@@ -542,21 +546,17 @@ class AccountResult:
     epsilon: float
     argmin_lambda: int
     per_step_alpha_at_argmin: float
-    mode: str
-    lambda_search: str
-    accel_error_estimate: float | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        """The result as JSON; the two constant keys name the one sum and
+        the one order search that every result comes from."""
+        return {
             "epsilon": self.epsilon,
             "argmin_lambda": self.argmin_lambda,
             "per_step_alpha_at_argmin": self.per_step_alpha_at_argmin,
-            "mode": self.mode,
-            "lambda_search": self.lambda_search,
+            "mode": "exact",
+            "lambda_search": "full",
         }
-        if self.accel_error_estimate is not None:
-            out["accel_error_estimate"] = self.accel_error_estimate
-        return out
 
 
 def _tangent_bound(lower: np.ndarray, lam_cap: int, steps_T: int,
@@ -570,26 +570,14 @@ def _tangent_bound(lower: np.ndarray, lam_cap: int, steps_T: int,
                      for lam in range(m + 1, lam_cap + 1)])
 
 
-def account(params: MechanismParams, job: AccountingJob,
-            lambda_search: str = "full", mode: str = "exact") -> AccountResult:
+def account(params: MechanismParams, job: AccountingJob) -> AccountResult:
     """End-to-end accounting: per-step moments, T-fold composition, and the
     tight conversion at the job's delta, minimized over the integer orders
     up to the effective cap.
 
-    ``lambda_search`` ('full' or 'coarse') and ``mode`` ('exact' or
-    'accelerated') are validated and echoed; every value runs the same
-    search and coordinate sum. ``mode='accelerated'`` also reports the
-    largest per-step tail slack over every order up to the cap as
-    ``accel_error_estimate`` (0.0 with no tail; None for the x-free
-    Gaussian moment).
-
     How the orders are searched, and why stopping early is safe, is told
     under "Order search" in the module docstring.
     """
-    if lambda_search not in ("full", "coarse"):
-        raise ValueError(f"lambda_search must be 'full' or 'coarse', got {lambda_search}")
-    if mode not in ("exact", "accelerated"):
-        raise ValueError(f"mode must be 'exact' or 'accelerated', got {mode}")
     job_eff = _effective_job(job, params)
     lam_cap = job_eff.lambda_max
     rows = min(_FIRST_ROWS, lam_cap)
@@ -609,16 +597,18 @@ def account(params: MechanismParams, job: AccountingJob,
     if lam is None:
         raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} log moments composed "
                                  f"over {job.steps_T} steps overflow at every order")
-    slack = None
+    return AccountResult(epsilon=eps, argmin_lambda=lam,
+                         per_step_alpha_at_argmin=per_step[lam - 1])
+
+
+def tail_slack(params: MechanismParams, job: AccountingJob) -> float | None:
+    """The largest per-step tail slack |I32 - I16| over every order up to the
+    effective cap: 0.0 with no tail (N <= HEAD_COORDINATES), None for the
+    x-free Gaussian moment."""
     branches = _branches(params)
-    if mode == "accelerated" and branches is not None:
-        slack = (float(_tail(branches, job_eff, lam_cap, lam_cap)[1].max())
-                 if job_eff.model_dim_N > HEAD_COORDINATES else 0.0)
-    return AccountResult(
-        epsilon=eps,
-        argmin_lambda=lam,
-        per_step_alpha_at_argmin=per_step[lam - 1],
-        mode=mode,
-        lambda_search=lambda_search,
-        accel_error_estimate=slack,
-    )
+    if branches is None:
+        return None
+    job = _effective_job(job, params)
+    if job.model_dim_N <= HEAD_COORDINATES:
+        return 0.0
+    return float(_tail(branches, job, job.lambda_max, job.lambda_max)[1].max())

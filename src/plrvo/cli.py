@@ -6,9 +6,10 @@ Job files are JSON with top-level keys ``mechanism`` ("plrvo" | "gaussian" |
 and optional ``target`` / ``optimizer`` for the solver. Unknown keys are
 rejected. Exit codes: 0 success, 1 input or schema error, 2 numerical-domain
 error, 3 infeasible. Stdout JSON is stable-key-ordered; every command is
-deterministic given (input file, flags, seed). ``--threads`` and the
-PLRV_THREADS environment variable are validated but do not affect any
-result: accounting runs on one thread.
+deterministic given (input file, flags, seed). ``--threads`` (or the
+PLRV_THREADS environment variable), ``--mode`` and ``--lambda-search`` are
+compatibility flags: validated and, for ``account``, echoed, but the
+library takes none of them and no result depends on them.
 """
 
 from __future__ import annotations
@@ -40,19 +41,17 @@ _JOBFILE_KEYS = {"mechanism", "params", "job", "target", "optimizer"}
 _OPTIMIZER_KEYS = {"clip_min", "clip_max", "gamma_cdf_tol", "distortion_cap"}
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """The ``--threads`` value: the flag, then PLRV_THREADS, then the cpu
-    count. A count below 1 is an input error, not coerced to 1."""
-    if threads is None:
-        env = os.environ.get("PLRV_THREADS")
-        if not env:
-            return os.cpu_count() or 1
-        if not (env.strip().isdigit() and int(env) >= 1):
-            raise ValueError(f"PLRV_THREADS must be an integer >= 1, got {env!r}")
-        return int(env)
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-    return int(threads)
+def check_threads(threads: int | None) -> None:
+    """Check ``--threads``, or PLRV_THREADS (ASCII digits) when the flag is
+    absent: a count below 1 is an input error, not coerced to 1."""
+    if threads is not None:
+        if threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {threads}")
+        return
+    env = os.environ.get("PLRV_THREADS")
+    digits = (env or "").strip()
+    if env and not (digits.isascii() and digits.isdigit() and int(digits) >= 1):
+        raise ValueError(f"PLRV_THREADS must be an integer >= 1, got {env!r}")
 
 
 def _emit(obj: dict) -> None:
@@ -91,21 +90,27 @@ def load_job_file(path: str) -> dict:
 
 def cmd_account(args) -> int:
     spec = load_job_file(args.job_file)
-    result = accountant.account(spec["params"], spec["job"],
-                                lambda_search=args.lambda_search, mode=args.mode)
-    _emit(result.to_json_dict())
-    if args.curve:
-        curve = accountant.build_curve(spec["params"], spec["job"])
+    params, job = spec["params"], spec["job"]
+    out = accountant.account(params, job).to_json_dict()
+    out.update(mode=args.mode, lambda_search=args.lambda_search)
+    if args.mode == "accelerated":
+        slack = accountant.tail_slack(params, job)
+        if slack is not None:
+            out["accel_error_estimate"] = slack
+    if args.curve:  # written first, so a failed write prints nothing
+        csv = accountant.build_curve(params, job).to_csv()
         with open(args.curve, "w") as fh:
-            fh.write(curve.to_csv())
+            fh.write(csv)
+    _emit(out)
     return 0
 
 
 def cmd_sweep_t(args) -> int:
     spec = load_job_file(args.job_file)
-    t_values = [int(t) for t in args.t_values.split(",") if t.strip()]
-    if not t_values or any(t < 1 for t in t_values):
+    fields = [t.strip() for t in args.t_values.split(",")]
+    if not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in fields):
         raise ValueError(f"--t-values must be positive integers, got {args.t_values!r}")
+    t_values = [int(t) for t in fields]
     job = spec["job"]
     curve = accountant.build_curve(spec["params"], job)
     lines = ["T,epsilon"]
@@ -174,9 +179,10 @@ def cmd_distortion(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    for flag, value in (("--n", args.n), ("--draws", args.draws)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    for flag, value, least in (("--n", args.n, 1), ("--draws", args.draws, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     n, draws = args.n, args.draws
     rng = sampler.make_rng(args.seed, secure=args.secure)
     if args.mechanism == "plrvo":
@@ -247,9 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("account", help="epsilon(delta) for one job file")
     p.add_argument("job_file")
-    p.add_argument("--mode", choices=["exact", "accelerated"], default="exact")
+    p.add_argument("--mode", choices=["exact", "accelerated"], default="exact",
+                   help="echoed; 'accelerated' adds the tail slack, accel_error_estimate")
     p.add_argument("--lambda-search", choices=["full", "coarse"], default="full",
-                   help="accepted; every value runs the full order grid")
+                   help="echoed; every value runs the one order search")
     p.add_argument("--curve", metavar="OUT_CSV", default=None,
                    help="also write the full per-step moment curve")
     p.set_defaults(fn=cmd_account)
@@ -313,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolve_threads(args.threads)
+        check_threads(args.threads)
         return args.fn(args)
     except MgfDomainViolation as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)

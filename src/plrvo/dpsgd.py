@@ -23,6 +23,7 @@ from .params import AccountingJob, GammaPlrvParams, GaussianParams, to_json_dict
 from .sampler import make_rng, sample_gaussian_noise, sample_plrv_noise_rows
 
 BLOCK_STEPS = 64  # training steps per block of batch-mask and noise draws
+SIGMA_LO, SIGMA_HI = 1e-2, 1e3  # calibrate_gaussian_sigma bisects this to 1e-4 in log
 
 
 def training_job(model_dim: int, n_examples: int, epochs: int, batch_size: int,
@@ -169,7 +170,7 @@ def train(run: TrainingRun) -> dict:
         for idx, noise in zip(batches, _noise_rows(run, steps, noise_rng)):
             w = noisy_step(w, train_x[idx], train_y[idx], train_norms[idx], noise, run)
 
-    report = account(run.mechanism, job, lambda_search="full")
+    report = account(run.mechanism, job)
     return {
         "mechanism": MECHANISM_TAGS[type(run.mechanism)],
         "mechanism_params": to_json_dict(run.mechanism),
@@ -190,22 +191,20 @@ def train(run: TrainingRun) -> dict:
     }
 
 
-def calibrate_gaussian_sigma(target_epsilon: float, job: AccountingJob,
-                             lo: float = 1e-2, hi: float = 1e3,
-                             rel_tol: float = 1e-4) -> float:
+def calibrate_gaussian_sigma(target_epsilon: float, job: AccountingJob) -> float:
     """Smallest noise multiplier whose accounted epsilon meets the target.
 
     epsilon(sigma) is monotone decreasing, so plain bisection on log sigma.
     """
     def eps(sigma: float) -> float:
-        return account(GaussianParams(sigma=sigma), job, lambda_search="full").epsilon
+        return account(GaussianParams(sigma=sigma), job).epsilon
 
-    if eps(hi) > target_epsilon:
-        raise ValueError(f"target epsilon {target_epsilon} unreachable below sigma = {hi}")
-    if eps(lo) <= target_epsilon:
-        return lo
-    a, b = math.log(lo), math.log(hi)
-    while b - a > rel_tol:
+    if eps(SIGMA_HI) > target_epsilon:
+        raise ValueError(f"target epsilon {target_epsilon} unreachable below sigma = {SIGMA_HI}")
+    if eps(SIGMA_LO) <= target_epsilon:
+        return SIGMA_LO
+    a, b = math.log(SIGMA_LO), math.log(SIGMA_HI)
+    while b - a > 1e-4:
         mid = 0.5 * (a + b)
         if eps(math.exp(mid)) <= target_epsilon:
             b = mid

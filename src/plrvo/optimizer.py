@@ -459,9 +459,8 @@ def _phase_a_grid(cfg: FeasibilityConfig) -> tuple[np.ndarray, list[tuple[float,
     return ks, slices
 
 
-def _golden_max(f, lo: float, hi: float, log_space: bool,
-                iters: int = 20) -> tuple[float, float]:
-    """Golden-section maximization of f over [lo, hi]; f may return -inf.
+def _golden_max(f, lo: float, hi: float, log_space: bool) -> tuple[float, float]:
+    """At most 20 golden-section steps maximizing f over [lo, hi]; f may be -inf.
 
     Returns the best probed (x, f(x)) including the endpoints.
     """
@@ -486,7 +485,7 @@ def _golden_max(f, lo: float, hi: float, log_space: bool,
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = evaluate(x1), evaluate(x2)
-    for _ in range(iters):
+    for _ in range(20):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)

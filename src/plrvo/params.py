@@ -213,7 +213,7 @@ def validate(job: AccountingJob, params: GammaPlrvParams) -> None:
         )
 
 
-def effective_lambda_max(job: AccountingJob, params: MechanismParams | None = None) -> int:
+def effective_lambda_max(job: AccountingJob, params: MechanismParams) -> int:
     """Moment-grid cap actually used for a job.
 
     Gamma-seed jobs shrink the user cap to the MGF-safe value; the other

@@ -301,8 +301,7 @@ def _audit_grid_max(cfg: FeasibilityConfig, n_k: int, n_theta: int, n_c: int) ->
         pointer = n_theta - 1
 
         def c2_pass(k, theta):
-            eps = account(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C),
-                          lambda_search="full").epsilon
+            eps = account(GammaPlrvParams(k=k, theta=theta), cfg.job_for(C)).epsilon
             return eps <= cfg.target.epsilon_star
 
         for k in (float(v) for v in ks):
@@ -391,7 +390,7 @@ def test_criterion_10_reference_epsilon_full_scale():
     for N in (85_000_000, 86_000_000, 86_600_000):
         job = AccountingJob(steps_T=250, sampling_rate_zeta=0.01024, model_dim_N=N,
                             clip_C=10.0, delta=2e-5, lambda_max=1000)
-        res = account(p, job, lambda_search="coarse", mode="exact")
+        res = account(p, job)
         sensitivity[N] = res.epsilon
         print(f"\n  N={N}: epsilon={res.epsilon:.4f} (argmin lambda {res.argmin_lambda})")
     assert sensitivity[86_000_000] == pytest.approx(1.7, rel=0.15)

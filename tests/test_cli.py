@@ -294,6 +294,7 @@ class TestInputValidation:
         (["--draws", "-1"], "--draws"),
         (["--mechanism", "gaussian", "--sigma-eff", "inf"], "sigma_eff must be finite"),
         (["--mechanism", "gaussian", "--sigma-eff", "nan"], "sigma_eff must be finite"),
+        (["--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_bad_sample_flag(self, capsys, flags, named):
         argv = ["sample", "--k", "10", "--theta", "0.1", "--n", "4", "--draws", "3"]
@@ -315,6 +316,30 @@ class TestInputValidation:
         monkeypatch.setenv("PLRV_THREADS", "0")
         assert main(["account", write_job(tmp_path, job=SMALL_JOB)]) == 1
         assert "PLRV_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["\u00b3", "\u0663"])  # superscript 3, Arabic-Indic 3
+    def test_non_ascii_thread_env(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("PLRV_THREADS", value)
+        assert main(["account", write_job(tmp_path, job=SMALL_JOB)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "PLRV_THREADS must be an integer >= 1" in captured.err
+
+    @pytest.mark.parametrize("t_values", ["1,,5", "1,x", "1,5,", "", "0", "+5", "1.5",
+                                          "\u0663"])
+    def test_bad_t_values(self, tmp_path, capsys, t_values):
+        assert main(["sweep-t", write_job(tmp_path, job=SMALL_JOB),
+                     "--t-values", t_values]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--t-values must be positive integers, got {t_values!r}" in captured.err
+
+    def test_unwritable_curve_prints_nothing(self, tmp_path, capsys):
+        curve = tmp_path / "missing" / "curve.csv"
+        assert main(["account", write_job(tmp_path, job=SMALL_JOB), "--curve", str(curve)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err and "curve.csv" in captured.err
 
     @pytest.mark.parametrize("command", ["account", "sweep-t", "optimize"])
     def test_huge_lambda_max_allocates_nothing(self, tmp_path, capsys, monkeypatch, command):
@@ -561,12 +586,17 @@ class TestSampleAndDistortion:
 
 class TestThreads:
     def test_env_var_mirrors_flag(self, monkeypatch):
-        from plrvo.cli import resolve_threads
+        from plrvo.cli import check_threads
         monkeypatch.setenv("PLRV_THREADS", "3")
-        assert resolve_threads(None) == 3
-        assert resolve_threads(7) == 7  # explicit flag wins
+        assert check_threads(None) is None
+        monkeypatch.setenv("PLRV_THREADS", "0")
+        with pytest.raises(ValueError, match="PLRV_THREADS"):
+            check_threads(None)
+        assert check_threads(2) is None  # the flag wins: the variable is not read
+        with pytest.raises(ValueError, match="--threads"):
+            check_threads(0)
         monkeypatch.delenv("PLRV_THREADS")
-        assert resolve_threads(None) >= 1
+        assert check_threads(None) is None
 
 
 class TestTrainDemo:

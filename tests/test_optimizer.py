@@ -81,8 +81,7 @@ class TestCheckFeasible:
         assert report["c1"]["margin"] == pytest.approx(1e-6 - cdf, rel=1e-9)
         # c2's sign is whatever the accountant says at this N; the margin
         # must be consistent with a direct accountant call
-        direct = account(GammaPlrvParams(k=141.06, theta=8.32e-4),
-                         cfg.job_for(10.0), lambda_search="full")
+        direct = account(GammaPlrvParams(k=141.06, theta=8.32e-4), cfg.job_for(10.0))
         assert report["c2"]["epsilon"] == direct.epsilon
         assert report["c2"]["margin"] == pytest.approx(1.8 - direct.epsilon, abs=1e-12)
         # with the tolerance relaxed to cover the published point, c1 passes

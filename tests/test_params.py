@@ -126,7 +126,8 @@ class TestValidate:
         p = GammaPlrvParams(k=141.06, theta=8.32e-4)
         assert effective_lambda_max(make_job(lambda_max=1000), p) == 119
         assert effective_lambda_max(make_job(lambda_max=50), p) == 50
-        assert effective_lambda_max(make_job(lambda_max=1000), None) == 1000
+        assert effective_lambda_max(make_job(lambda_max=1000), GaussianParams(sigma=1.0)) == 1000
+        assert effective_lambda_max(make_job(lambda_max=1000), LaplaceParams(b=1.0)) == 1000
 
 
 class TestLogMomentCurve:
