@@ -121,10 +121,10 @@ def _log_weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
     for eta = 0..lam+1 and -inf beyond; built once per (zeta, cap) and shared
     by every call and order.
 
-    The log binomial is lgamma(n+1) - lgamma(eta+1) - lgamma(n-eta+1), from
-    one table of ``math.lgamma``, in the operation order of
-    :func:`numerics.log_binomial` (exactly 0 at eta = 0 and n, as
-    lgamma(1) = 0). Vanishing
+    The log binomial is lgamma(n+1) - lgamma(eta+1) - lgamma(n-eta+1), in
+    that operation order, from one table of ``math.lgamma`` (exactly 0 at
+    eta = 0 and n, as lgamma(1) = 0); the tests' scalar ``log_binomial``
+    (``tests/binomial.py``) is the oracle for its bits. Vanishing
     weights at zeta = 0 or 1 are exact -inf entries, never log(0)."""
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")

@@ -54,6 +54,23 @@ def check_threads(threads: int | None) -> None:
         raise ValueError(f"PLRV_THREADS must be an integer >= 1, got {env!r}")
 
 
+def _ascii(convert):
+    """argparse type: ``convert`` (int or float) of an ASCII literal without
+    '_' separators, which ``int()`` and ``float()`` would otherwise take
+    (non-ASCII digits, "1_0"); a rejected value is argparse's usage error."""
+
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return convert(text)
+
+    parse.__name__ = convert.__name__  # argparse names it: "invalid int value"
+    return parse
+
+
+INT, FLOAT = _ascii(int), _ascii(float)
+
+
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -246,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plrvo",
         description="noise design for DP-SGD: accounting, optimization, sampling")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=INT, default=None,
                         help="accepted and validated (>= 1, default PLRV_THREADS); "
                              "results do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -275,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distortion", help="expected |noise| per coordinate")
     p.add_argument("--mechanism", choices=["plrvo", "gaussian"], default="plrvo")
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--clip", type=float, default=None)
+    p.add_argument("--k", type=FLOAT, default=None)
+    p.add_argument("--theta", type=FLOAT, default=None)
+    p.add_argument("--sigma", type=FLOAT, default=None)
+    p.add_argument("--clip", type=FLOAT, default=None)
     p.add_argument("--csv", action="store_true", help="CSV row instead of JSON")
     p.add_argument("--table2", action="store_true",
                    help="run the built-in reference-value self-test")
@@ -286,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw noise vectors to CSV")
     p.add_argument("--mechanism", choices=["plrvo", "gaussian", "laplace"], default="plrvo")
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--sigma-eff", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--n", type=int, required=True, help="coordinates per draw")
-    p.add_argument("--draws", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=FLOAT, default=None)
+    p.add_argument("--theta", type=FLOAT, default=None)
+    p.add_argument("--sigma-eff", type=FLOAT, default=None)
+    p.add_argument("--b", type=FLOAT, default=None)
+    p.add_argument("--n", type=INT, required=True, help="coordinates per draw")
+    p.add_argument("--draws", type=INT, required=True)
+    p.add_argument("--seed", type=INT, default=0)
     p.add_argument("--secure", action="store_true",
                    help="cryptographic randomness (not reproducible; "
                         "test vectors do not apply)")
@@ -301,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-demo", help="toy DP-SGD run with accounting ledger")
     p.add_argument("--mechanism", choices=["plrvo", "gaussian"], default="plrvo")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1e-5)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch", type=int, default=40)
-    p.add_argument("--clip", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--examples", type=int, default=400)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--lambda-max", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epsilon", type=FLOAT, required=True)
+    p.add_argument("--delta", type=FLOAT, default=1e-5)
+    p.add_argument("--epochs", type=INT, default=3)
+    p.add_argument("--batch", type=INT, default=40)
+    p.add_argument("--clip", type=FLOAT, default=1.0)
+    p.add_argument("--dim", type=INT, default=2)
+    p.add_argument("--examples", type=INT, default=400)
+    p.add_argument("--lr", type=FLOAT, default=0.5)
+    p.add_argument("--lambda-max", type=INT, default=64)
+    p.add_argument("--seed", type=INT, default=0)
     p.set_defaults(fn=cmd_train_demo)
 
     return parser

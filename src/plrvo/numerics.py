@@ -1,6 +1,6 @@
 """Numerically stable primitives shared by the accounting and optimization
-modules: log-gamma, log-binomial, the regularized lower incomplete gamma
-function, and a composite Gauss-Legendre rule.
+modules: log-gamma, the regularized lower incomplete gamma function, and a
+composite Gauss-Legendre rule.
 
 Everything here is pure and operates in log space where overflow is a risk;
 negative infinity is the canonical encoding of an exact zero. The incomplete
@@ -30,15 +30,6 @@ def log_gamma(x: float) -> float:
     if not x > 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def log_binomial(n: int, r: int) -> float:
-    """ln C(n, r) via log-gamma; exact for the degenerate edges."""
-    if r < 0 or n < 0 or r > n:
-        raise ValueError(f"log_binomial requires 0 <= r <= n, got n={n}, r={r}")
-    if r == 0 or r == n:
-        return 0.0
-    return log_gamma(n + 1.0) - log_gamma(r + 1.0) - log_gamma(n - r + 1.0)
 
 
 def _stirling_remainder(k: float) -> float:

@@ -10,13 +10,18 @@ Constraints:
   c4   (k - 1) * theta >= 1 / distortion_cap (caps distortion)
   mgf  lambda_max * C * theta < 1 (every accountant MGF argument exists)
 
-The search is deterministic and derivative-free. Phase A finds the exact
-feasible argmax of J over a logarithmic (k, theta) x linear C grid, walking
-each clip slice with a monotone staircase so the privacy constraint is
-evaluated only near its own boundary. Phase B refines with coordinate-wise
-golden section along the feasibility boundary (each k or C probe snaps
-theta to its largest feasible value, so every probe is feasibility-checked)
-until the relative J improvement drops below 1e-4.
+The accountant sees theta and C only through the products theta * x_i,
+with x_i = C (sqrt(i) - sqrt(i-1)), and the MGF bound and J only through
+s = theta * C; c1 and c4 are lower bounds on theta, free of C. So an s
+feasible at any C in [clip_min, clip_max] is feasible at clip_min, where
+theta = s / clip_min is largest, and J = (k - 1) s ties across the clips.
+The search runs at C = clip_min alone and returns C* = clip_min, the tied
+clip with the smallest distortion; clip_max only bounds c0. Phase A finds
+the exact feasible argmax of J over a logarithmic (k, theta) grid, walked
+by a monotone staircase so that c2 is evaluated only near its boundary.
+Phase B refines k by golden section along the feasibility boundary (each
+probe snaps theta to its largest feasible value) until the relative J
+improvement drops below 1e-4. Nothing is random.
 
 c1 and c4 are lower bounds on theta: c1's is a Gamma(k) quantile
 (:func:`_c1_floor`, on the accumulate-summed incomplete gamma series), c4's
@@ -27,42 +32,28 @@ entry.
 
 Snapping theta to the c2 boundary is defined as a bisection in log theta,
 but :func:`_boundary_theta` replays it rather than running it. Epsilon
-increases with theta, so every midpoint outside the bracket of accounted
-verdicts takes the verdict the bisection would have computed. Brent's
-method narrows that bracket first, after which the replay accounts almost
-no midpoint. The MGF bound, the bracket's top, is first screened by a
-certified lower bound on epsilon (:func:`_mgf_screen`). Where that bound
+increases with theta, so every midpoint outside the bracket of verdicts
+accounted at its k takes the verdict the bisection would have computed.
+Brent's method narrows that bracket first, after which the replay accounts
+almost no midpoint. The MGF bound, the bracket's top, is first screened by
+a certified lower bound on epsilon (:func:`_mgf_screen`). Where that bound
 is at least twice the target, the top fails without an accountant call,
 which would be the boundary's costliest: its moments are mixed in log
 space.
-
-The accountant sees theta and C only through the products theta * x_i,
-with x_i = C (sqrt(i) - sqrt(i-1)), and the MGF bound and J only through
-s = theta * C. So for each k the search keeps the largest s accounted as
-passing and the smallest accounted as failing, and a point whose s lies at
-least 1e-9 below (above) them, relative, takes a known pass (fail) with no
-accountant call. Across random (k, s, C, C', N, L, zeta, T) the accounted
-epsilon of two decompositions of s differs by at most a few 1e-15
-relative, over 10^5 times less than that margin (tested at 1e-12). Phase
-A's staircase asks for these verdicts before it accounts a grid point,
-and :func:`_boundary_theta` takes them at its ends, in its replay, and
-as Brent's starting bracket, so each clip slice and C probe no longer
-re-derives the boundary in s that the others found. At a single clip
-value monotonicity in theta stays exact, with no margin.
 
 The accounted epsilon also increases with k at fixed s: Gamma(k, theta)
 is stochastically increasing in k, so the inverse noise scale grows. So
 the search reads its accounted verdicts as two staircases over k: the
 largest passing s over k' >= k, and the smallest failing s over k' <= k.
-A point whose s lies 1e-9 below (above) them, relative, takes a known pass
-(fail), as across clip values. Phase B's golden-section k probes thus take
-most verdicts at their MGF bound and floor from other k. A new k's
-boundary is warm-started (:func:`_warm_start`): the boundaries solved at
-the nearest k, interpolated in (log k, log s), predict its root, which is
-accounted, and so is one Newton step from there, pushed just past the
-root it predicts. Brent starts from the narrowest bracket whose ends are
-both accounted at this k; it never interpolates a value accounted at
-another k.
+A point whose s lies at least 1e-9 below (above) them, relative, takes a
+known pass (fail) with no accountant call; the margin absorbs rounding in
+the accounted epsilon. Phase B's k probes thus take most verdicts at their
+MGF bound and floor from other k. A new k's boundary is warm-started
+(:func:`_warm_start`): the boundaries solved at the nearest k,
+interpolated in (log k, log theta), predict its root, which is accounted,
+and so is one Newton step from there, pushed just past that root. Brent
+starts from the bracket accounted at this k; it never interpolates a value
+accounted at another k.
 
 Every inference keeps the bisection's and the grid's bits. Bounds and
 inferred verdicts never enter the c2 cache, so every reported epsilon is
@@ -93,7 +84,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 K_GRID_LO, K_GRID_HI, K_GRID_POINTS = 1.0 + 1e-3, 1e6, 60
 THETA_GRID_LO, THETA_GRID_POINTS = 1e-7, 60
-C_GRID_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ class FeasibilityConfig:
     """Search box and tolerances for :func:`solve`.
 
     ``job_skeleton`` supplies (T, zeta, N, delta, lambda_max); its clip value
-    is ignored and replaced by each candidate C. c2 accounts at the job's
+    is ignored and replaced by each point's C. c2 accounts at the job's
     delta, so the target's delta_star must equal it. ``gamma_cdf_tol``
     operationalizes the "approximately zero" Gamma CDF in c1;
     ``distortion_cap`` is c4's ceiling on 1 / ((k-1) * theta).
@@ -233,8 +223,8 @@ def _c1_floor(k: float, tol: float) -> float:
     return theta
 
 
-S_MARGIN = 1e-9  # relative margin of a c2 verdict inferred from theta * C
-NARROW = 1e-6  # relative width in s of a k's bracket that is a solved boundary
+S_MARGIN = 1e-9  # relative margin in s = theta * C of a c2 verdict inferred across k
+NARROW = 1e-6  # relative width in theta of a k's bracket that is a solved boundary
 NEAR = 3  # solved boundaries, the nearest in log k, that predict a new k's
 OVERSHOOT = 2.5e-10  # in log theta: the Newton step's push past the root it predicts
 
@@ -242,18 +232,19 @@ OVERSHOOT = 2.5e-10  # in log theta: the Newton step's push past the root it pre
 @dataclass
 class _Bracket:
     """The accounted points with the largest passing and the smallest failing
-    value of a coordinate that the accounted epsilon increases with."""
+    theta at one k: the accounted epsilon increases with theta."""
 
     lo: float = -math.inf
     hi: float = math.inf
     lo_point: tuple[float, float, float] | None = None
     hi_point: tuple[float, float, float] | None = None
 
-    def add(self, value: float, point: tuple[float, float, float], passed: bool) -> None:
-        if passed and value > self.lo:
-            self.lo, self.lo_point = value, point
-        elif not passed and value < self.hi:
-            self.hi, self.hi_point = value, point
+    def add(self, point: tuple[float, float, float], passed: bool) -> None:
+        theta = point[1]
+        if passed and theta > self.lo:
+            self.lo, self.lo_point = theta, point
+        elif not passed and theta < self.hi:
+            self.hi, self.hi_point = theta, point
 
     def solved(self) -> bool:
         """Whether the ends are within NARROW of each other, relative: a
@@ -301,19 +292,18 @@ class _Staircase:
 class _SearchState:
     """The search's accounted c2 entries, and the verdicts they imply.
 
-    Per k it keeps the bracket of accounted verdicts in s = theta * C (the
-    accounted epsilon depends on theta and C only through s), per (k, C) the
-    bracket in theta, and across k the staircases of passing and failing s
-    (epsilon increases with k at fixed s). ``solved_ks`` lists, sorted, the
-    k whose bracket in s is :meth:`_Bracket.solved`. ``inferred`` collects
-    the points whose verdict was known without accounting them; they never
-    enter ``c2_cache``."""
+    Every point the search accounts lies at one clip, ``cfg.clip_min``
+    (:func:`check_feasible`'s state holds a single point). Per k the state
+    keeps the bracket of accounted verdicts in theta, and across k the
+    staircases of passing and failing s = theta * C (epsilon increases with
+    k at fixed s). ``solved_ks`` lists, sorted, the k whose bracket is
+    :meth:`_Bracket.solved`. ``inferred`` collects the points whose verdict
+    was known without accounting them; they never enter ``c2_cache``."""
 
     cfg: FeasibilityConfig
     c2_cache: dict[tuple[float, float, float], dict] = field(default_factory=dict)
     theta_floors: dict[float, float] = field(default_factory=dict)
-    s_brackets: dict[float, _Bracket] = field(default_factory=dict)
-    theta_brackets: dict[tuple[float, float], _Bracket] = field(default_factory=dict)
+    brackets: dict[float, _Bracket] = field(default_factory=dict)
     passing: _Staircase = field(default_factory=lambda: _Staircase(1.0))
     failing: _Staircase = field(default_factory=lambda: _Staircase(-1.0))
     solved_ks: list[float] = field(default_factory=list)
@@ -324,14 +314,13 @@ class _SearchState:
         if entry is None:
             entry = self.c2_cache[point] = _c2_report(point, self.cfg)
             k, theta, C = point
-            passed, s = entry["passed"], theta * C
-            at_k = self.s_brackets.setdefault(k, _Bracket())
+            passed = entry["passed"]
+            at_k = self.brackets.setdefault(k, _Bracket())
             solved = at_k.solved()
-            at_k.add(s, point, passed)
+            at_k.add(point, passed)
             if not solved and at_k.solved():
                 insort(self.solved_ks, k)
-            self.theta_brackets.setdefault((k, C), _Bracket()).add(theta, point, passed)
-            (self.passing if passed else self.failing).add(k, s)
+            (self.passing if passed else self.failing).add(k, theta * C)
         return entry
 
     def excess(self, entry: dict) -> float:
@@ -346,18 +335,18 @@ class _SearchState:
     def known(self, point: tuple[float, float, float]) -> bool | None:
         """c2's verdict at point when the accounted entries decide it, else
         None: its own entry; a theta at or beyond an accounted one at the
-        same (k, C), exactly; or an s = theta * C at least S_MARGIN beyond
-        the staircases at k, relative: beyond a pass at some k' >= k or a
-        fail at some k' <= k. That margin is over 10^5 times the spread of
-        the accounted epsilon across decompositions of s."""
+        same k, exactly; or an s = theta * C at least S_MARGIN beyond the
+        staircases at k, relative: beyond a pass at some k' >= k or a fail
+        at some k' <= k. That margin is over 10^5 times the accounted
+        epsilon's departures from monotonicity in k."""
         entry = self.c2_cache.get(point)
         if entry is not None:
             return entry["passed"]
         k, theta, C = point
-        same_clip = self.theta_brackets.get((k, C), _NO_BRACKET)
-        if theta <= same_clip.lo:
+        at_k = self.brackets.get(k, _NO_BRACKET)
+        if theta <= at_k.lo:
             return True
-        if theta >= same_clip.hi:
+        if theta >= at_k.hi:
             return False
         s = theta * C
         if s <= self.passing.bound(k) * (1.0 - S_MARGIN):
@@ -376,30 +365,13 @@ class _SearchState:
             self.inferred.add(point)
         return verdict
 
-    def bracket(self, k: float, C: float) -> tuple[tuple[float, dict | None],
-                                                   tuple[float, dict | None]]:
-        """The narrowest bracket of c2's boundary in theta at (k, C) whose
-        ends are accounted at k: ((theta, entry) of the passing end, (theta,
-        entry) of the failing end), from the accounted points at (k, C) and
-        at k, the latter moved to clip C at equal s. An end with no accounted
-        point is (+-inf, None)."""
-        same_clip = self.theta_brackets.get((k, C), _NO_BRACKET)
-        at_k = self.s_brackets.get(k, _NO_BRACKET)
-
-        def end(points, pick, none):
-            known = [(p[1] if p[2] == C else p[1] * p[2] / C, p) for p in points if p]
-            theta, point = pick(known) if known else (none, None)
-            return theta, None if point is None else self.c2_cache[point]
-
-        return (end((same_clip.lo_point, at_k.lo_point), max, -math.inf),
-                end((same_clip.hi_point, at_k.hi_point), min, math.inf))
-
     def neighbour_boundaries(self, k: float) -> list[tuple[float, float, float]]:
-        """(log k', log s', slope) for the NEAR k' nearest k in log k, with
-        distinct logs, whose bracket in s is solved (``solved_ks``):
-        the secant root s' of log epsilon - log epsilon* in log s between its
-        two ends, and the secant's slope (not finite where an end's excess is
-        not, and the root is then the ends' geometric mean). Nearest first."""
+        """(log k', log theta', slope) for the NEAR k' nearest k in log k,
+        with distinct logs, whose bracket is solved (``solved_ks``): the
+        secant root theta' of log epsilon - log epsilon* in log theta between
+        its two ends, and the secant's slope (not finite where an end's
+        excess is not, and the root is then the ends' geometric mean).
+        Nearest first."""
         i = bisect_left(self.solved_ks, k)
         window = self.solved_ks[max(i - NEAR, 0):i + NEAR]
         window.sort(key=lambda near: abs(math.log(near / k)))
@@ -409,7 +381,7 @@ class _SearchState:
                 break
             if any(math.log(near) == log_k for log_k, _, _ in out):
                 continue  # Lagrange interpolation needs distinct nodes
-            at_k = self.s_brackets[near]
+            at_k = self.brackets[near]
             g_lo = self.excess(self.c2_cache[at_k.lo_point])
             g_hi = self.excess(self.c2_cache[at_k.hi_point])
             u_lo, u_hi = math.log(at_k.lo), math.log(at_k.hi)
@@ -441,40 +413,33 @@ class _SearchState:
         return report
 
 
-def _phase_a_grid(cfg: FeasibilityConfig) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
-    """Phase A's grid: the k values, and per clip value the ascending theta
-    values below the MGF bound (clips whose bound is under the grid floor
-    are left out)."""
+def _theta_hi(cfg: FeasibilityConfig) -> float:
+    """The search's largest theta: just under the MGF bound at clip_min."""
+    return (1.0 - 1e-6) / (cfg.clip_min * (cfg.job_skeleton.lambda_max + 1))
+
+
+def _phase_a_grid(cfg: FeasibilityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Phase A's grid: the k values, and the ascending theta values up to
+    :func:`_theta_hi` (none when it is under the grid floor)."""
     ks = np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS)
-    if cfg.clip_min == cfg.clip_max:
-        cs = np.array([cfg.clip_min])
-    else:
-        cs = np.linspace(cfg.clip_min, cfg.clip_max, C_GRID_POINTS)
-    lam_next = cfg.job_skeleton.lambda_max + 1
-    slices = []
-    for C in (float(c) for c in cs):
-        theta_hi = (1.0 - 1e-6) / (C * lam_next)
-        if theta_hi > THETA_GRID_LO:
-            slices.append((C, np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS)))
-    return ks, slices
+    theta_hi = _theta_hi(cfg)
+    if theta_hi <= THETA_GRID_LO:
+        return ks, np.empty(0)
+    return ks, np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS)
 
 
-def _golden_max(f, lo: float, hi: float, log_space: bool) -> tuple[float, float]:
-    """At most 20 golden-section steps maximizing f over [lo, hi]; f may be -inf.
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """At most 20 golden-section steps in log x maximizing f over [lo, hi];
+    f may be -inf.
 
     Returns the best probed (x, f(x)) including the endpoints.
     """
-
-    def transform(t):
-        return math.exp(t) if log_space else t
-
-    a = math.log(lo) if log_space else lo
-    b = math.log(hi) if log_space else hi
+    a, b = math.log(lo), math.log(hi)
     best_x, best_f = None, -math.inf
 
     def evaluate(t):
         nonlocal best_x, best_f
-        x = transform(t)
+        x = math.exp(t)
         val = f(x)
         if val > best_f:
             best_f, best_x = val, x
@@ -548,8 +513,9 @@ def _mgf_screen(cfg: FeasibilityConfig, k: float, theta: float, C: float) -> flo
     return None
 
 
-def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, float] | None:
-    """Largest feasible theta at (k, C) with all constraints, or None.
+def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None:
+    """Largest feasible theta at k and C = clip_min with all constraints, or
+    None.
 
     The accounted epsilon is monotone increasing in theta while c1 and c4
     are lower bounds, so the feasible thetas form an interval whose top is
@@ -559,31 +525,28 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     (theta, J).
 
     The bisection is replayed, not run: each midpoint takes its known
-    verdict (:meth:`_SearchState.known`), by monotonicity in theta at
-    (k, C), through s = theta * C across clip values, or from the staircases
-    across k, and only a midpoint that no accounted entry decides is
-    accounted. So the replay takes the same verdicts at the same midpoints,
-    and returns the same bits. The MGF bound and the floor take known
-    verdicts too. The MGF bound's entry is not accounted when
-    :func:`_mgf_screen` shows it fails; the screen's log excess then stands
-    in for the accounted one as Brent's value there.
+    verdict (:meth:`_SearchState.known`), by monotonicity in theta at k or
+    from the staircases across k, and only a midpoint that no accounted
+    entry decides is accounted. So the replay takes the same verdicts at
+    the same midpoints, and returns the same bits. The MGF bound and the
+    floor take known verdicts too. The MGF bound's entry is not accounted
+    when :func:`_mgf_screen` shows it fails; the screen's log excess then
+    stands in for the accounted one as Brent's value there.
 
     Before the replay, Brent's method on log epsilon - log epsilon* in
-    log theta narrows the narrowest bracket accounted at k
-    (:meth:`_SearchState.bracket`) below 2e-9. When k has no such bracket,
-    :func:`_warm_start` first accounts its predicted root and one Newton
-    step past it. The two usually bracket the boundary, so a Phase B probe
+    log theta narrows the bracket of verdicts accounted at k below 2e-9.
+    When k has no such bracket, :func:`_warm_start` first accounts its
+    predicted root and one Newton step past it. The two usually bracket the boundary, so a Phase B probe
     costs two or three accountant calls in all. An end still missing,
     because the floor's or the MGF bound's verdict came from another k, is
     accounted at this k (or the MGF bound screened). From [floor, MGF bound]
-    Brent takes about 7 accountant calls, and none when another clip value's
-    accounted entries at k already bracket s within 2e-9. A dyadic midpoint
-    rarely falls inside the final bracket, so the replay seldom accounts
-    anything."""
+    Brent takes about 7 accountant calls. A dyadic midpoint rarely falls
+    inside the final bracket, so the replay seldom accounts anything."""
     cfg = state.cfg
-    if not (k > 1.0 and cfg.clip_min <= C <= cfg.clip_max):
+    if not k > 1.0:
         return None
-    theta_hi = (1.0 - 1e-6) / (C * (cfg.job_skeleton.lambda_max + 1))
+    C = cfg.clip_min
+    theta_hi = _theta_hi(cfg)
     floor = state.theta_floor(k)
     if floor > theta_hi:
         return None
@@ -606,10 +569,13 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
             return False
         return state.passes((k, theta, C))
 
-    (lo, lo_entry), (hi, hi_entry) = state.bracket(k, C)
-    if lo_entry is None or hi_entry is None:
-        _warm_start(state, k, C, floor, theta_hi)
-        (lo, lo_entry), (hi, hi_entry) = state.bracket(k, C)
+    at_k = state.brackets.get(k, _NO_BRACKET)
+    if at_k.lo_point is None or at_k.hi_point is None:
+        _warm_start(state, k, floor, theta_hi)
+        at_k = state.brackets.get(k, _NO_BRACKET)
+    # an end with no accounted point is (+-inf, None)
+    lo, lo_entry = at_k.lo, state.c2_cache.get(at_k.lo_point)
+    hi, hi_entry = at_k.hi, state.c2_cache.get(at_k.hi_point)
     if lo_entry is None:  # the floor's verdict came from another k
         lo, lo_entry = floor, state.c2_entry((k, floor, C))
     if hi_entry is None and screened is None:  # so did the top's
@@ -635,14 +601,13 @@ def _boundary_theta(state: _SearchState, k: float, C: float) -> tuple[float, flo
     return theta, objective(k, theta, C)
 
 
-def _warm_start(state: _SearchState, k: float, C: float, floor: float,
-                theta_hi: float) -> None:
-    """Account c2 at (k, C) on both sides of its boundary, predicted from the
+def _warm_start(state: _SearchState, k: float, floor: float, theta_hi: float) -> None:
+    """Account c2 at k on both sides of its boundary, predicted from the
     boundaries solved at the nearest k (:meth:`_SearchState.neighbour_boundaries`).
 
-    Their roots, interpolated in (log k, log s) through the Lagrange
+    Their roots, interpolated in (log k, log theta) through the Lagrange
     polynomial, predict the root at k, which is accounted. One Newton step
-    from there, with the nearest k's slope of log epsilon in log s, is
+    from there, with the nearest k's slope of log epsilon in log theta, is
     pushed OVERSHOOT past the root it predicts and accounted too, so the two
     usually bracket the boundary closely. Both thetas are clamped into the
     band the staircases leave open, within [floor, theta_hi]."""
@@ -657,11 +622,12 @@ def _warm_start(state: _SearchState, k: float, C: float, floor: float,
         root += weight * root_i
     if not (near and math.isfinite(root)):
         return
+    C = state.cfg.clip_min
     s_lo = state.passing.bound(k) * (1.0 - S_MARGIN)
     s_hi = state.failing.bound(k) * (1.0 + S_MARGIN)
     u_lo = max(math.log(floor), math.log(s_lo / C) if s_lo > 0.0 else -math.inf)
     u_hi = min(math.log(theta_hi), math.log(s_hi / C))
-    u = min(max(root - math.log(C), u_lo), u_hi)
+    u = min(max(root, u_lo), u_hi)
     g = state.excess(state.c2_entry((k, math.exp(u), C)))
     slope = near[0][2]
     if math.isfinite(g) and math.isfinite(slope) and slope > 0.0:
@@ -671,15 +637,13 @@ def _warm_start(state: _SearchState, k: float, C: float, floor: float,
 
 
 def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> dict:
-    """Per-clip-value summary of the tightest violated constraint over
-    Phase A's grid."""
-    ks, slices = _phase_a_grid(cfg)
-    points = ((float(k), float(theta), C) for C, thetas in slices
-              for theta in thetas for k in ks)
-    by_clip: dict[float, dict] = {}
-    for point in points:
-        k, theta, C = point
-        report = _cheap_constraints(k, theta, C, cfg)
+    """The tightest violated constraint over Phase A's grid, keyed by the
+    clip it searched (none when the grid is empty)."""
+    ks, thetas = _phase_a_grid(cfg)
+    C = cfg.clip_min
+    best = None
+    for point in ((float(k), float(theta), C) for theta in thetas for k in ks):
+        report = _cheap_constraints(*point, cfg)
         # a verdict Phase A inferred is accounted here, for its margin
         cached = (state.c2_entry(point) if point in state.inferred
                   else state.c2_cache.get(point))
@@ -688,111 +652,97 @@ def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> d
         failing = {n: e for n, e in report.items() if not e["passed"]}
         if not failing:
             failing = {"c2": {"margin": -math.inf}}
-        tightest = max(failing.items(), key=lambda kv: kv[1]["margin"])
-        entry = by_clip.setdefault(C, {"constraint": tightest[0],
-                                       "margin": tightest[1]["margin"]})
-        if tightest[1]["margin"] > entry["margin"]:
-            entry["constraint"], entry["margin"] = tightest[0], tightest[1]["margin"]
-    return {f"clip={c:g}": v for c, v in sorted(by_clip.items())}
+        name, entry = max(failing.items(), key=lambda kv: kv[1]["margin"])
+        if best is None or entry["margin"] > best["margin"]:
+            best = {"constraint": name, "margin": entry["margin"]}
+    return {} if best is None else {f"clip={C:g}": best}
 
 
 def solve(cfg: FeasibilityConfig) -> OptimizationResult:
     """Two-phase deterministic search for the feasible J maximum.
 
-    Phase A computes the exact feasible grid argmax of J (60 log points in
-    k, 60 log points in theta per clip, 8 clips); Phase B refines it by
-    boundary-following coordinate golden section until the relative J
-    improvement drops below 1e-4. The returned point's full constraint report
-    (c2 on the full lambda grid, from the search's cache) is embedded in the
-    result. No randomness anywhere.
+    J and every constraint but c0 see theta and C only through
+    s = theta * C, or bound theta from below, so clip_min admits every s
+    that a clip in the box admits, and J = (k - 1) s ties across them. The
+    search runs at clip_min and returns C* = clip_min, the tied clip with
+    the smallest distortion; clip_max only bounds c0. (The README's job
+    file, with clip_min 5 and clip_max 10, returns C* = 5.) Phase A computes
+    the exact feasible grid argmax of J over 60 x 60 log points in
+    (k, theta); Phase B refines k by golden section along the feasibility
+    boundary until the relative J improvement drops below 1e-4. The result
+    embeds the returned point's full constraint report (c2 on the full
+    lambda grid, from the search's cache).
     """
     state = _SearchState(cfg=cfg)
 
-    # The accounted epsilon is monotone in k, theta, and C: the mechanism
-    # kernel increases with the inverse scale u, Gamma(k, theta) is
-    # stochastically increasing in both parameters, and clip monotonicity
-    # covers C. For fixed (k, C) the c2-feasible thetas are therefore a
-    # prefix of the grid whose end theta*(k) is nonincreasing in k, so an
-    # ascending-k walk with a descending theta pointer locates every
-    # column's exact boundary in amortized O(#k + #theta) accountant calls.
-    # Columns whose J even at the pointer cannot beat the incumbent are
-    # skipped without evaluation, and a grid point whose verdict another
-    # clip slice's accounted entries decide (through theta * C) is not
-    # accounted. The outcome is exactly the feasible grid argmax of J.
-    ks, slices = _phase_a_grid(cfg)
-    best = None
-    best_j = -math.inf
-    for C, thetas in slices:
-        pointer = len(thetas) - 1
-        for k in (float(v) for v in ks):
-            if pointer < 0:
-                break
-            if objective(k, float(thetas[pointer]), C) <= best_j:
-                continue
-            # first grid theta passing c1 and c4 (the grid's k are all > 1)
-            bot = int(np.searchsorted(thetas, state.theta_floor(k)))
-            q = pointer
-            if q < bot:
-                continue
-            while q >= bot and not state.passes((k, float(thetas[q]), C)):
-                q -= 1
-            if q < bot:
-                pointer = bot - 1
-                continue
-            pointer = q
-            j = objective(k, float(thetas[q]), C)
-            if j > best_j:
-                best, best_j = (k, float(thetas[q]), C), j
+    # The accounted epsilon is monotone in k and theta (the mechanism kernel
+    # increases with the inverse scale u, and Gamma(k, theta) is
+    # stochastically increasing in both), so the c2-feasible thetas at a k
+    # are a prefix of the grid whose end is nonincreasing in k. An
+    # ascending-k walk with a descending theta pointer thus finds every
+    # column's exact boundary in amortized O(#k + #theta) checks, skipping
+    # columns whose J at the pointer cannot beat the incumbent: exactly the
+    # feasible grid argmax of J.
+    ks, thetas = _phase_a_grid(cfg)
+    C = cfg.clip_min
+    best, best_j = None, -math.inf
+    pointer = len(thetas) - 1
+    for k in (float(v) for v in ks):
+        if pointer < 0:
+            break
+        if objective(k, float(thetas[pointer]), C) <= best_j:
+            continue
+        # first grid theta passing c1 and c4 (the grid's k are all > 1)
+        bot = int(np.searchsorted(thetas, state.theta_floor(k)))
+        q = pointer
+        if q < bot:
+            continue
+        while q >= bot and not state.passes((k, float(thetas[q]), C)):
+            q -= 1
+        if q < bot:
+            pointer = bot - 1
+            continue
+        pointer = q
+        j = objective(k, float(thetas[q]), C)
+        if j > best_j:
+            best, best_j = (k, float(thetas[q])), j
     if best is None:
         raise InfeasibleError(
             "no feasible point in the configured box",
             diagnostics=_infeasibility_diagnostics(cfg, state))
 
-    # Phase B: coordinate-wise golden-section along the feasibility boundary.
-    # A probe at k (or C) evaluates J with theta snapped to its largest
-    # feasible value - every probe is feasibility-checked - because at the
-    # privacy boundary no single raw-coordinate move can improve J (raising
-    # k or C alone violates c2; lowering theta alone lowers J). The k bracket
-    # widens whenever the line search lands on its edge, so slow climbs
-    # toward the large-k asymptote converge in a few passes.
+    # Phase B: golden section in k along the feasibility boundary. A probe
+    # at k evaluates J with theta snapped to its largest feasible value -
+    # every probe is feasibility-checked - because at the privacy boundary
+    # no single raw-coordinate move can improve J (raising k alone violates
+    # c2; lowering theta alone lowers J). The k bracket widens whenever the
+    # line search lands on its edge, so slow climbs toward the large-k
+    # asymptote converge in a few passes.
     k_ratio = (K_GRID_HI / K_GRID_LO) ** (1.0 / (K_GRID_POINTS - 1))
-    k_best, theta_best, c_best = best
-    snapped = _boundary_theta(state, k_best, c_best)
+    k_best, theta_best = best
+    snapped = _boundary_theta(state, k_best)
     if snapped is not None and snapped[1] > best_j:
-        theta_best, best_j = snapped[0], snapped[1]
+        theta_best, best_j = snapped
+
+    def j_at_k(k: float) -> float:
+        r = _boundary_theta(state, k)
+        return r[1] if r is not None else -math.inf
+
     k_span = k_ratio
     for _ in range(12):
         prev_j = best_j
-
-        def j_at_k(k: float) -> float:
-            r = _boundary_theta(state, k, c_best)
-            return r[1] if r is not None else -math.inf
-
         lo = max(K_GRID_LO, k_best / k_span)
         hi = min(K_GRID_HI, k_best * k_span)
-        k_probe, j_probe = _golden_max(j_at_k, lo, hi, log_space=True)
+        k_probe, j_probe = _golden_max(j_at_k, lo, hi)
         if j_probe > best_j:
             k_best, best_j = k_probe, j_probe
-            theta_best = _boundary_theta(state, k_best, c_best)[0]
+            theta_best = _boundary_theta(state, k_best)[0]
         edge = (k_probe >= hi * 0.99 and hi < K_GRID_HI) or \
                (k_probe <= lo * 1.01 and lo > K_GRID_LO)
         k_span = min(k_span * k_span, 1e4) if edge else k_ratio
-
-        if cfg.clip_max > cfg.clip_min:
-
-            def j_at_c(C: float) -> float:
-                r = _boundary_theta(state, k_best, C)
-                return r[1] if r is not None else -math.inf
-
-            c_probe, j_probe = _golden_max(j_at_c, cfg.clip_min, cfg.clip_max,
-                                           log_space=False)
-            if j_probe > best_j:
-                c_best, best_j = c_probe, j_probe
-                theta_best = _boundary_theta(state, k_best, c_best)[0]
-
         if best_j - prev_j < 1e-4 * max(prev_j, 1e-300):
             break
-    best = (k_best, theta_best, c_best)
+    best = (k_best, theta_best, C)
 
     final_report = state.report(best)
     if not all_pass(final_report):
@@ -801,13 +751,12 @@ def solve(cfg: FeasibilityConfig) -> OptimizationResult:
         # boundary replay infers verdicts from that); never certify anyway
         raise InfeasibleError("refined point failed final verification",
                               diagnostics=final_report)
-    k, theta, C = best
     return OptimizationResult(
-        k_star=k,
-        theta_star=theta,
+        k_star=k_best,
+        theta_star=theta_best,
         C_star=C,
         achieved_epsilon=final_report["c2"]["epsilon"],
-        achieved_distortion=1.0 / ((k - 1.0) * theta),
-        snr=objective(k, theta, C),
+        achieved_distortion=1.0 / ((k_best - 1.0) * theta_best),
+        snr=objective(k_best, theta_best, C),
         constraint_report=final_report,
     )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from binomial import log_binomial
 from plrvo import accountant
 from plrvo.accountant import (
     account,
@@ -28,7 +29,6 @@ from plrvo.accountant import (
 )
 from plrvo.cli import main
 from plrvo.majorization import MajorizationSet
-from plrvo.numerics import log_binomial
 from plrvo.params import (
     AccountingJob,
     GammaPlrvParams,

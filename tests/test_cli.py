@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from plrvo.cli import MECHANISM_PARAM_TYPES, main
+from plrvo.cli import FLOAT, INT, MECHANISM_PARAM_TYPES, build_parser, main
 
 
 def write_job(tmp_path, name="job.json", **overrides):
@@ -437,6 +438,58 @@ class TestInputValidation:
         err = capsys.readouterr().err
         name = self.SECTION_NAMES[section] or MECHANISM_PARAM_TYPES[mech].__name__
         assert f"{name}: {key} must be a number, got {value!r}" in err
+
+
+# (argv before the flag, flag, the type it parses) for every numeric flag
+SAMPLE, TRAIN = ["sample", "--n", "4", "--draws", "3"], ["train-demo", "--epsilon", "2"]
+NUMERIC_FLAGS = (
+    [([], "--threads", int)]
+    + [(["distortion"], flag, float) for flag in ("--k", "--theta", "--sigma", "--clip")]
+    + [(SAMPLE, flag, float) for flag in ("--k", "--theta", "--sigma-eff", "--b")]
+    + [(SAMPLE, flag, int) for flag in ("--n", "--draws", "--seed")]
+    + [(TRAIN, flag, float) for flag in ("--epsilon", "--delta", "--clip", "--lr")]
+    + [(TRAIN, flag, int) for flag in ("--epochs", "--batch", "--dim", "--examples",
+                                        "--lambda-max", "--seed")])
+
+
+def numeric_argv(before: list[str], flag: str, value: str) -> list[str]:
+    if not before:  # the global flag needs a command after it
+        return [flag, value, "account", "job.json"]
+    return before + [flag, value]
+
+
+class TestNumericFlags:
+    def test_every_numeric_flag_is_listed(self):
+        found = set()
+        for action in build_parser()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for command, sub in action.choices.items():
+                    found |= {(command, a.option_strings[0]) for a in sub._actions
+                              if a.type in (INT, FLOAT)}
+            elif action.type in (INT, FLOAT):
+                found.add((None, action.option_strings[0]))
+        assert found == {(before[0] if before else None, flag)
+                         for before, flag, _ in NUMERIC_FLAGS}
+
+    @pytest.mark.parametrize("before,flag,kind", NUMERIC_FLAGS,
+                             ids=[f"{b[0] if b else 'global'}{f}" for b, f, _ in NUMERIC_FLAGS])
+    def test_strict_digits(self, capsys, before, flag, kind):
+        # int() and float() take non-ASCII digits and '_' separators
+        for value in ["\u0663", "1_0", "abc"]:  # Arabic-Indic 3
+            with pytest.raises(SystemExit) as exc:
+                main(numeric_argv(before, flag, value))
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: invalid {kind.__name__} value: {value!r}" in err
+        # ASCII literals keep the value int() and float() give them
+        ascii_values = ["7", " 7 ", "+7", "-7", "007"]
+        if kind is float:
+            ascii_values += ["2.5e-3", ".5", "-0.5", "inf"]
+        dest = flag.lstrip("-").replace("-", "_")
+        for value in ascii_values:
+            args = build_parser().parse_args(numeric_argv(before, flag, value))
+            got = getattr(args, dest)
+            assert type(got) is kind and got == kind(value), value
 
 
 class TestSweep:

@@ -6,7 +6,8 @@ import pytest
 import scipy.special
 from hypothesis import given
 
-from plrvo.numerics import log_binomial, log_gamma, regularized_lower_gamma
+from binomial import log_binomial
+from plrvo.numerics import log_gamma, regularized_lower_gamma
 from quadrature import QuadratureError, integrate_decaying
 
 

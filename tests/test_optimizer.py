@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import mpmath
@@ -158,21 +159,12 @@ class TestSolve:
         assert exc.value.diagnostics  # per-clip tightest constraint report
 
     def test_infeasible_diagnostics_pinned(self):
-        # Phase A's grid order decides which constraint wins a tie within a clip
+        # Phase A's grid order decides which constraint wins a tie; the one
+        # key is the clip the search ran at, clip_min
         cfg = toy_cfg(epsilon=1e-6, N=200, T=10_000, zeta=0.5, lambda_max=16)
         with pytest.raises(InfeasibleError) as exc:
             solve(cfg)
-        c4 = {"constraint": "c4", "margin": -1.0000000001675335e-07}
-        want = {
-            "clip=0.5": c4,
-            "clip=0.571429": {"constraint": "c1", "margin": -6.943546621157129e-08},
-            "clip=0.642857": c4,
-            "clip=0.714286": c4,
-            "clip=0.785714": {"constraint": "c1", "margin": -5.801309812638408e-08},
-            "clip=0.857143": c4,
-            "clip=0.928571": c4,
-            "clip=1": c4,
-        }
+        want = {"clip=0.5": {"constraint": "c4", "margin": -1.0000000001675335e-07}}
         assert exc.value.diagnostics == want
         assert list(exc.value.diagnostics) == list(want)
 
@@ -255,7 +247,7 @@ class TestSolvePinned:
     @pytest.mark.parametrize("index,want", [
         (3, (23596.350285372962, 7.3600741468662725e-06, 0.9382267495871688)),
         (6, (626072.8690469214, 3.0649996241052936e-07, 0.9897095927635631)),
-        (7, (152832.0239736196, 3.2611862160390044e-06, 0.4811424740577095)),
+        (7, (23584.706262575703, 2.574930855310908e-05, 0.3948752880605814)),
     ])
     def test_crit8_configs(self, index, want):
         res = solve(crit8_configs()[index])
@@ -263,26 +255,27 @@ class TestSolvePinned:
 
     # (k*, theta*, C*, achieved epsilon), bit for bit, as solved before the
     # incomplete gamma series was summed by accumulates and before the
-    # boundary search screened its MGF-bound probe
+    # boundary search screened its MGF-bound probe; the clip-range configs
+    # 1, 2, 4, 5, 7 and 8 as solved at C* = clip_min
     EXACT = {
         "crit8-0": (999999.9999999995, 3.931831688576094e-07, 0.4443717168528951,
                     2.9611564219885524),
-        "crit8-1": (76109.14828423203, 8.534774352647889e-06, 0.4464681486185114,
-                    1.6003850056696867),
-        "crit8-2": (1000000.0, 2.8720073737129197e-07, 0.7516664383048243,
-                    2.6391628112252823),
+        "crit8-1": (76109.14828423203, 9.882515853794066e-06, 0.38558043488435606,
+                    1.6003849412061184),
+        "crit8-2": (9252.281545707881, 4.190428251926245e-05, 0.556775788916591,
+                    2.6391627950557766),
         "crit8-3": (23596.350285372962, 7.3600741468658024e-06, 0.9382267495871688,
                     2.426279489450441),
-        "crit8-4": (95935.43188849099, 1.2857762260373076e-06, 0.6823565910874885,
-                    0.5189704165168063),
-        "crit8-5": (153638.31516099934, 6.880876357773736e-06, 0.5594362188137785,
-                    2.543779231582042),
+        "crit8-4": (999999.9999999995, 1.6003560230386182e-07, 0.5259460668741633,
+                    0.5189704140831961),
+        "crit8-5": (983951.3599688349, 1.194475565057299e-06, 0.5032040922900811,
+                    2.543779232840648),
         "crit8-6": (626072.8690469214, 3.064999624104227e-07, 0.9897095927635631,
                     1.6722753729112818),
-        "crit8-7": (152832.0239736196, 3.2611862160385986e-06, 0.4811424740577095,
-                    3.144303117990544),
-        "crit8-8": (626072.8690469214, 2.56452397859735e-07, 1.072629286732964,
-                    2.630641297810074),
+        "crit8-7": (23584.706262575703, 2.574930855310908e-05, 0.3948752880605814,
+                    3.144303128566462),
+        "crit8-8": (495378.69641746813, 4.5594309370054367e-07, 0.7624883902370548,
+                    2.630641259375434),
         "crit8-9": (999999.9999999995, 2.072194075963322e-06, 0.4513285441098126,
                     2.365106610018757),
         "train-demo": (29822.05233062761, 6.316619662040844e-05, 1.0, 1.9999999723410862),
@@ -295,12 +288,37 @@ class TestSolvePinned:
         assert (res.k_star, res.theta_star, res.C_star, res.achieved_epsilon) == self.EXACT[name]
 
 
-def bisected_boundary_theta(state, k: float, C: float) -> tuple[float, float] | None:
-    """The plain bisection that :func:`_boundary_theta` replays: one
-    accountant call per level, every midpoint accounted."""
+class TestClipTie:
+    """J and every constraint but c0 see theta and C only through s = theta * C,
+    or bound theta from below, so each s feasible in the clip box is feasible
+    at clip_min and J ties across the clips: the premise of the search
+    running at clip_min alone."""
+
+    @pytest.mark.parametrize("index", [1, 4, 7])
+    def test_clip_range_ties_at_clip_min(self, index):
+        cfg = crit8_configs()[index]
+        res = solve(cfg)
+        assert res == solve(replace(cfg, clip_max=cfg.clip_min))
+        # at k*, the boundary J at clips across the box ties with the solve's,
+        # unless the clip admits no feasible theta (config 4's two largest
+        # clips, where s = theta * C at c1's floor already fails c2)
+        tied = 0
+        for C in np.linspace(cfg.clip_min, cfg.clip_max, 5).tolist():
+            at_C = replace(cfg, clip_min=C, clip_max=C)
+            boundary = _boundary_theta(_SearchState(cfg=at_C), res.k_star)
+            if boundary is not None:
+                tied += 1
+                assert boundary[1] == pytest.approx(res.snr, rel=2e-7), C
+        assert tied >= 2
+
+
+def bisected_boundary_theta(state, k: float) -> tuple[float, float] | None:
+    """The plain bisection that :func:`_boundary_theta` replays, at
+    C = clip_min: one accountant call per level, every midpoint accounted."""
     cfg = state.cfg
-    if not (k > 1.0 and cfg.clip_min <= C <= cfg.clip_max):
+    if not k > 1.0:
         return None
+    C = cfg.clip_min
     theta_hi = (1.0 - 1e-6) / (C * (cfg.job_skeleton.lambda_max + 1))
     floor = state.theta_floor(k)
     if floor > theta_hi:
@@ -350,9 +368,9 @@ class TestBoundaryTheta:
         cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
         probed = []
 
-        def recording(state, k, C):
-            probed.append((k, C))
-            return _boundary_theta(state, k, C)
+        def recording(state, k):
+            probed.append(k)
+            return _boundary_theta(state, k)
 
         monkeypatch.setattr(optimizer, "_boundary_theta", recording)
         solve(cfg)
@@ -361,13 +379,13 @@ class TestBoundaryTheta:
         calls = self.counted_calls(monkeypatch)
         per_boundary = []
         shared = _SearchState(cfg=cfg)  # infers verdicts across the probes, as solve does
-        for k, C in probed:
+        for k in probed:
             before = calls[0]
-            got = _boundary_theta(_SearchState(cfg=cfg), k, C)
+            got = _boundary_theta(_SearchState(cfg=cfg), k)
             per_boundary.append(calls[0] - before)
-            want = bisected_boundary_theta(_SearchState(cfg=cfg), k, C)
-            assert got == want, (k, C)
-            assert _boundary_theta(shared, k, C) == want, (k, C)
+            want = bisected_boundary_theta(_SearchState(cfg=cfg), k)
+            assert got == want, k
+            assert _boundary_theta(shared, k) == want, k
         assert len(probed) >= 20
         # a fresh state accounts the floor too, and the MGF bound unless the
         # screen fails it; the plain bisection needs about 33 calls per boundary
@@ -378,34 +396,35 @@ class TestBoundaryTheta:
         theta_hi = (1.0 - 1e-6) / (0.7 * 33)
         cases = [
             # a vacuous epsilon*: the MGF bound passes, one call
-            (toy_cfg(epsilon=VACUOUS), 50.0, 1, (theta_hi, objective(50.0, theta_hi, 0.7))),
+            (toy_cfg(epsilon=VACUOUS, clip_min=0.7), 50.0, 1,
+             (theta_hi, objective(50.0, theta_hi, 0.7))),
             # an unreachable epsilon*: the screen fails the MGF bound without
             # a call (its lower bound there is 0.278), then the floor fails
-            (toy_cfg(epsilon=1e-6), 50.0, 1, None),
+            (toy_cfg(epsilon=1e-6, clip_min=0.7), 50.0, 1, None),
             # k near 1: c4's floor lies above the MGF bound, no call
-            (toy_cfg(), 1.001, 0, None),
+            (toy_cfg(clip_min=0.7), 1.001, 0, None),
         ]
         for cfg, k, want_calls, want in cases:
             state = _SearchState(cfg=cfg)
             before = calls[0]
-            assert _boundary_theta(state, k, 0.7) == want
+            assert _boundary_theta(state, k) == want
             assert calls[0] - before == want_calls, k
-            assert bisected_boundary_theta(_SearchState(cfg=cfg), k, 0.7) == want
+            assert bisected_boundary_theta(_SearchState(cfg=cfg), k) == want
             # only an accounted top is cached, never a screened one
             assert ((k, theta_hi, 0.7) in state.c2_cache) == (cfg.target.epsilon_star == VACUOUS)
 
     def test_inconclusive_screen_accounts_the_top(self, monkeypatch):
         # epsilon* = 2 at k = 50: the screen's bound at the MGF bound (0.278)
         # is under 2 epsilon*, so the top is accounted (epsilon 5.9) and fails
-        cfg, k, C = toy_cfg(epsilon=2.0), 50.0, 0.7
+        cfg, k, C = toy_cfg(epsilon=2.0, clip_min=0.7), 50.0, 0.7
         theta_hi = (1.0 - 1e-6) / (C * 33)
         assert _mgf_screen(cfg, k, theta_hi, C) is None
         calls = self.counted_calls(monkeypatch)
         state = _SearchState(cfg=cfg)
-        got = _boundary_theta(state, k, C)
+        got = _boundary_theta(state, k)
         assert not state.c2_cache[(k, theta_hi, C)]["passed"]
         assert calls[0] >= 3  # the top, the floor, and Brent's probes
-        assert got == bisected_boundary_theta(_SearchState(cfg=cfg), k, C)
+        assert got == bisected_boundary_theta(_SearchState(cfg=cfg), k)
         assert got[0] < theta_hi
 
 
@@ -458,7 +477,8 @@ def c2_calls(monkeypatch) -> list[int]:
 
 class TestClipInvariance:
     """The accounted epsilon depends on theta and C only through s = theta * C,
-    which lets the search carry c2 verdicts across clip values."""
+    so J = (k - 1) s ties across clips on the privacy boundary and the search
+    runs at clip_min alone (:class:`TestClipTie`); its staircases compare s."""
 
     # examples: the series path (every branch log within 1/16) taking 3,983 of
     # the 4,096 head coordinates; the log-space mix taking the first 254 (near
@@ -492,27 +512,26 @@ class TestClipInvariance:
 
     def test_known_verdicts_keep_the_margin(self, monkeypatch):
         cfg = toy_cfg()
-        k, theta, C, C2 = 50.0, 1e-3, 0.5, 0.8
+        k, theta, C = 50.0, 1e-3, 0.5
         state = _SearchState(cfg=cfg)
         passed = state.c2_entry((k, theta, C))["passed"]
         calls = c2_calls(monkeypatch)
-        s = theta * C
-        outside = s * (1.0 - 2e-9) if passed else s * (1.0 + 2e-9)
-        inside = s * (1.0 - 0.5e-9) if passed else s * (1.0 + 0.5e-9)
-        assert state.known((k, outside / C2, C2)) is passed
-        assert state.known((k, inside / C2, C2)) is None
-        # at the same clip monotonicity in theta is exact
+        outside = theta * (1.0 - 2e-9) if passed else theta * (1.0 + 2e-9)
+        inside = theta * (1.0 - 0.5e-9) if passed else theta * (1.0 + 0.5e-9)
+        # at the accounted k monotonicity in theta is exact
         same = math.nextafter(theta, 0.0 if passed else math.inf)
         assert state.known((k, same, C)) is passed
-        # across k, a pass settles smaller k and a fail larger k, with the margin
+        assert state.known((k, inside, C)) is passed
+        # across k, a pass settles smaller k and a fail larger k, with the
+        # margin in s = theta * C
         settled, unsettled = (k / 2.0, 2.0 * k) if passed else (2.0 * k, k / 2.0)
-        assert state.known((settled, outside / C2, C2)) is passed
-        assert state.known((settled, inside / C2, C2)) is None
-        assert state.known((unsettled, outside / C2, C2)) is None
+        assert state.known((settled, outside, C)) is passed
+        assert state.known((settled, inside, C)) is None
+        assert state.known((unsettled, outside, C)) is None
         assert state.known((2.0 * k, theta, C)) is None
-        assert state.passes((k, outside / C2, C2)) is passed
+        assert state.passes((settled, outside, C)) is passed
         assert calls[0] == 0
-        assert (k, outside / C2, C2) in state.inferred
+        assert (settled, outside, C) in state.inferred
         assert list(state.c2_cache) == [(k, theta, C)]
 
     @pytest.mark.parametrize("index", [5, 7, 9])
@@ -549,16 +568,17 @@ class TestClipInvariance:
         assert set(accounted) == set(state.c2_cache)
         inferred = sorted((state.inferred | state.across_k) - set(state.c2_cache))
         assert len(inferred) >= 300
-        # Phase B's boundaries take verdicts from other k (configs 5 and 7
-        # too, 48 and 50; config 9, on a fixed clip, 275)
+        # Phase B's boundaries take verdicts from other k (configs 5, 7 and
+        # 9: 279, 49 and 275)
         assert len(state.across_k) >= 40
         # and every inferred verdict is the one the accountant gives
         for point in inferred:
             assert state.known(point) == optimizer._c2_report(point, cfg)["passed"], point
 
     # accountant calls per solve; before verdicts were inferred across k:
-    # 1,065 / 244 / 271 / 507 / 1,485 / 313
-    C2_CALLS = {"crit8-0": 437, "crit8-3": 154, "crit8-6": 154, "crit8-7": 391,
+    # 1,065 / 244 / 271 / 507 / 1,485 / 313 (crit8-7 then searched eight
+    # clip slices and probed C, 391 calls before it ran at clip_min alone)
+    C2_CALLS = {"crit8-0": 437, "crit8-3": 154, "crit8-6": 154, "crit8-7": 161,
                 "crit8-9": 440, "train-demo": 153}
 
     @pytest.mark.parametrize("name", list(C2_CALLS))
@@ -571,12 +591,9 @@ class TestClipInvariance:
 
 def settled_at_own_k(state, point) -> bool:
     """Whether the accounted points at point's own k decide its c2 verdict."""
-    k, theta, C = point
-    same_clip = state.theta_brackets.get((k, C), optimizer._NO_BRACKET)
-    at_k = state.s_brackets.get(k, optimizer._NO_BRACKET)
-    s = theta * C
-    return (theta <= same_clip.lo or theta >= same_clip.hi
-            or s <= at_k.lo * (1.0 - S_MARGIN) or s >= at_k.hi * (1.0 + S_MARGIN))
+    k, theta, _ = point
+    at_k = state.brackets.get(k, optimizer._NO_BRACKET)
+    return theta <= at_k.lo or theta >= at_k.hi
 
 
 class TestKMonotonicity:
