@@ -16,22 +16,25 @@ eta = 1 kernels are exactly 1.
 
 Mixing. The (lambda, eta) subsampling weights are cached per (zeta, lambda
 cap), in log and in linear form. The weights of an order sum to 1, so one
-matrix product mixes every order of a block of coordinates:
+matrix product mixes the orders lo+1..hi of a row block [lo, hi):
 
-    alpha = log1p(W @ (K - 1)),   K - 1 = b1 expm1(lm1) + b2 expm1(lm2),
+    alpha = log1p(W[lo:hi] @ (K - 1)),   K - 1 = b1 expm1(lm1) + b2 expm1(lm2),
 
-with lm1, lm2 the logs of the two branches. W and K - 1 are nonnegative,
-so the product adds without cancelling, and log1p keeps the tiny moments of
-far coordinates to full relative precision. The branch slopes at x = 0
-cancel (b1 (eta-1) = b2 eta), so where every branch log is below 1/16 in
-size, K - 1 is summed from the nonnegative curvature terms of the branches
-by their series; elsewhere that cancellation costs at most about
-1e-15 * eta relative. A coordinate whose largest branch log exceeds 300 (a
-kernel near the MGF bound) is mixed in log space instead, by the shifted
-product of :func:`_mix` and its exact per-order fallback. At zeta = 0 or 1
-each order has a single live weight, so the linear mix is log1p(K - 1)
-itself; a log-sum-exp of the two branches there would lose the relative
-precision of a tiny log K (1e-7 at k = 1e6, theta x = 5e-13).
+with lm1, lm2 the logs of the two branches at eta = 2..hi+1. The blocks,
+[0, 16), [16, 32), [32, 64), ... up to the cap, depend only on the cap;
+every caller reads whole blocks, so an order's bits do not depend on how
+many orders a caller reads. W and K - 1 are nonnegative, so the product
+adds without cancelling, and log1p keeps the tiny moments of far
+coordinates to full relative precision. The branch slopes at x = 0 cancel
+(b1 (eta-1) = b2 eta), so where every branch log is below 1/16 in size,
+K - 1 is summed from the nonnegative curvature terms of the branches by
+their series; elsewhere that cancellation costs at most about 1e-15 * eta
+relative. A coordinate whose largest branch log exceeds 300 (a kernel near
+the MGF bound) is mixed in log space instead, by the shifted product of
+:func:`_mix` and its exact per-order fallback. At zeta = 0 or 1 each order
+has a single live weight, so the linear mix is log1p(K - 1) itself; a
+log-sum-exp of the two branches there would lose the relative precision of
+a tiny log K (1e-7 at k = 1e6, theta x = 5e-13).
 
 Coordinate sum. An l2-clipped model's per-step moment sums alpha over the
 majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N. The first 4,096
@@ -73,13 +76,14 @@ orders m - 1 and m at every later order. The conversion increases with the
 moment: once the tangent's conversion exceeds the best epsilon by 1e-9 of
 its size (for rounding) at every order in (m, cap], the search stops, with
 the whole grid's epsilon, argmin and moment; otherwise m doubles, up to
-the cap. :func:`build_curve` takes the whole grid.
+the cap: each round extends one evaluation by the next row block, and
+builds and mixes only its orders. :func:`build_curve` takes the whole grid.
 
 Every epsilon comes from this one sum and search. :func:`tail_slack`
 reports the tail's slack, the largest |I32 - I16| over every order up to
 the cap.
 
-The accountant starts no threads; the BLAS library splits the product by
+The accountant starts no threads; the BLAS library splits each product by
 output blocks, never along eta, so its thread count cannot change a result
 (tested).
 """
@@ -87,9 +91,10 @@ output blocks, never along eta, so its thread count cannot change a result
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -111,7 +116,7 @@ HEAD_COORDINATES = 4096  # summed exactly; the rest by the tail integral
 _TAIL_PANELS = 32        # Gauss-Legendre panels of the tail integral, in log t
 _LINEAR_MIX_MAX_LOG = 300.0  # largest branch log the linear mix takes
 _SERIES_MAX = 1.0 / 16.0     # branch logs up to this size are expanded in series
-_FIRST_ROWS = 16             # orders the search evaluates first (see account)
+_FIRST_ROWS = 16             # the first row block: orders the search evaluates first
 
 
 @functools.lru_cache(maxsize=16)
@@ -159,22 +164,22 @@ def _weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
 # (n_eta, n_x), for eta = 2..eta_max (the kernel is 1 at eta = 0 and 1).
 # With bends=True it gives each log minus its tangent at x = 0 instead
 # (0.0 where the logs are linear), accurate where the logs are small; the
-# tangents cancel in the mixture.
+# tangents cancel in the mixture. Otherwise lm1 is built in ``out`` if given.
 BranchFn = Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
 def _plrv_branches(params: GammaPlrvParams) -> BranchFn:
     k, theta = params.k, params.theta
 
-    def branches(x: np.ndarray, etas: np.ndarray,
-                 bends: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def branches(x: np.ndarray, etas: np.ndarray, bends: bool = False,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         worst = (float(etas[-1]) - 1.0) * theta * float(np.max(x))
         if worst >= 1.0:
             raise MgfDomainViolation(
                 f"gamma-seed MGF undefined at eta = {int(etas[-1])}: "
                 f"(eta-1) * theta * x reaches {worst:.6g} >= 1"
             )
-        y = (etas[:, None] - 1.0) * theta * x[None, :]
+        y = np.multiply((etas[:, None] - 1.0) * theta, x[None, :], out=out)
         z = etas[:, None] * theta * x[None, :]
         if bends:  # k (-log1p(-w) - w) at w = y and w = -z
             return tuple(k * np.where(np.abs(w) <= _SERIES_MAX, _series(w, _LOG1P_TERMS),
@@ -192,14 +197,15 @@ def _plrv_branches(params: GammaPlrvParams) -> BranchFn:
 def _laplace_branches(params: LaplaceParams) -> BranchFn:
     inv_b = 1.0 / params.b
 
-    def branches(x: np.ndarray, etas: np.ndarray,
-                 bends: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def branches(x: np.ndarray, etas: np.ndarray, bends: bool = False,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         if bends:  # the logs are linear in x
             return 0.0, 0.0
         # x / b may overflow; the infinite moments are reported downstream
         with np.errstate(over="ignore"):
             scaled = inv_b * x[None, :]
-            return (etas[:, None] - 1.0) * scaled, -etas[:, None] * scaled
+            lm1 = np.multiply(etas[:, None] - 1.0, scaled, out=out)
+            return lm1, -etas[:, None] * scaled
 
     return branches
 
@@ -225,35 +231,43 @@ def _branch_coefficients(eta_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return etas, etas / (2.0 * etas - 1.0), (etas - 1.0) / (2.0 * etas - 1.0)
 
 
-def _mix(log_w: np.ndarray, log_g: np.ndarray, rows: int) -> np.ndarray:
-    """Log-space mix: (order, x) matrix of alpha = max(0, log sum_eta
-    w(lam, eta) K(x, eta)) for orders 1..rows, from the log weight matrix
-    and the (eta, x) log kernel ``log_g`` of every order up to its cap, by
-    one shifted matrix product over the whole batch. A column with a scaled
-    sum below 1e-250 in any order, or not finite, has lost precision and is
-    mixed again by the exact per-order log-sum-exp; so is every column when
-    a row has one live weight (zeta = 0 or 1), whose moment is then exact."""
-    if rows < 1:
-        raise ValueError(f"moment orders must be positive integers, got [{rows}]")
+def _block_ends(lam_cap: int) -> list[int]:
+    """Ends of the row blocks of orders 1..lam_cap: 16, 32, 64, ..., the cap."""
+    if lam_cap < 1:
+        raise ValueError(f"moment orders must be positive integers, got [{lam_cap}]")
+    ends = [min(_FIRST_ROWS, lam_cap)]
+    while ends[-1] < lam_cap:
+        ends.append(min(2 * ends[-1], lam_cap))
+    return ends
+
+
+def _mix(log_w: np.ndarray, log_g: np.ndarray, ends: list[int]) -> Iterator[np.ndarray]:
+    """Log-space mix: yields the (order, x) matrix of alpha = max(0, log
+    sum_eta w(lam, eta) K(x, eta)) of each row block of ``ends``, from the log
+    weight matrix and the (eta, x) log kernel ``log_g`` of every order up to
+    its cap, by one shifted matrix product over the whole batch. A column
+    with a scaled sum below 1e-250 in any order, or not finite, has lost
+    precision and is mixed again by the exact per-order log-sum-exp; so is
+    every column when a row has one live weight (zeta = 0 or 1)."""
     log_w = log_w[:, : log_g.shape[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
         rmax = log_w.max(axis=1, keepdims=True)
         cmax = log_g.max(axis=0)
-        alpha = np.exp(log_w - rmax) @ np.exp(log_g - cmax)
-        redo = ~np.all(alpha >= 1e-250, axis=0)  # NaN fails the test too
+        scaled = np.exp(log_w - rmax) @ np.exp(log_g - cmax)
+        redo = ~np.all(scaled >= 1e-250, axis=0)  # NaN fails the test too
         redo |= np.any(np.count_nonzero(log_w != LOG_ZERO, axis=1) == 1)
-        alpha = alpha[:rows]
-        np.log(alpha, out=alpha)
-        alpha += cmax
-        alpha += rmax[:rows]
-        if redo.any():
-            g = log_g[:, redo]
-            for row, w in zip(alpha, log_w):
+    g = log_g[:, redo]
+    for lo, hi in zip([0, *ends], ends):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.log(scaled[lo:hi], out=scaled[lo:hi])
+            alpha += cmax
+            alpha += rmax[lo:hi]
+            for row, w in zip(alpha, log_w[lo:hi]) if redo.any() else ():
                 live = w != LOG_ZERO
                 t = w[live, None] + g[live]
                 m = t.max(axis=0)
                 row[redo] = m + np.log(np.sum(np.exp(t - m[None, :]), axis=0))
-    return np.maximum(alpha, 0.0, out=alpha)
+        yield np.maximum(alpha, 0.0, out=alpha)
 
 
 def _log_kernel(branches: BranchFn, x: np.ndarray, eta_max: int) -> np.ndarray:
@@ -271,54 +285,55 @@ def _log_kernel(branches: BranchFn, x: np.ndarray, eta_max: int) -> np.ndarray:
     return log_g
 
 
-def _moments(branches: BranchFn, x: np.ndarray, zeta: float, lam_cap: int,
-             rows: int) -> np.ndarray:
-    """(order, x) matrix of per-coordinate alpha for orders 1..rows of a
-    batch of every order up to ``lam_cap``: the linear mix
+def _moments(branches: BranchFn, x: np.ndarray, zeta: float,
+             lam_cap: int) -> Iterator[np.ndarray]:
+    """Yields the (order, x) matrix of per-coordinate alpha of each row block
+    of orders 1..lam_cap (see :func:`_block_ends`) in turn: the linear mix
     log1p(W @ (K - 1)), with the log-space :func:`_mix` for columns whose
     largest branch log exceeds 300 (or is not finite). At zeta = 0 or 1 each
     order has a single live weight, 1, so the linear mix is log1p(K - 1)
     itself.
 
-    Branch rows are built only up to eta = rows + 1, with the bits of the
-    whole batch: the column masks come from one extra row at its largest
-    eta, K - 1 is zero-padded to its shape so the weight product keeps its
-    shape (BLAS bits depend on it), and the log-space columns are mixed on
-    its whole kernel."""
-    if rows < 1:
-        raise ValueError(f"moment orders must be positive integers, got [{rows}]")
+    Block [lo, hi) builds its branch rows, eta = lo+2..hi+1, in K - 1 below
+    those of the blocks before it; the log-space columns mix on their whole kernel."""
+    ends = _block_ends(lam_cap)
     eta_max = lam_cap + 1
-    etas, b1, b2 = _branch_coefficients(rows + 1)
-    b1, b2 = b1[:, None], b2[:, None]
-    lm1, lm2 = branches(x, etas)
-    # lm1 and -lm2 grow with eta: the eta_max row holds each column's largest
-    top1, top2 = ((lm1, lm2) if rows == lam_cap
-                  else branches(x, np.array([float(eta_max)])))
-    log_space = ~(top1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
-    small = np.maximum(top1[-1], -top2[-1]) <= _SERIES_MAX
-    bent = None
-    if small.any():  # the tangents cancel: K - 1 is a sum of nonnegative bends
-        bend1, bend2 = branches(x[small], etas, bends=True)
-        bent = (b1 * (_series(lm1[:, small], _EXPM1_TERMS) + bend1)
-                + b2 * (_series(lm2[:, small], _EXPM1_TERMS) + bend2))
-    # K - 1 = b1 expm1(lm1) + b2 expm1(lm2), built in the rows of k_minus_1
-    k_minus_1 = lm1 if rows == lam_cap else np.zeros((lam_cap, x.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        built = np.expm1(lm1, out=k_minus_1[:rows])
-        built *= b1
-        np.expm1(lm2, out=lm2)
-        lm2 *= b2
-        built += lm2
-    if bent is not None:
-        built[:, small] = bent
-    w = _weight_matrix(zeta, lam_cap)[:, 2 : eta_max + 1]
-    with np.errstate(invalid="ignore"):
-        alpha = (w @ k_minus_1)[:rows]
-        np.log1p(alpha, out=alpha)
-    if log_space.any():
-        alpha[:, log_space] = _mix(_log_weight_matrix(zeta, lam_cap),
-                                   _log_kernel(branches, x[log_space], eta_max), rows)
-    return np.maximum(alpha, 0.0, out=alpha)
+    etas, b1, b2 = _branch_coefficients(eta_max)
+    # row eta - 2 of K - 1, filled block by block; the first block's call also
+    # builds the eta_max row, where lm1 and -lm2 are largest, in the row after it
+    k_minus_1 = np.empty((eta_max, x.size))
+    lm1, lm2 = branches(x, np.concatenate((etas[: ends[0]], etas[-1:])),
+                        out=k_minus_1[: ends[0] + 1])
+    log_space = ~(lm1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
+    small = np.maximum(lm1[-1], -lm2[-1]) <= _SERIES_MAX
+    logs = (_mix(_log_weight_matrix(zeta, lam_cap),
+                 _log_kernel(branches, x[log_space], eta_max), ends)
+            if log_space.any() else None)
+    w = _weight_matrix(zeta, lam_cap)
+    for lo, hi in zip([0, *ends], ends):
+        c1, c2 = b1[lo:hi, None], b2[lo:hi, None]
+        if lo:
+            lm1, lm2 = branches(x, etas[lo:hi], out=k_minus_1[lo:hi])
+        lm1, lm2 = lm1[: hi - lo], lm2[: hi - lo]
+        bent = None
+        if small.any():  # the tangents cancel: K - 1 is a sum of nonnegative bends
+            bend1, bend2 = branches(x[small], etas[lo:hi], bends=True)
+            bent = (c1 * (_series(lm1[:, small], _EXPM1_TERMS) + bend1)
+                    + c2 * (_series(lm2[:, small], _EXPM1_TERMS) + bend2))
+        # K - 1 = b1 expm1(lm1) + b2 expm1(lm2), built in the block's rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            built = np.expm1(lm1, out=lm1)
+            built *= c1
+            np.expm1(lm2, out=lm2)
+            lm2 *= c2
+            built += lm2
+            if bent is not None:
+                built[:, small] = bent
+            alpha = w[lo:hi, 2 : hi + 2] @ k_minus_1[:hi]
+            np.log1p(alpha, out=alpha)
+        if logs is not None:
+            alpha[:, log_space] = next(logs)
+        yield np.maximum(alpha, 0.0, out=alpha)
 
 
 def _branches(params: MechanismParams) -> BranchFn | None:
@@ -332,64 +347,77 @@ def _branches(params: MechanismParams) -> BranchFn | None:
     raise TypeError(f"unsupported mechanism params {type(params).__name__}")
 
 
-def _tail(branches: BranchFn, job: AccountingJob, lam_cap: int,
-          rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(I32, |I32 - I16|) for orders 1..rows of a batch of every order up to
-    ``lam_cap``: the integral of alpha(x(t)) over [HEAD_COORDINATES + 1/2,
-    N + 1/2], in u = log t on 32 and on 16 panels. Needs N >
-    HEAD_COORDINATES."""
+def _tail(branches: BranchFn, job: AccountingJob,
+          lam_cap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yields (I32, |I32 - I16|) of each row block of orders 1..lam_cap: the
+    integral of alpha(x(t)) over [HEAD_COORDINATES + 1/2, N + 1/2], in
+    u = log t on 32 and on 16 panels. Needs N > HEAD_COORDINATES."""
     a, b = math.log(HEAD_COORDINATES + 0.5), math.log(job.model_dim_N + 0.5)
     u_fine, w_fine = gauss_legendre(a, b, _TAIL_PANELS)
     u_coarse, w_coarse = gauss_legendre(a, b, _TAIL_PANELS // 2)
     t = np.exp(np.concatenate([u_fine, u_coarse]))
     x = majorizing_coordinates(job.clip_C, t)
-    f = _moments(branches, x, job.sampling_rate_zeta, lam_cap, rows)
-    f *= t  # dt = t du
-    fine = (f[:, : u_fine.size] * w_fine).sum(axis=1)
-    coarse = (f[:, u_fine.size :] * w_coarse).sum(axis=1)
-    return fine, np.abs(fine - coarse)
+    for f in _moments(branches, x, job.sampling_rate_zeta, lam_cap):
+        f *= t  # dt = t du
+        fine = (f[:, : u_fine.size] * w_fine).sum(axis=1)
+        coarse = (f[:, u_fine.size :] * w_coarse).sum(axis=1)
+        yield fine, np.abs(fine - coarse)
 
 
-def _gaussian(params: GaussianParams, zeta: float, lam_cap: int, rows: int) -> np.ndarray:
-    """Per-step moments of orders 1..rows of the subsampled Gaussian, from
-    its x-free kernel exp((eta^2 - eta) / (2 sigma^2)) mixed over every
-    order up to ``lam_cap``."""
+def _gaussian(params: GaussianParams, zeta: float, lam_cap: int) -> Iterator[np.ndarray]:
+    """Yields the subsampled Gaussian's per-step moments of each row block
+    of orders 1..lam_cap, from its kernel exp((eta^2 - eta) / (2 sigma^2))."""
     eta = np.arange(lam_cap + 2, dtype=np.float64)
     log_g = (eta * eta - eta) * (1.0 / (2.0 * params.sigma * params.sigma))
-    return _mix(_log_weight_matrix(zeta, lam_cap), log_g[:, None], rows)[:, 0]
+    log_w = _log_weight_matrix(zeta, lam_cap)
+    for alpha in _mix(log_w, log_g[:, None], _block_ends(lam_cap)):
+        yield alpha[:, 0]
+
+
+def _per_step_blocks(params: MechanismParams, job: AccountingJob,
+                     lam_cap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yields, at the end hi of each row block of orders 1..lam_cap, the
+    per-step moments of orders 1..hi and a lower bound on them, convex in
+    the order ("Order search" in the module docstring), built block by block.
+
+    The Gaussian moment is its own bound. plrvo and Laplace sum the exact
+    head of the majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N,
+    and the tail's integral, plus its slack, which the bound leaves out."""
+    zeta = job.sampling_rate_zeta
+    branches = _branches(params)
+    no_tail = itertools.repeat((0.0, 0.0))  # adding 0.0 keeps every bit
+    if branches is None:
+        sums, tails = _gaussian(params, zeta, lam_cap), no_tail
+    else:
+        head = min(job.model_dim_N, HEAD_COORDINATES)
+        xs = MajorizationSet(job.clip_C, job.model_dim_N).coordinates(1, head)
+        sums = (alpha.sum(axis=1) for alpha in _moments(branches, xs, zeta, lam_cap))
+        tails = _tail(branches, job, lam_cap) if head < job.model_dim_N else no_tail
+    ends = _block_ends(lam_cap)
+    per_step, lower = np.empty(lam_cap), np.empty(lam_cap)
+    for lo, hi, total, (integral, slack) in zip([0, *ends], ends, sums, tails):
+        np.add(total, integral + slack, out=per_step[lo:hi])
+        np.add(total, integral, out=lower[lo:hi])
+        yield per_step[:hi], lower[:hi]
 
 
 def _per_step(params: MechanismParams, job: AccountingJob,
               rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step moments of orders 1..rows (default: the job's lambda_max),
-    with the bits of the whole batch up to the cap max(lambda_max, rows),
-    and a lower bound on them that is convex in the order (see "Order
-    search" in the module docstring).
-
-    The Gaussian moment is its own lower bound. plrvo and Laplace sum over
-    the majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N: the exact
-    head sum plus the tail's integral and slack; the bound leaves out the
-    slack."""
+    """Per-step moments of orders 1..rows (default: the job's lambda_max) and
+    their lower bound, from the blocks of the cap max(lambda_max, rows)."""
     rows = job.lambda_max if rows is None else rows
-    lam_cap, zeta = max(job.lambda_max, rows), job.sampling_rate_zeta
-    branches = _branches(params)
-    if branches is None:
-        alpha = _gaussian(params, zeta, lam_cap, rows)
-        return alpha, alpha
-    head = min(job.model_dim_N, HEAD_COORDINATES)
-    xs = MajorizationSet(job.clip_C, job.model_dim_N).coordinates(1, head)
-    total = _moments(branches, xs, zeta, lam_cap, rows).sum(axis=1)
-    if job.model_dim_N <= HEAD_COORDINATES:
-        return total, total
-    integral, slack = _tail(branches, job, lam_cap, rows)
-    return total + (integral + slack), total + integral
+    if rows < 1:
+        raise ValueError(f"moment orders must be positive integers, got [{rows}]")
+    for per_step, lower in _per_step_blocks(params, job, max(job.lambda_max, rows)):
+        if per_step.size >= rows:
+            return per_step[:rows], lower[:rows]
 
 
 def _univariate(branches: BranchFn, x: float, zeta: float, lam: int) -> float:
     """Row lam of one coordinate's moments at the cap lam."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    return float(_moments(branches, np.array([float(x)]), zeta, lam, lam)[-1, 0])
+    return float(list(_moments(branches, np.array([float(x)]), zeta, lam))[-1][-1, 0])
 
 
 def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,
@@ -413,7 +441,7 @@ def laplace_univariate_log_moment(params: LaplaceParams, x: float, zeta: float,
 
 def gaussian_subsampled_log_moment(params: GaussianParams, zeta: float, lam: int) -> float:
     """Per-step log moment of the subsampled Gaussian mechanism."""
-    return float(_gaussian(params, zeta, lam, lam)[-1])
+    return float(list(_gaussian(params, zeta, lam))[-1][-1])
 
 
 def plrv_multivariate_log_moment(params: GammaPlrvParams, job: AccountingJob,
@@ -563,11 +591,13 @@ def _tangent_bound(lower: np.ndarray, lam_cap: int, steps_T: int,
                    delta: float) -> np.ndarray:
     """Lower bounds on the conversion at the orders m + 1..lam_cap from the
     tangent to ``lower`` (orders 1..m) through its last two orders; inf
-    past the float range."""
+    past the float range. numpy's log is within the search's 1e-9 margin."""
     m, last = lower.size, float(lower[-1])
-    slope = last - float(lower[-2])
-    return np.array([_conversion_term(steps_T * (last + (lam - m) * slope), lam, delta)
-                     for lam in range(m + 1, lam_cap + 1)])
+    lam = np.arange(m + 1, lam_cap + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        alpha = steps_T * (last + (lam - m) * (last - float(lower[-2])))
+        return (alpha / lam + np.log(lam / (lam + 1.0))
+                - (math.log(delta) + np.log(lam + 1.0)) / lam)
 
 
 def account(params: MechanismParams, job: AccountingJob) -> AccountResult:
@@ -579,10 +609,8 @@ def account(params: MechanismParams, job: AccountingJob) -> AccountResult:
     under "Order search" in the module docstring.
     """
     job_eff = _effective_job(job, params)
-    lam_cap = job_eff.lambda_max
-    rows = min(_FIRST_ROWS, lam_cap)
-    while True:
-        per_step, lower = _per_step(params, job_eff, rows)
+    cap = job_eff.lambda_max
+    for per_step, lower in _per_step_blocks(params, job_eff, cap):
         per_step = per_step.tolist()
         for l, alpha in enumerate(per_step, start=1):
             if not math.isfinite(alpha):
@@ -590,10 +618,9 @@ def account(params: MechanismParams, job: AccountingJob) -> AccountResult:
                                          f"moment of order {l} is {alpha}")
         eps, lam = _grid_min({l: job.steps_T * a for l, a in enumerate(per_step, start=1)},
                              job.delta)
-        if rows == lam_cap or np.all(_tangent_bound(lower, lam_cap, job.steps_T, job.delta)
-                                     > eps + 1e-9 * abs(eps)):
+        if lower.size == cap or np.all(_tangent_bound(lower, cap, job.steps_T, job.delta)
+                                       > eps + 1e-9 * abs(eps)):
             break
-        rows = min(2 * rows, lam_cap)
     if lam is None:
         raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} log moments composed "
                                  f"over {job.steps_T} steps overflow at every order")
@@ -611,4 +638,4 @@ def tail_slack(params: MechanismParams, job: AccountingJob) -> float | None:
     job = _effective_job(job, params)
     if job.model_dim_N <= HEAD_COORDINATES:
         return 0.0
-    return float(_tail(branches, job, job.lambda_max, job.lambda_max)[1].max())
+    return max(float(slack.max()) for _, slack in _tail(branches, job, job.lambda_max))

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -330,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=INT, default=0)
     p.set_defaults(fn=cmd_train_demo)
 
+    for p in (parser, *sub.choices.values()):  # argparse's own takes "-7", not "-1e-3"
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf(inity)?$|nan$)", re.I)
     return parser
 
 

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import math
 import os
@@ -578,7 +580,7 @@ class TestMixingKernel:
     def check(self, branches, x, zeta, lam_cap, cols=slice(None)):
         log_w = accountant._log_weight_matrix(zeta, lam_cap)
         log_g = kernel_matrix(branches, x, lam_cap + 1)
-        got = accountant._mix(log_w, log_g, lam_cap)[:, cols]
+        got = next(accountant._mix(log_w, log_g, [lam_cap]))[:, cols]
         want = exact_log_sum_exp(log_w, log_g[:, cols])
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -607,7 +609,7 @@ class TestMixingKernel:
         p = GammaPlrvParams(k=20.0, theta=0.002)
         x = MajorizationSet(1.5, 300).coordinates(1, 300)
         log_g = kernel_matrix(accountant._plrv_branches(p), x, 33)
-        got = accountant._mix(accountant._log_weight_matrix(zeta, 32), log_g, 32)
+        got = next(accountant._mix(accountant._log_weight_matrix(zeta, 32), log_g, [32]))
         # zeta = 0 keeps only eta = 0 (K = 1), zeta = 1 only eta = lam + 1
         want = np.zeros_like(got) if zeta == 0.0 else np.maximum(log_g[2:], 0.0)
         assert np.array_equal(got, want)
@@ -651,8 +653,7 @@ class TestMixingKernel:
         lambdas = sorted(set(range(1, lam_cap + 1, 2)) | {lam_cap})
         for i in (1, 10**6, 10**8):
             x = C / (math.sqrt(i) + math.sqrt(i - 1.0))
-            got = accountant._moments(branches, np.array([x]), zeta, lam_cap, lam_cap)[
-                np.array(lambdas) - 1, 0]
+            got = all_moments(branches, np.array([x]), zeta, lam_cap)[np.array(lambdas) - 1, 0]
             want = [mp_univariate_log_moment(lambda eta: mp_plrv_kernel(k, theta, x, eta),
                                              zeta, lam) for lam in lambdas]
             assert got == pytest.approx(want, rel=1e-11), i
@@ -669,13 +670,21 @@ PAPER_JOB = dict(steps_T=250, sampling_rate_zeta=0.01024, clip_C=10.0, delta=2e-
                  lambda_max=119)
 
 
-def allocating_moments(params, x, zeta, lam_cap):
+def all_moments(branches, x, zeta, lam_cap):
+    """Every block of ``accountant._moments``, stacked: orders 1..lam_cap."""
+    return np.concatenate(list(accountant._moments(branches, x, zeta, lam_cap)))
+
+
+def allocating_moments(params, x, zeta, lam_cap, ends=None):
     """``accountant._moments`` of every order up to ``lam_cap``, written
     with allocating expressions: the branch logs -k log1p(-y) and
     -k log1p(z), K - 1 = b1 expm1(lm1) + b2 expm1(lm2), then
-    log1p(W @ (K - 1)); the series columns and the log-space columns are
-    filled as the accountant fills them. Also returns whether any column
-    took the series and the log-space paths."""
+    log1p(W @ (K - 1)), one product per row block of ``ends`` (default: the
+    accountant's blocks; ``[lam_cap]`` is one whole product); the series
+    columns and the log-space columns are filled as the accountant fills
+    them. Also returns whether any column took the series and the
+    log-space paths."""
+    ends = accountant._block_ends(lam_cap) if ends is None else ends
     branches = accountant._branches(params)
     eta_max = lam_cap + 1
     etas, b1, b2 = accountant._branch_coefficients(eta_max)
@@ -697,11 +706,12 @@ def allocating_moments(params, x, zeta, lam_cap):
                                + b2 * (accountant._series(lm2[:, small], terms) + bend2))
     w = accountant._weight_matrix(zeta, lam_cap)[:, 2:]
     with np.errstate(invalid="ignore"):
-        alpha = np.log1p(w @ k_minus_1)
+        alpha = np.log1p(np.concatenate([w[lo:hi, :hi] @ k_minus_1[:hi]
+                                         for lo, hi in zip([0] + ends, ends)]))
     if log_space.any():
-        alpha[:, log_space] = accountant._mix(
+        alpha[:, log_space] = np.concatenate(list(accountant._mix(
             accountant._log_weight_matrix(zeta, lam_cap),
-            accountant._log_kernel(branches, x[log_space], eta_max), lam_cap)
+            accountant._log_kernel(branches, x[log_space], eta_max), ends)))
     return np.maximum(alpha, 0.0), bool(small.any()), bool(log_space.any())
 
 
@@ -731,7 +741,7 @@ class TestInPlaceKernel:
     def test_bitwise_equal_to_allocating_kernel(self, params, C, zeta, lam_cap,
                                                 series, log_space, seed):
         x = kernel_inputs(C, seed)
-        got = accountant._moments(accountant._branches(params), x, zeta, lam_cap, lam_cap)
+        got = all_moments(accountant._branches(params), x, zeta, lam_cap)
         want, took_series, took_log_space = allocating_moments(params, x, zeta, lam_cap)
         assert got.tobytes() == want.tobytes()
         # the case reaches the paths it is named for
@@ -741,14 +751,75 @@ class TestInPlaceKernel:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_leading_rows_keep_the_batch_bits(self, params, C, zeta, lam_cap,
                                               series, log_space, seed):
-        # the order search builds only the first rows of a batch; its series
+        # the order search reads only the first blocks of a batch; its series
         # and log-space columns are chosen at the batch's largest eta
         x = kernel_inputs(C, seed)
         branches = accountant._branches(params)
-        whole = accountant._moments(branches, x, zeta, lam_cap, lam_cap)
-        for rows in range(1, lam_cap + 1):
-            got = accountant._moments(branches, x, zeta, lam_cap, rows)
+        whole = all_moments(branches, x, zeta, lam_cap)
+        for blocks, rows in enumerate(accountant._block_ends(lam_cap), start=1):
+            got = np.concatenate(list(itertools.islice(
+                accountant._moments(branches, x, zeta, lam_cap), blocks)))
             assert got.tobytes() == whole[:rows].tobytes(), rows
+
+
+class TestBlockedMix:
+    """Every caller mixes the same fixed row blocks; a block's product stays
+    within rounding of the rows of one whole weight product."""
+
+    @KERNEL_CASES
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_within_rounding_of_one_whole_product(self, params, C, zeta, lam_cap,
+                                                  series, log_space, seed):
+        x = kernel_inputs(C, seed)
+        got = all_moments(accountant._branches(params), x, zeta, lam_cap)
+        want = allocating_moments(params, x, zeta, lam_cap, ends=[lam_cap])[0]
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("lam_cap,ends", [
+        (1, [1]), (16, [16]), (17, [16, 17]), (64, [16, 32, 64]),
+        (119, [16, 32, 64, 119]), (4096, [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]),
+    ])
+    def test_block_ends(self, lam_cap, ends):
+        assert accountant._block_ends(lam_cap) == ends
+
+
+class TestBuildOnce:
+    """``account`` extends one evaluation across its search rounds: on a job
+    whose argmin is the cap, each branch row is built and each block is
+    mixed once, for the head and for the tail."""
+
+    def test_argmin_at_the_cap(self, monkeypatch):
+        job = AccountingJob(**dict(PAPER_JOB, model_dim_N=10**6, steps_T=1,
+                                   sampling_rate_zeta=0.001))
+        built, mixed = collections.defaultdict(list), collections.defaultdict(list)
+        make_branches, moments = accountant._plrv_branches, accountant._moments
+
+        def recording_branches(params):
+            branches = make_branches(params)
+
+            def recorded(x, etas, bends=False, out=None):
+                built[x.size, bends].extend(etas.astype(int).tolist())
+                return branches(x, etas, bends, out)
+
+            return recorded
+
+        def recorded_moments(branches, x, zeta, lam_cap):
+            for alpha in moments(branches, x, zeta, lam_cap):
+                mixed[x.size].append(alpha.shape[0])
+                yield alpha
+
+        monkeypatch.setattr(accountant, "_plrv_branches", recording_branches)
+        monkeypatch.setattr(accountant, "_moments", recorded_moments)
+        assert account(PAPER, job).argmin_lambda == 119
+        head, tail = accountant.HEAD_COORDINATES, 32 * (32 + 16)  # 32 nodes a panel
+        assert mixed == {head: [16, 16, 32, 55], tail: [16, 16, 32, 55]}
+        rows = list(range(2, 121))
+        # the first block also builds the one mask row at eta = 120; the
+        # series columns (bends) and the log-space column x_1 are subsets
+        assert built.pop((head, False)) == built.pop((tail, False)) == [*rows[:16], 120,
+                                                                         *rows[16:]]
+        assert (1, False) in built
+        assert all(etas == rows for etas in built.values()), built.keys()
 
 
 class TestDeterminism:
@@ -795,8 +866,8 @@ def exact_coordinate_sum(params, job):
     total = np.zeros(job.lambda_max)
     for lo in range(1, job.model_dim_N + 1, 1 << 16):
         xs = mset.coordinates(lo, min(lo + (1 << 16) - 1, job.model_dim_N))
-        total += accountant._moments(accountant._branches(params), xs, job.sampling_rate_zeta,
-                                     job.lambda_max, job.lambda_max).sum(axis=1)
+        total += all_moments(accountant._branches(params), xs, job.sampling_rate_zeta,
+                             job.lambda_max).sum(axis=1)
     return total
 
 
@@ -934,9 +1005,14 @@ class TestOrderSearch:
     @staticmethod
     def searched_rows(monkeypatch, params, job):
         rows = []
-        evaluate = accountant._per_step
-        monkeypatch.setattr(accountant, "_per_step",
-                            lambda *args: rows.append(args[2]) or evaluate(*args))
+        evaluate = accountant._per_step_blocks
+
+        def recorded(*args):
+            for per_step, lower in evaluate(*args):
+                rows.append(per_step.size)
+                yield per_step, lower
+
+        monkeypatch.setattr(accountant, "_per_step_blocks", recorded)
         return account(params, job).argmin_lambda, rows
 
     def test_paper_job_stops_at_the_first_rows(self, monkeypatch):
@@ -951,7 +1027,8 @@ class TestOrderSearch:
 
     def test_accelerated_slack_covers_every_order(self):
         job = AccountingJob(model_dim_N=10**6, **PAPER_JOB)
-        slack = accountant._tail(accountant._plrv_branches(PAPER), job, 119, 119)[1]
+        slack = np.concatenate([s for _, s in accountant._tail(accountant._plrv_branches(PAPER),
+                                                               job, 119)])
         assert tail_slack(PAPER, job) == slack.max() > slack[:16].max()
 
 

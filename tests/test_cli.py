@@ -484,12 +484,30 @@ class TestNumericFlags:
         # ASCII literals keep the value int() and float() give them
         ascii_values = ["7", " 7 ", "+7", "-7", "007"]
         if kind is float:
-            ascii_values += ["2.5e-3", ".5", "-0.5", "inf"]
+            ascii_values += ["2.5e-3", ".5", "-0.5", "inf", "-1e-3", "-.5E+2", "-inf"]
         dest = flag.lstrip("-").replace("-", "_")
         for value in ascii_values:
             args = build_parser().parse_args(numeric_argv(before, flag, value))
             got = getattr(args, dest)
             assert type(got) is kind and got == kind(value), value
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["distortion", "--k", "-1e-3", "--theta", "1e-3", "--clip", "1"],
+         "k must be > 0, got -0.001"),
+        (["train-demo", "--mechanism", "gaussian", "--epsilon", "2.0", "--lr", "-inf"],
+         "learning_rate must be finite and > 0, got -inf"),
+    ])
+    def test_negative_exponent_and_infinity_reach_the_value_check(self, capsys, argv,
+                                                                  message):
+        # argparse's own pattern read these as option names: exit 2,
+        # "expected one argument"; the '=' form always reached the check
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        errs = []
+        for args in (argv, joined):
+            assert main(args) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and message in errs[0]
 
 
 class TestSweep:
