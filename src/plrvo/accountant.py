@@ -29,7 +29,12 @@ coordinates to full relative precision. The branch slopes at x = 0 cancel
 (b1 (eta-1) = b2 eta), so where every branch log is below 1/16 in size,
 K - 1 is summed from the nonnegative curvature terms of the branches by
 their series; elsewhere that cancellation costs at most about 1e-15 * eta
-relative. A coordinate whose largest branch log exceeds 300 (a kernel near
+relative. Those series are one stacked Horner pass per block: the expm1
+series of both branch logs and, for plrvo, the log1p series of the two
+bends' arguments (the Laplace logs are linear, and bend by 0). An argument
+above 1/16 in size, which a branch log within 1/16 allows only at k < 1,
+takes -log1p(-w) - w instead. A coordinate whose largest branch log
+exceeds 300 (a kernel near
 the MGF bound) is mixed in log space instead, by the shifted product of
 :func:`_mix` and its exact per-order fallback. At zeta = 0 or 1 each order
 has a single live weight, so the linear mix is log1p(K - 1) itself; a
@@ -94,7 +99,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -161,29 +166,33 @@ def _weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
 
 # A branch function maps (x_vector, eta_column) -> (lm1, lm2): matrices of
 # the log values of the two kernel branches before mixing, shaped
-# (n_eta, n_x), for eta = 2..eta_max (the kernel is 1 at eta = 0 and 1).
-# With bends=True it gives each log minus its tangent at x = 0 instead
-# (0.0 where the logs are linear), accurate where the logs are small; the
-# tangents cancel in the mixture. Otherwise lm1 is built in ``out`` if given.
-BranchFn = Callable[..., tuple[np.ndarray, np.ndarray]]
+# (n_eta, n_x), for eta = 2..eta_max (the kernel is 1 at eta = 0 and 1);
+# lm1 is built in ``out`` if given. With bends=True it gives instead each
+# log's bend, the log minus its tangent at x = 0 (the tangents cancel in
+# the mixture): it writes the two bends' arguments w into ``out``, shaped
+# (2, n_eta, n_x), and returns the k of the bends k (-log1p(-w) - w), or
+# None where the logs are linear and bend by 0.
+BranchFn = Callable[..., tuple[np.ndarray, np.ndarray] | float | None]
 
 
 def _plrv_branches(params: GammaPlrvParams) -> BranchFn:
     k, theta = params.k, params.theta
 
     def branches(x: np.ndarray, etas: np.ndarray, bends: bool = False,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | float:
         worst = (float(etas[-1]) - 1.0) * theta * float(np.max(x))
         if worst >= 1.0:
             raise MgfDomainViolation(
                 f"gamma-seed MGF undefined at eta = {int(etas[-1])}: "
                 f"(eta-1) * theta * x reaches {worst:.6g} >= 1"
             )
+        if bends:  # k (-log1p(-w) - w) at w = y and w = -z
+            np.multiply((etas[:, None] - 1.0) * theta, x[None, :], out=out[0])
+            np.multiply(etas[:, None] * theta, x[None, :], out=out[1])
+            np.negative(out[1], out=out[1])
+            return k
         y = np.multiply((etas[:, None] - 1.0) * theta, x[None, :], out=out)
         z = etas[:, None] * theta * x[None, :]
-        if bends:  # k (-log1p(-w) - w) at w = y and w = -z
-            return tuple(k * np.where(np.abs(w) <= _SERIES_MAX, _series(w, _LOG1P_TERMS),
-                                      -np.log1p(-w) - w) for w in (y, -z))
         # -k log1p(-y) and -k log1p(z), built in y and z
         lm1 = np.log1p(np.negative(y, out=y), out=y)
         lm1 *= -k
@@ -198,9 +207,9 @@ def _laplace_branches(params: LaplaceParams) -> BranchFn:
     inv_b = 1.0 / params.b
 
     def branches(x: np.ndarray, etas: np.ndarray, bends: bool = False,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
         if bends:  # the logs are linear in x
-            return 0.0, 0.0
+            return None
         # x / b may overflow; the infinite moments are reported downstream
         with np.errstate(over="ignore"):
             scaled = inv_b * x[None, :]
@@ -211,24 +220,69 @@ def _laplace_branches(params: LaplaceParams) -> BranchFn:
 
 
 # Coefficients from w^2 on of expm1(w) - w and of -log1p(-w) - w; for
-# |w| <= 1/16 the terms left out are below 1e-17 of the sum.
+# |w| <= 1/16 the terms left out are below 1e-17 of the sum. Their first
+# eight rows side by side, one column per stacked series: expm1 for lm1 and
+# lm2, log1p for the bends' two arguments.
 _EXPM1_TERMS = [1.0 / math.factorial(n) for n in range(2, 11)]
 _LOG1P_TERMS = [1.0 / n for n in range(2, 16)]
+_STACKED_TERMS = np.array([[e, e, l, l] for e, l in zip(_EXPM1_TERMS[:-1], _LOG1P_TERMS)]
+                          )[:, :, None, None]
 
 
-def _series(w: np.ndarray, terms: list[float]) -> np.ndarray:
-    """sum_i terms[i] w^(i+2), by Horner's rule."""
-    acc = np.full_like(w, terms[-1])
-    for c in terms[-2::-1]:
+def _horner(acc: np.ndarray, w: np.ndarray, terms) -> np.ndarray:
+    """acc w^n + terms[n-1] w^(n-1) + ... + terms[0], in place, by Horner's
+    rule (n = len(terms)); a term may hold one coefficient per stacked
+    layer of w."""
+    for c in terms[::-1]:
         acc *= w
         acc += c
-    return acc * w * w
+    return acc
 
 
+def _series_columns(branches: BranchFn, x: np.ndarray, small: np.ndarray, etas: np.ndarray,
+                    lm1: np.ndarray, lm2: np.ndarray, b1: np.ndarray,
+                    b2: np.ndarray) -> np.ndarray:
+    """K - 1 = b1 (expm1(lm1) - lm1 + bend1) + b2 (expm1(lm2) - lm2 + bend2)
+    on the ``small`` columns, whose branch logs lm1, lm2 are all within
+    1/16 (the tangents cancel). One Horner pass runs the series of the logs
+    and of the bends' arguments w stacked, after the log1p series' terms
+    above w^10 on the arguments alone: each layer takes the steps, and the
+    bits, of its own series. An argument above 1/16 in size takes
+    -log1p(-w) - w."""
+    stack = np.empty((4, etas.size, np.count_nonzero(small)))
+    np.compress(small, lm1, axis=1, out=stack[0])
+    np.compress(small, lm2, axis=1, out=stack[1])
+    k = branches(x[small], etas, bends=True, out=stack[2:])
+    w = stack if k is not None else stack[:2]  # linear logs: no bends
+    series = np.empty_like(w)
+    series[:2] = _EXPM1_TERMS[-1]
+    if k is not None:
+        series[2:] = _LOG1P_TERMS[-1]
+        _horner(series[2:], w[2:], _LOG1P_TERMS[len(_EXPM1_TERMS) - 1 : -1])
+    _horner(series, w, _STACKED_TERMS[:, : w.shape[0]])
+    series *= w
+    series *= w
+    if k is not None:
+        args, bends = w[2:], series[2:]
+        far = ~(np.abs(args) <= _SERIES_MAX)
+        if far.any():
+            bends[far] = -np.log1p(-args[far]) - args[far]
+        bends *= k
+        series[:2] += bends
+    series[0] *= b1
+    series[1] *= b2
+    series[0] += series[1]
+    return series[0]
+
+
+@functools.lru_cache(maxsize=16)
 def _branch_coefficients(eta_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(etas, b1, b2) for eta = 2..eta_max."""
+    """Read-only (etas, b1, b2) for eta = 2..eta_max, built once per eta_max."""
     etas = np.arange(2, eta_max + 1, dtype=np.float64)
-    return etas, etas / (2.0 * etas - 1.0), (etas - 1.0) / (2.0 * etas - 1.0)
+    out = etas, etas / (2.0 * etas - 1.0), (etas - 1.0) / (2.0 * etas - 1.0)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _block_ends(lam_cap: int) -> list[int]:
@@ -299,11 +353,12 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float,
     ends = _block_ends(lam_cap)
     eta_max = lam_cap + 1
     etas, b1, b2 = _branch_coefficients(eta_max)
-    # row eta - 2 of K - 1, filled block by block; the first block's call also
-    # builds the eta_max row, where lm1 and -lm2 are largest, in the row after it
+    # row eta - 2 of K - 1, filled block by block. The first block's call also
+    # builds the eta_max row, where lm1 and -lm2 are largest: its last row
+    # when the block ends at the cap, else the row after it
+    first = etas if ends[0] == lam_cap else np.concatenate((etas[: ends[0]], etas[-1:]))
     k_minus_1 = np.empty((eta_max, x.size))
-    lm1, lm2 = branches(x, np.concatenate((etas[: ends[0]], etas[-1:])),
-                        out=k_minus_1[: ends[0] + 1])
+    lm1, lm2 = branches(x, first, out=k_minus_1[: first.size])
     log_space = ~(lm1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
     small = np.maximum(lm1[-1], -lm2[-1]) <= _SERIES_MAX
     logs = (_mix(_log_weight_matrix(zeta, lam_cap),
@@ -317,9 +372,7 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float,
         lm1, lm2 = lm1[: hi - lo], lm2[: hi - lo]
         bent = None
         if small.any():  # the tangents cancel: K - 1 is a sum of nonnegative bends
-            bend1, bend2 = branches(x[small], etas[lo:hi], bends=True)
-            bent = (c1 * (_series(lm1[:, small], _EXPM1_TERMS) + bend1)
-                    + c2 * (_series(lm2[:, small], _EXPM1_TERMS) + bend2))
+            bent = _series_columns(branches, x, small, etas[lo:hi], lm1, lm2, c1, c2)
         # K - 1 = b1 expm1(lm1) + b2 expm1(lm2), built in the block's rows
         with np.errstate(over="ignore", invalid="ignore"):
             built = np.expm1(lm1, out=lm1)
@@ -345,6 +398,16 @@ def _branches(params: MechanismParams) -> BranchFn | None:
     if isinstance(params, GaussianParams):
         return None
     raise TypeError(f"unsupported mechanism params {type(params).__name__}")
+
+
+@functools.lru_cache(maxsize=16)
+def _head(clip_C: float, model_dim_N: int) -> np.ndarray:
+    """Read-only head of the majorization set, x_1..x_h with
+    h = min(N, HEAD_COORDINATES): built once per (C, N)."""
+    xs = MajorizationSet(clip_C, model_dim_N).coordinates(
+        1, min(model_dim_N, HEAD_COORDINATES))
+    xs.flags.writeable = False
+    return xs
 
 
 def _tail(branches: BranchFn, job: AccountingJob,
@@ -389,10 +452,9 @@ def _per_step_blocks(params: MechanismParams, job: AccountingJob,
     if branches is None:
         sums, tails = _gaussian(params, zeta, lam_cap), no_tail
     else:
-        head = min(job.model_dim_N, HEAD_COORDINATES)
-        xs = MajorizationSet(job.clip_C, job.model_dim_N).coordinates(1, head)
+        xs = _head(job.clip_C, job.model_dim_N)
         sums = (alpha.sum(axis=1) for alpha in _moments(branches, xs, zeta, lam_cap))
-        tails = _tail(branches, job, lam_cap) if head < job.model_dim_N else no_tail
+        tails = _tail(branches, job, lam_cap) if xs.size < job.model_dim_N else no_tail
     ends = _block_ends(lam_cap)
     per_step, lower = np.empty(lam_cap), np.empty(lam_cap)
     for lo, hi, total, (integral, slack) in zip([0, *ends], ends, sums, tails):
@@ -478,8 +540,7 @@ def plrv_epsilon_lower_bound(params: GammaPlrvParams, job: AccountingJob) -> flo
     log_b1 = np.log(b1)
     slack = 1e-12 * (1.0 + np.abs(log_w) + np.abs(log_b1) + np.abs(lm1))
     alpha = np.maximum(log_w + log_b1 + lm1 - slack, 0.0)  # log_w = -inf at zeta = 0
-    totals = {lam: job.steps_T * a for lam, a in enumerate(alpha.tolist(), start=1)}
-    return _grid_min(totals, job.delta)[0]
+    return _grid_min(range(1, lam_cap + 1), alpha, job.steps_T, job.delta)[0]
 
 
 def compose(curve: LogMomentCurve, steps_T: int) -> LogMomentCurve:
@@ -495,11 +556,6 @@ def compose(curve: LogMomentCurve, steps_T: int) -> LogMomentCurve:
     )
 
 
-def _conversion_term(alpha: float, lam: int, delta: float) -> float:
-    return (alpha / lam + math.log(lam / (lam + 1.0))
-            - (math.log(delta) + math.log(lam + 1.0)) / lam)
-
-
 def epsilon_from_delta(curve: LogMomentCurve, delta: float) -> tuple[float, int]:
     """Tight conversion: minimize over the curve's integer moment grid.
 
@@ -508,7 +564,8 @@ def epsilon_from_delta(curve: LogMomentCurve, delta: float) -> tuple[float, int]
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return _grid_min(curve.alpha_per_step, delta)
+    alphas = curve.alpha_per_step
+    return _grid_min(tuple(alphas), np.array(list(alphas.values())), 1, delta)
 
 
 def delta_from_epsilon(curve: LogMomentCurve, epsilon: float) -> float:
@@ -520,15 +577,37 @@ def delta_from_epsilon(curve: LogMomentCurve, epsilon: float) -> float:
     return min(1.0, math.exp(best))
 
 
-def _grid_min(alphas: dict[int, float], delta: float) -> tuple[float, int]:
-    """(epsilon, argmin) of the conversion over the given orders; the one
-    conversion loop behind every accountant entry point."""
-    best_eps, best_lam = math.inf, None
-    for lam in sorted(alphas):
-        eps = _conversion_term(alphas[lam], lam, delta)
-        if eps < best_eps:
-            best_eps, best_lam = eps, lam
-    return best_eps, best_lam
+@functools.lru_cache(maxsize=16)
+def _order_terms(lams: Sequence[int],
+                 delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only, for the ascending orders ``lams``: the orders as floats,
+    log(lam / (lam + 1)) and (log delta + log(lam + 1)) / lam, the
+    conversion's order-only terms, by ``math.log``; built once per (orders,
+    delta)."""
+    out = (np.array(lams, dtype=np.float64),
+           np.array([math.log(lam / (lam + 1.0)) for lam in lams]),
+           np.array([(math.log(delta) + math.log(lam + 1.0)) / lam for lam in lams]))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _grid_min(lams: Sequence[int], per_step: np.ndarray, steps_T: int,
+              delta: float) -> tuple[float, int | None]:
+    """(epsilon, argmin) of the conversion of the per-step moments of the
+    ascending orders ``lams``, composed over steps_T steps:
+    T alpha / lam + log(lam / (lam + 1)) - (log delta + log(lam + 1)) / lam,
+    evaluated in that order. Ties break toward the smaller order; (inf,
+    None) when every composed moment overflows. The one conversion behind
+    every accountant entry point."""
+    orders, log_ratio, log_tail = _order_terms(lams, delta)
+    with np.errstate(over="ignore"):
+        eps = steps_T * per_step
+    eps /= orders
+    eps += log_ratio
+    eps -= log_tail
+    best = int(eps.argmin())
+    return (float(eps[best]), lams[best]) if eps[best] < math.inf else (math.inf, None)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +690,12 @@ def account(params: MechanismParams, job: AccountingJob) -> AccountResult:
     job_eff = _effective_job(job, params)
     cap = job_eff.lambda_max
     for per_step, lower in _per_step_blocks(params, job_eff, cap):
-        per_step = per_step.tolist()
-        for l, alpha in enumerate(per_step, start=1):
-            if not math.isfinite(alpha):
-                raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
-                                         f"moment of order {l} is {alpha}")
-        eps, lam = _grid_min({l: job.steps_T * a for l, a in enumerate(per_step, start=1)},
-                             job.delta)
+        bad = ~np.isfinite(per_step)
+        if bad.any():
+            l = int(bad.argmax())
+            raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} per-step log "
+                                     f"moment of order {l + 1} is {float(per_step[l])}")
+        eps, lam = _grid_min(range(1, per_step.size + 1), per_step, job.steps_T, job.delta)
         if lower.size == cap or np.all(_tangent_bound(lower, cap, job.steps_T, job.delta)
                                        > eps + 1e-9 * abs(eps)):
             break
@@ -625,7 +703,7 @@ def account(params: MechanismParams, job: AccountingJob) -> AccountResult:
         raise FloatingPointError(f"{MECHANISM_TAGS[type(params)]} log moments composed "
                                  f"over {job.steps_T} steps overflow at every order")
     return AccountResult(epsilon=eps, argmin_lambda=lam,
-                         per_step_alpha_at_argmin=per_step[lam - 1])
+                         per_step_alpha_at_argmin=float(per_step[lam - 1]))
 
 
 def tail_slack(params: MechanismParams, job: AccountingJob) -> float | None:

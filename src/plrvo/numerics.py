@@ -4,10 +4,13 @@ composite Gauss-Legendre rule.
 
 Everything here is pure and operates in log space where overflow is a risk;
 negative infinity is the canonical encoding of an exact zero. The incomplete
-gamma series sums its first 64 terms by the scalar term-by-term loop and the
-rest by sequential numpy accumulates, chunk by chunk, with the bits of the
-scalar loop throughout (tested against that loop as an oracle): short series
-cost no numpy call, and long ones, at large k, a fraction of the loop.
+gamma series is summed with the bits of the scalar term-by-term loop (tested
+against that loop as an oracle). A series that a bound on its length at
+(k, x) shows to be short, 64 terms or fewer (as at small k, or x far below
+k), runs that loop and costs no numpy call. A longer one, near x = k at
+large k, is summed by sequential numpy accumulates in one chunk sized from
+that bound, so it takes a single pass; the chunks double only if the bound
+fell short.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 
 LOG_ZERO = float("-inf")
 _MAX_TERMS = 10_000  # series / continued-fraction cap of regularized_lower_gamma
-_SCALAR_TERMS = 64  # series terms summed by the scalar loop before the accumulates
+_SCALAR_TERMS = 64  # longest series summed by the scalar loop alone
+_LOG_STOP = math.log(1e17)  # the series stops at a term below 1e-17 of its sum
 
 
 def log_gamma(x: float) -> float:
@@ -39,25 +43,54 @@ def _stirling_remainder(k: float) -> float:
     return (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0))) / k
 
 
+def _series_terms(k: float, x: float) -> int:
+    """An upper bound on the number of terms :func:`_lower_gamma_series`
+    adds at 0 < x < k + 1, capped at 10,000 (a bound of 64 or less marks a
+    short series, and may be looser).
+
+    Term n is t_0 prod_{j<=n} x / (k + j), and the sum is at least t_0, so
+    the series has stopped once that product is below 1e-17. As
+    sum_{j<=n} log(1 + j/k) is at least the integral of log(1 + t/k) over
+    [0, n], the product's log is at most
+    f(n) = n log(x/k) - (k + n) log1p(n/k) + n, which is concave and
+    decreasing for n >= 1. Newton's method from n = 10,000 then falls to
+    the root of f(n) = -log(1e17) without crossing it; it stops once a step
+    is below one term (about 1.1 times the series length near the c1 roots
+    at large k) or n is below 64."""
+    log_x, n = math.log(x), float(_MAX_TERMS)
+    while True:
+        f = n * (log_x - math.log(k)) - (k + n) * math.log1p(n / k) + n + _LOG_STOP
+        if f > 0.0 and n == _MAX_TERMS:
+            return _MAX_TERMS
+        step = f / (log_x - math.log(k + n))
+        n -= step
+        if step < 1.0 or n <= _SCALAR_TERMS:
+            return math.ceil(n)
+
+
 def _lower_gamma_series(k: float, x: float) -> float:
-    """sum_{n>=0} x^n / (k (k+1) ... (k+n)) for 0 < x, in the bits of the
-    scalar recurrence d += 1; t *= x / d; s += t from t = s = 1/k, d = k,
-    stopping after the first term t < s * 1e-17. The first 64 terms run that
-    recurrence as it stands: a short series, as at small k or x far below
-    k, costs no numpy call. Each later chunk of terms is three sequential
-    accumulates: np.add.accumulate for the denominators and the running
-    total, np.multiply.accumulate for the terms, each seeded with the
-    previous chunk's last value. Chunks double from 128 terms. Raises
-    ArithmeticError when 10,000 terms do not converge."""
+    """sum_{n>=0} x^n / (k (k+1) ... (k+n)) for 0 < x < k + 1, in the bits
+    of the scalar recurrence d += 1; t *= x / d; s += t from t = s = 1/k,
+    d = k, stopping after the first term t < s * 1e-17. A series that
+    :func:`_series_terms` bounds by 64 terms runs that recurrence as it
+    stands, and costs no numpy call. A longer one is summed in chunks of
+    three sequential accumulates: np.add.accumulate for the denominators
+    and the running total, np.multiply.accumulate for the terms, each seeded
+    with the previous chunk's last value. The first chunk holds as many
+    terms as the bound, so it is the only one unless the bound fell short;
+    later chunks double (after a short series' loop, from 128 terms).
+    Raises ArithmeticError when 10,000 terms do not converge."""
     denom, term = k, 1.0 / k
     total = term
-    for _ in range(_SCALAR_TERMS):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if term < total * 1e-17:
-            return total
-    done, size = _SCALAR_TERMS, 2 * _SCALAR_TERMS
+    done, size = 0, _series_terms(k, x)
+    if size <= _SCALAR_TERMS:
+        for _ in range(_SCALAR_TERMS):
+            denom += 1.0
+            term *= x / denom
+            total += term
+            if term < total * 1e-17:
+                return total
+        done, size = _SCALAR_TERMS, 2 * _SCALAR_TERMS
     while done < _MAX_TERMS:
         m = min(size, _MAX_TERMS - done)
         d = np.ones(m + 1)

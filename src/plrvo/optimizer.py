@@ -103,6 +103,8 @@ class FeasibilityConfig:
     job_skeleton: AccountingJob
     gamma_cdf_tol: float = 1e-6
     distortion_cap: float = 10.0
+    _jobs: dict[float, AccountingJob] = field(default_factory=dict, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.clip_min <= self.clip_max:
@@ -120,7 +122,11 @@ class FeasibilityConfig:
             raise ValueError(f"distortion_cap must be > 0, got {self.distortion_cap}")
 
     def job_for(self, clip_C: float) -> AccountingJob:
-        return replace(self.job_skeleton, clip_C=clip_C)
+        """The skeleton job at clip_C, built (and validated) once per clip."""
+        job = self._jobs.get(clip_C)
+        if job is None:
+            job = self._jobs[clip_C] = replace(self.job_skeleton, clip_C=clip_C)
+        return job
 
 
 def objective(k: float, theta: float, C: float) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -420,11 +421,18 @@ class TestCompose:
             compose(LogMomentCurve("plrvo", {1: 0.1}), 0)
 
 
+def scalar_conversion(alpha: float, lam: int, delta: float) -> float:
+    """One order's conversion term, in scalar arithmetic."""
+    return (alpha / lam + math.log(lam / (lam + 1))
+            - (math.log(delta) + math.log(lam + 1)) / lam)
+
+
 def brute_force_epsilon(alphas: dict, delta: float):
+    """The conversion minimized order by order: the oracle for the bits of
+    the accountant's vectorized conversion."""
     best = (math.inf, None)
     for lam in sorted(alphas):
-        eps = (alphas[lam] / lam + math.log(lam / (lam + 1))
-               - (math.log(delta) + math.log(lam + 1)) / lam)
+        eps = scalar_conversion(alphas[lam], lam, delta)
         if eps < best[0]:
             best = (eps, lam)
     return best
@@ -467,6 +475,33 @@ class TestConversion:
         curve = LogMomentCurve("gaussian", {1: 0.1, 2: a2})
         _, lam = epsilon_from_delta(curve, delta)
         assert lam == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorized_bits_equal_the_scalar_loop(self, seed):
+        # per-step moments spanning 1e-12..1e300, T up to 1e6 (some composed
+        # moments overflow to inf), sparse orders, and repeated values
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(1, 130))
+            per_step = 10.0 ** rng.uniform(-12.0, 300.0 if seed % 2 else 2.0, n)
+            per_step[rng.integers(0, n, n // 4)] = per_step[0]
+            T = int(rng.choice([1, 7, 250, 10**6]))
+            delta = float(10.0 ** rng.uniform(-12.0, -1.0))
+            lams = tuple(sorted(set(rng.integers(1, 400, n).tolist())))
+            for orders in (range(1, n + 1), lams):
+                alpha = per_step[: len(orders)]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    eps, lam = accountant._grid_min(orders, alpha, T, delta)
+                want_eps, want_lam = brute_force_epsilon(
+                    {l: T * a for l, a in zip(orders, alpha.tolist())}, delta)
+                assert (eps.hex(), lam) == (want_eps.hex(), want_lam)
+
+    def test_every_order_overflowing_has_no_argmin(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert accountant._grid_min(range(1, 4), np.full(3, 1e308), 10, 1e-5) == (
+                math.inf, None)
 
     def test_delta_from_epsilon_flat_curve(self):
         curve = LogMomentCurve("gaussian", {l: 0.0 for l in range(1, 65)})
@@ -675,15 +710,46 @@ def all_moments(branches, x, zeta, lam_cap):
     return np.concatenate(list(accountant._moments(branches, x, zeta, lam_cap)))
 
 
+EXPM1_TERMS = [1.0 / math.factorial(n) for n in range(2, 11)]
+LOG1P_TERMS = [1.0 / n for n in range(2, 16)]
+
+
+def horner(w, terms):
+    """sum_i terms[i] w^(i+2), by Horner's rule on one array."""
+    acc = np.full_like(w, terms[-1])
+    for c in terms[-2::-1]:
+        acc *= w
+        acc += c
+    return acc * w * w
+
+
+def four_call_series(params, x, etas, lm1, lm2):
+    """K - 1 on series columns x (every branch log lm1, lm2 within 1/16),
+    by the four separate Horner calls and the np.where (which always takes
+    the log1p side) that the accountant's one stacked pass replaced: the
+    oracle for its bits."""
+    b1, b2 = etas / (2.0 * etas - 1.0), (etas - 1.0) / (2.0 * etas - 1.0)
+    b1, b2 = b1[:, None], b2[:, None]
+    if isinstance(params, GammaPlrvParams):
+        y = (etas[:, None] - 1.0) * params.theta * x[None, :]
+        z = etas[:, None] * params.theta * x[None, :]
+        bend1, bend2 = (params.k * np.where(np.abs(w) <= 1.0 / 16.0, horner(w, LOG1P_TERMS),
+                                            -np.log1p(-w) - w) for w in (y, -z))
+    else:  # the Laplace logs are linear: no bends
+        bend1 = bend2 = 0.0
+    return (b1 * (horner(lm1, EXPM1_TERMS) + bend1)
+            + b2 * (horner(lm2, EXPM1_TERMS) + bend2))
+
+
 def allocating_moments(params, x, zeta, lam_cap, ends=None):
     """``accountant._moments`` of every order up to ``lam_cap``, written
     with allocating expressions: the branch logs -k log1p(-y) and
     -k log1p(z), K - 1 = b1 expm1(lm1) + b2 expm1(lm2), then
     log1p(W @ (K - 1)), one product per row block of ``ends`` (default: the
     accountant's blocks; ``[lam_cap]`` is one whole product); the series
-    columns and the log-space columns are filled as the accountant fills
-    them. Also returns whether any column took the series and the
-    log-space paths."""
+    columns take :func:`four_call_series`, and the log-space columns are
+    filled as the accountant fills them. Also returns whether any column
+    took the series and the log-space paths."""
     ends = accountant._block_ends(lam_cap) if ends is None else ends
     branches = accountant._branches(params)
     eta_max = lam_cap + 1
@@ -700,10 +766,8 @@ def allocating_moments(params, x, zeta, lam_cap, ends=None):
     with np.errstate(over="ignore", invalid="ignore"):
         k_minus_1 = b1 * np.expm1(lm1) + b2 * np.expm1(lm2)
     if small.any():
-        bend1, bend2 = branches(x[small], etas, bends=True)
-        terms = accountant._EXPM1_TERMS
-        k_minus_1[:, small] = (b1 * (accountant._series(lm1[:, small], terms) + bend1)
-                               + b2 * (accountant._series(lm2[:, small], terms) + bend2))
+        k_minus_1[:, small] = four_call_series(params, x[small], etas, lm1[:, small],
+                                               lm2[:, small])
     w = accountant._weight_matrix(zeta, lam_cap)[:, 2:]
     with np.errstate(invalid="ignore"):
         alpha = np.log1p(np.concatenate([w[lo:hi, :hi] @ k_minus_1[:hi]
@@ -715,7 +779,7 @@ def allocating_moments(params, x, zeta, lam_cap, ends=None):
     return np.maximum(alpha, 0.0), bool(small.any()), bool(log_space.any())
 
 
-KERNEL_CASES = pytest.mark.parametrize("params,C,zeta,lam_cap,series,log_space", [
+KERNEL_PARAMS = [
     (GammaPlrvParams(k=0.5, theta=1e-3), 1.0, 0.05, 32, True, False),  # k < 1
     (GammaPlrvParams(k=20.0, theta=0.002), 1.5, 0.0, 32, True, False),
     (GammaPlrvParams(k=20.0, theta=0.002), 1.5, 1.0, 32, True, False),
@@ -723,7 +787,19 @@ KERNEL_CASES = pytest.mark.parametrize("params,C,zeta,lam_cap,series,log_space",
     (GammaPlrvParams(k=2000.0, theta=0.05), 1.0, 0.07, 16, True, True),
     (LaplaceParams(b=2.0), 10.0, 0.1, 64, True, True),  # 64 C / b = 320
     (LaplaceParams(b=0.5), 1.0, 1.0, 16, True, False),
-], ids=["k<1", "zeta=0", "zeta=1", "paper", "k=2000", "laplace", "laplace-zeta=1"])
+]
+KERNEL_IDS = ["k<1", "zeta=0", "zeta=1", "paper", "k=2000", "laplace", "laplace-zeta=1"]
+KERNEL_CASES = pytest.mark.parametrize("params,C,zeta,lam_cap,series,log_space",
+                                       KERNEL_PARAMS, ids=KERNEL_IDS)
+# and three more for the series columns: at k = 0.01 a branch log within
+# 1/16 allows a bend argument |w| near 1/2; Laplace at an interior zeta; a
+# probe of criterion 8's config 3 at its cap 16 (a single row block)
+SERIES_CASES = pytest.mark.parametrize("params,C,zeta,lam_cap,series,log_space", KERNEL_PARAMS + [
+    (GammaPlrvParams(k=0.01, theta=0.03), 1.0, 0.1, 16, True, False),
+    (LaplaceParams(b=50.0), 1.0, 0.1, 32, True, False),
+    (GammaPlrvParams(k=218.39762521569187, theta=6.793221434751662e-4), 0.9382267495871688,
+     0.193633203141838, 16, True, False),
+], ids=[*KERNEL_IDS, "k=0.01-far-w", "laplace-interior", "crit8-probe"])
 
 
 def kernel_inputs(C, seed):
@@ -762,6 +838,43 @@ class TestInPlaceKernel:
             assert got.tobytes() == whole[:rows].tobytes(), rows
 
 
+class TestStackedSeries:
+    """The series columns' K - 1 comes from one stacked Horner pass over the
+    two branch logs and the two bend arguments; every bit must match the
+    four separate calls it replaced."""
+
+    @SERIES_CASES
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_equal_to_four_series_calls(self, params, C, zeta, lam_cap,
+                                                series, log_space, seed):
+        x = kernel_inputs(C, seed)
+        branches = accountant._branches(params)
+        etas, b1, b2 = accountant._branch_coefficients(lam_cap + 1)
+        lm1, lm2 = branches(x, etas)
+        small = np.maximum(lm1[-1], -lm2[-1]) <= accountant._SERIES_MAX
+        assert small.any()
+        got = accountant._series_columns(branches, x, small, etas, lm1, lm2,
+                                         b1[:, None], b2[:, None])
+        want = four_call_series(params, x[small], etas, lm1[:, small], lm2[:, small])
+        assert got.tobytes() == want.tobytes()
+
+    def test_far_case_reaches_the_log1p_side(self):
+        # at k = 0.01 the series columns hold bend arguments up to about 1/2
+        params = GammaPlrvParams(k=0.01, theta=0.03)
+        x = kernel_inputs(1.0, 0)
+        lm1, lm2 = accountant._plrv_branches(params)(x, np.arange(2.0, 18.0))
+        small = np.maximum(lm1[-1], -lm2[-1]) <= accountant._SERIES_MAX
+        assert 16.0 * params.theta * x[small].max() > 0.25
+
+    @SERIES_CASES
+    def test_moments_keep_the_bits(self, params, C, zeta, lam_cap, series, log_space):
+        x = kernel_inputs(C, 2)
+        got = all_moments(accountant._branches(params), x, zeta, lam_cap)
+        want, took_series, took_log_space = allocating_moments(params, x, zeta, lam_cap)
+        assert got.tobytes() == want.tobytes()
+        assert (took_series, took_log_space) == (series, log_space)
+
+
 class TestBlockedMix:
     """Every caller mixes the same fixed row blocks; a block's product stays
     within rounding of the rows of one whole weight product."""
@@ -788,9 +901,10 @@ class TestBuildOnce:
     whose argmin is the cap, each branch row is built and each block is
     mixed once, for the head and for the tail."""
 
-    def test_argmin_at_the_cap(self, monkeypatch):
-        job = AccountingJob(**dict(PAPER_JOB, model_dim_N=10**6, steps_T=1,
-                                   sampling_rate_zeta=0.001))
+    @staticmethod
+    def record(monkeypatch):
+        """(built, mixed): the eta rows each branch call builds, keyed by
+        (columns, bends), and the rows of each mixed block, keyed by columns."""
         built, mixed = collections.defaultdict(list), collections.defaultdict(list)
         make_branches, moments = accountant._plrv_branches, accountant._moments
 
@@ -810,6 +924,12 @@ class TestBuildOnce:
 
         monkeypatch.setattr(accountant, "_plrv_branches", recording_branches)
         monkeypatch.setattr(accountant, "_moments", recorded_moments)
+        return built, mixed
+
+    def test_argmin_at_the_cap(self, monkeypatch):
+        job = AccountingJob(**dict(PAPER_JOB, model_dim_N=10**6, steps_T=1,
+                                   sampling_rate_zeta=0.001))
+        built, mixed = self.record(monkeypatch)
         assert account(PAPER, job).argmin_lambda == 119
         head, tail = accountant.HEAD_COORDINATES, 32 * (32 + 16)  # 32 nodes a panel
         assert mixed == {head: [16, 16, 32, 55], tail: [16, 16, 32, 55]}
@@ -820,6 +940,22 @@ class TestBuildOnce:
                                                                          *rows[16:]]
         assert (1, False) in built
         assert all(etas == rows for etas in built.values()), built.keys()
+
+    def test_single_block(self, monkeypatch):
+        # a probe of criterion 8's config 3: cap 16, N = 489, one row block;
+        # its mask row is the block's last row, eta = 17, built once
+        job = AccountingJob(steps_T=124, sampling_rate_zeta=0.193633203141838,
+                            model_dim_N=489, clip_C=0.9382267495871688, delta=1e-5,
+                            lambda_max=16)
+        params = GammaPlrvParams(k=218.39762521569187, theta=6.793221434751662e-4)
+        built, mixed = self.record(monkeypatch)
+        account(params, job)
+        assert mixed == {489: [16]}
+        rows = list(range(2, 18))
+        assert built.pop((489, False)) == rows
+        # and the series columns' bend arguments, once
+        ((columns, bends), etas), = built.items()
+        assert bends and 0 < columns < 489 and etas == rows
 
 
 class TestDeterminism:
@@ -994,7 +1130,7 @@ class TestOrderSearch:
         grid = range(1, job.lambda_max + 1)
         alpha, lower = accountant._per_step(params, job)
         assert np.all(lower <= alpha)
-        conv = np.array([accountant._conversion_term(job.steps_T * a, lam, job.delta)
+        conv = np.array([scalar_conversion(job.steps_T * a, lam, job.delta)
                          for lam, a in zip(grid, alpha.tolist())])
         # up to rounding, far inside the 1e-9 margin the search leaves
         for m in range(2, job.lambda_max):

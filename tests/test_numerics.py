@@ -209,6 +209,76 @@ class TestSeriesOracle:
                 lengths.add(series_length(k, x))
         assert {62, 63, 64, 65, 66} <= lengths
 
+    @pytest.mark.parametrize("k", [3e3, 1e5, 1.4e6])
+    def test_bitwise_equal_across_the_sized_first_chunk(self, monkeypatch, k):
+        # series ending one term before, at and after the end of the first
+        # chunk, and on either side of the 64-term scalar loop
+        from plrvo import numerics
+        cases = [(k, x) for x in (k - 5.0 * math.sqrt(k), k - math.sqrt(k), k, k + 0.5)]
+        cases += [(100.0, x) for x in (68.6, 71.3, 74.0)]  # 60, 63 and 66 terms
+        lengths = set()
+        for kk, x in cases:
+            n = series_length(kk, x)
+            lengths.add(n)
+            want = scalar_series(kk, x)
+            for size in (n - 1, n, n + 1, 63, 64, 65):
+                monkeypatch.setattr(numerics, "_series_terms", lambda k, x: size)
+                assert numerics._lower_gamma_series(kk, x) == want, (kk, x, size)
+        assert min(lengths) <= 64 < max(lengths)
+
+    def test_sized_bound_covers_the_series(self):
+        from plrvo import numerics
+        for k, x in self.corpus(2_000):
+            n = series_length(k, x)
+            bound = numerics._series_terms(k, x)
+            assert bound >= min(n, 10_000) or (bound <= 64 and n <= 64), (k, x)
+            if bound > 64:
+                assert bound <= 1.15 * n, (k, x)
+
+    # at k = 1.57e6, adjacent x whose series take 9,999 and 10,000 terms,
+    # and 10,000 and 10,001 (past the cap)
+    CAP_CASES = [(1569998.5883208918, 9_999), (1569998.588320892, 10_000),
+                 (1569999.6959689327, 10_000), (1569999.695968933, 10_001)]
+
+    @pytest.mark.parametrize("x,length", CAP_CASES)
+    def test_bitwise_equal_at_the_term_cap(self, x, length):
+        from plrvo import numerics
+        k = 1.57e6
+        assert series_length(k, x) == length
+        if length <= 10_000:
+            assert numerics._lower_gamma_series(k, x) == scalar_series(k, x)
+        else:
+            with pytest.raises(ArithmeticError, match="series did not converge"):
+                numerics._lower_gamma_series(k, x)
+
+    def test_c1_root_series_take_one_pass(self, monkeypatch):
+        # near a c1 root at large k the series takes about 5 sqrt(k) terms,
+        # all in the first chunk: a single np.multiply.accumulate
+        from plrvo import numerics
+        passes = []
+
+        class Multiply:
+            def __getattr__(self, name):
+                return getattr(np.multiply, name)
+
+            def accumulate(self, *args, **kwargs):
+                passes[-1] += 1
+                return np.multiply.accumulate(*args, **kwargs)
+
+        class Numpy:
+            multiply = Multiply()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(numerics, "np", Numpy())
+        for k in np.geomspace(1e3, 1.4e6, 25).tolist():
+            for tol in (1e-3, 1e-6, 1e-9):
+                x = float(scipy.special.gammaincinv(k, tol))
+                passes.append(0)
+                assert numerics._lower_gamma_series(k, x) == scalar_series(k, x)
+                assert passes[-1] == 1, (k, tol)
+
     @pytest.mark.parametrize("k", [2e6, 3e6, 1e7])
     def test_same_arithmetic_error_above_cap(self, k):
         # at x = k the series needs about 8 sqrt(k) terms, past the
