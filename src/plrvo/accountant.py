@@ -23,7 +23,10 @@ matrix product mixes the orders lo+1..hi of a row block [lo, hi):
 with lm1, lm2 the logs of the two branches at eta = 2..hi+1. The blocks,
 [0, 16), [16, 32), [32, 64), ... up to the cap, depend only on the cap;
 every caller reads whole blocks, so an order's bits do not depend on how
-many orders a caller reads. W and K - 1 are nonnegative, so the product
+many orders a caller reads. Each block builds lm1 into its rows of K - 1
+and lm2, then its product, into one block buffer that all blocks share, so
+a call holds K - 1 and one block's rows, and a yielded block is valid only
+until the next is requested. W and K - 1 are nonnegative, so the product
 adds without cancelling, and log1p keeps the tiny moments of far
 coordinates to full relative precision. The branch slopes at x = 0 cancel
 (b1 (eta-1) = b2 eta), so where every branch log is below 1/16 in size,
@@ -34,12 +37,12 @@ series of both branch logs and, for plrvo, the log1p series of the two
 bends' arguments (the Laplace logs are linear, and bend by 0). An argument
 above 1/16 in size, which a branch log within 1/16 allows only at k < 1,
 takes -log1p(-w) - w instead. A coordinate whose largest branch log
-exceeds 300 (a kernel near
-the MGF bound) is mixed in log space instead, by the shifted product of
-:func:`_mix` and its exact per-order fallback. At zeta = 0 or 1 each order
-has a single live weight, so the linear mix is log1p(K - 1) itself; a
-log-sum-exp of the two branches there would lose the relative precision of
-a tiny log K (1e-7 at k = 1e6, theta x = 5e-13).
+exceeds 300 (a kernel near the MGF bound) is mixed in log space instead,
+by the shifted product of :func:`_mix` and, where that loses precision,
+the exact log-sum-exp of each order, a block of orders at a time. At
+zeta = 0 or 1 each order has a single live weight, so the linear mix is
+log1p(K - 1) itself; a log-sum-exp of the two branches there would lose
+the relative precision of a tiny log K (1e-7 at k = 1e6, theta x = 5e-13).
 
 Coordinate sum. An l2-clipped model's per-step moment sums alpha over the
 majorization set x_i = C (sqrt(i) - sqrt(i-1)), i = 1..N. The first 4,096
@@ -122,6 +125,7 @@ _TAIL_PANELS = 32        # Gauss-Legendre panels of the tail integral, in log t
 _LINEAR_MIX_MAX_LOG = 300.0  # largest branch log the linear mix takes
 _SERIES_MAX = 1.0 / 16.0     # branch logs up to this size are expanded in series
 _FIRST_ROWS = 16             # the first row block: orders the search evaluates first
+_LOG_SUM_EXP_CELLS = 1 << 16  # (order, eta, x) cells of a log-sum-exp chunk
 
 
 @functools.lru_cache(maxsize=16)
@@ -149,9 +153,12 @@ def _log_weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
     else:
         rest = np.where(live, n - eta, 0)
         lgamma = np.array([math.lgamma(j + 1.0) for j in range(lam_cap + 2)])
-        log_binom = lgamma[n] - lgamma[eta] - lgamma[rest]
-        log_w = log_binom + rest * math.log1p(-zeta) + eta * math.log(zeta)
-        out[live] = log_w[live]
+        log_w = lgamma[n] - lgamma[eta]  # the log binomial, then its two powers
+        term = lgamma[rest]
+        log_w -= term
+        log_w += np.multiply(rest, math.log1p(-zeta), out=term)
+        log_w += eta * math.log(zeta)
+        np.copyto(out, log_w, where=live)
     out.flags.writeable = False
     return out
 
@@ -167,11 +174,11 @@ def _weight_matrix(zeta: float, lam_cap: int) -> np.ndarray:
 # A branch function maps (x_vector, eta_column) -> (lm1, lm2): matrices of
 # the log values of the two kernel branches before mixing, shaped
 # (n_eta, n_x), for eta = 2..eta_max (the kernel is 1 at eta = 0 and 1);
-# lm1 is built in ``out`` if given. With bends=True it gives instead each
-# log's bend, the log minus its tangent at x = 0 (the tangents cancel in
-# the mixture): it writes the two bends' arguments w into ``out``, shaped
-# (2, n_eta, n_x), and returns the k of the bends k (-log1p(-w) - w), or
-# None where the logs are linear and bend by 0.
+# lm1 is built in ``out`` and lm2 in ``out2`` if given. With bends=True it
+# gives instead each log's bend, the log minus its tangent at x = 0 (the
+# tangents cancel in the mixture): it writes the two bends' arguments w
+# into ``out``, shaped (2, n_eta, n_x), and returns the k of the bends
+# k (-log1p(-w) - w), or None where the logs are linear and bend by 0.
 BranchFn = Callable[..., tuple[np.ndarray, np.ndarray] | float | None]
 
 
@@ -179,7 +186,8 @@ def _plrv_branches(params: GammaPlrvParams) -> BranchFn:
     k, theta = params.k, params.theta
 
     def branches(x: np.ndarray, etas: np.ndarray, bends: bool = False,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | float:
+                 out: np.ndarray | None = None,
+                 out2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | float:
         worst = (float(etas[-1]) - 1.0) * theta * float(np.max(x))
         if worst >= 1.0:
             raise MgfDomainViolation(
@@ -191,12 +199,13 @@ def _plrv_branches(params: GammaPlrvParams) -> BranchFn:
             np.multiply(etas[:, None] * theta, x[None, :], out=out[1])
             np.negative(out[1], out=out[1])
             return k
-        y = np.multiply((etas[:, None] - 1.0) * theta, x[None, :], out=out)
-        z = etas[:, None] * theta * x[None, :]
-        # -k log1p(-y) and -k log1p(z), built in y and z
-        lm1 = np.log1p(np.negative(y, out=y), out=y)
+        # -k log1p(-y) and -k log1p(z), each row written once: -y is built
+        # as (1 - eta) theta x, which has the bits of -((eta - 1) theta x)
+        lm1 = np.multiply((1.0 - etas[:, None]) * theta, x[None, :], out=out)
+        np.log1p(lm1, out=lm1)
         lm1 *= -k
-        lm2 = np.log1p(z, out=z)
+        lm2 = np.multiply(etas[:, None] * theta, x[None, :], out=out2)
+        np.log1p(lm2, out=lm2)
         lm2 *= -k
         return lm1, lm2
 
@@ -207,14 +216,15 @@ def _laplace_branches(params: LaplaceParams) -> BranchFn:
     inv_b = 1.0 / params.b
 
     def branches(x: np.ndarray, etas: np.ndarray, bends: bool = False,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+                 out: np.ndarray | None = None,
+                 out2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
         if bends:  # the logs are linear in x
             return None
         # x / b may overflow; the infinite moments are reported downstream
         with np.errstate(over="ignore"):
             scaled = inv_b * x[None, :]
             lm1 = np.multiply(etas[:, None] - 1.0, scaled, out=out)
-            return lm1, -etas[:, None] * scaled
+            return lm1, np.multiply(-etas[:, None], scaled, out=out2)
 
     return branches
 
@@ -295,14 +305,50 @@ def _block_ends(lam_cap: int) -> list[int]:
     return ends
 
 
+def _log_sum_exp(log_w: np.ndarray, log_g: np.ndarray) -> np.ndarray:
+    """(order, x) matrix of the exact log-sum-exp m + log sum exp(t - m),
+    t = log w + log g, over each order's live weights: one contiguous run of
+    etas (0..lam+1, or the single eta 0 or lam+1 at zeta = 0 or 1).
+
+    The runs are aligned at offset 0 in one (order, eta, x) array per chunk
+    of orders, padded with -inf, so the shift, the exp, the log and the add
+    each take one call per chunk. Only each order's sum is its own call, on
+    the contiguous (live, x) slice that a per-order loop sums: numpy sums a
+    single column pairwise and several columns row by row, so summing a
+    padded run, or a chunk of fewer columns, could change the bits."""
+    live = log_w != LOG_ZERO
+    starts, counts = live.argmax(axis=1), np.count_nonzero(live, axis=1)
+    out = np.empty((log_w.shape[0], log_g.shape[1]))
+    step = max(1, _LOG_SUM_EXP_CELLS // (int(counts.max()) * log_g.shape[1]))
+    for lo in range(0, log_w.shape[0], step):
+        n = counts[lo : lo + step]
+        j = np.arange(n.max())
+        inside = j < n[:, None]
+        at = np.where(inside, starts[lo : lo + step, None] + j, 0)
+        t = np.full((n.size, j.size, log_g.shape[1]), LOG_ZERO)
+        np.add(np.take_along_axis(log_w[lo : lo + step], at, axis=1)[:, :, None], log_g[at],
+               out=t, where=inside[:, :, None])
+        m = t.max(axis=1)
+        t -= m[:, None, :]
+        np.exp(t, out=t)
+        sums = out[lo : lo + step]
+        for row, e, size in zip(sums, t, n):
+            np.sum(e[:size], axis=0, out=row)
+        np.log(sums, out=sums)
+        np.add(m, sums, out=sums)
+    return out
+
+
 def _mix(log_w: np.ndarray, log_g: np.ndarray, ends: list[int]) -> Iterator[np.ndarray]:
     """Log-space mix: yields the (order, x) matrix of alpha = max(0, log
     sum_eta w(lam, eta) K(x, eta)) of each row block of ``ends``, from the log
     weight matrix and the (eta, x) log kernel ``log_g`` of every order up to
     its cap, by one shifted matrix product over the whole batch. A column
     with a scaled sum below 1e-250 in any order, or not finite, has lost
-    precision and is mixed again by the exact per-order log-sum-exp; so is
-    every column when a row has one live weight (zeta = 0 or 1)."""
+    precision and is mixed again by the exact log-sum-exp of
+    :func:`_log_sum_exp`, a block of orders at a time; so is every column
+    when a row has one live weight (zeta = 0 or 1). Each yielded block is
+    its own rows of the batch's product, valid after later blocks."""
     log_w = log_w[:, : log_g.shape[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
         rmax = log_w.max(axis=1, keepdims=True)
@@ -316,11 +362,8 @@ def _mix(log_w: np.ndarray, log_g: np.ndarray, ends: list[int]) -> Iterator[np.n
             alpha = np.log(scaled[lo:hi], out=scaled[lo:hi])
             alpha += cmax
             alpha += rmax[lo:hi]
-            for row, w in zip(alpha, log_w[lo:hi]) if redo.any() else ():
-                live = w != LOG_ZERO
-                t = w[live, None] + g[live]
-                m = t.max(axis=0)
-                row[redo] = m + np.log(np.sum(np.exp(t - m[None, :]), axis=0))
+            if g.shape[1]:
+                alpha[:, redo] = _log_sum_exp(log_w[lo:hi], g)
         yield np.maximum(alpha, 0.0, out=alpha)
 
 
@@ -348,8 +391,13 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float,
     order has a single live weight, 1, so the linear mix is log1p(K - 1)
     itself.
 
-    Block [lo, hi) builds its branch rows, eta = lo+2..hi+1, in K - 1 below
-    those of the blocks before it; the log-space columns mix on their whole kernel."""
+    Block [lo, hi) builds its branch rows, eta = lo+2..hi+1: lm1 in K - 1,
+    below those of the blocks before it, and lm2 in one block buffer, as
+    many rows as the largest block, that every block shares. Once lm2 is
+    added into K - 1, the block's product is written into the same buffer
+    rows and yielded from them, so a yielded block is valid only until the
+    next block is requested: a caller that keeps one copies it. The
+    log-space columns mix on their whole kernel."""
     ends = _block_ends(lam_cap)
     eta_max = lam_cap + 1
     etas, b1, b2 = _branch_coefficients(eta_max)
@@ -358,7 +406,8 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float,
     # when the block ends at the cap, else the row after it
     first = etas if ends[0] == lam_cap else np.concatenate((etas[: ends[0]], etas[-1:]))
     k_minus_1 = np.empty((eta_max, x.size))
-    lm1, lm2 = branches(x, first, out=k_minus_1[: first.size])
+    block = np.empty((max(first.size, *(hi - lo for lo, hi in zip([0, *ends], ends))), x.size))
+    lm1, lm2 = branches(x, first, out=k_minus_1[: first.size], out2=block[: first.size])
     log_space = ~(lm1[-1] <= _LINEAR_MIX_MAX_LOG)  # NaN too
     small = np.maximum(lm1[-1], -lm2[-1]) <= _SERIES_MAX
     logs = (_mix(_log_weight_matrix(zeta, lam_cap),
@@ -368,7 +417,7 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float,
     for lo, hi in zip([0, *ends], ends):
         c1, c2 = b1[lo:hi, None], b2[lo:hi, None]
         if lo:
-            lm1, lm2 = branches(x, etas[lo:hi], out=k_minus_1[lo:hi])
+            lm1, lm2 = branches(x, etas[lo:hi], out=k_minus_1[lo:hi], out2=block[: hi - lo])
         lm1, lm2 = lm1[: hi - lo], lm2[: hi - lo]
         bent = None
         if small.any():  # the tangents cancel: K - 1 is a sum of nonnegative bends
@@ -382,7 +431,7 @@ def _moments(branches: BranchFn, x: np.ndarray, zeta: float,
             built += lm2
             if bent is not None:
                 built[:, small] = bent
-            alpha = w[lo:hi, 2 : hi + 2] @ k_minus_1[:hi]
+            alpha = np.matmul(w[lo:hi, 2 : hi + 2], k_minus_1[:hi], out=block[: hi - lo])
             np.log1p(alpha, out=alpha)
         if logs is not None:
             alpha[:, log_space] = next(logs)
@@ -419,12 +468,13 @@ def _tail(branches: BranchFn, job: AccountingJob,
     u_fine, w_fine = gauss_legendre(a, b, _TAIL_PANELS)
     u_coarse, w_coarse = gauss_legendre(a, b, _TAIL_PANELS // 2)
     t = np.exp(np.concatenate([u_fine, u_coarse]))
+    weights = np.concatenate([w_fine, w_coarse])
     x = majorizing_coordinates(job.clip_C, t)
     for f in _moments(branches, x, job.sampling_rate_zeta, lam_cap):
         f *= t  # dt = t du
-        fine = (f[:, : u_fine.size] * w_fine).sum(axis=1)
-        coarse = (f[:, u_fine.size :] * w_coarse).sum(axis=1)
-        yield fine, np.abs(fine - coarse)
+        f *= weights
+        fine = f[:, : u_fine.size].sum(axis=1)
+        yield fine, np.abs(fine - f[:, u_fine.size :].sum(axis=1))
 
 
 def _gaussian(params: GaussianParams, zeta: float, lam_cap: int) -> Iterator[np.ndarray]:
@@ -479,7 +529,9 @@ def _univariate(branches: BranchFn, x: float, zeta: float, lam: int) -> float:
     """Row lam of one coordinate's moments at the cap lam."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    return float(list(_moments(branches, np.array([float(x)]), zeta, lam))[-1][-1, 0])
+    for alpha in _moments(branches, np.array([float(x)]), zeta, lam):
+        last = float(alpha[-1, 0])
+    return last
 
 
 def plrv_univariate_log_moment(params: GammaPlrvParams, x: float, zeta: float,

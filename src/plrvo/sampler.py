@@ -180,15 +180,31 @@ def sample_laplace_vector(b: np.ndarray | float, shape: tuple[int, ...], rng) ->
     return _laplace(b, _uniform_open(rng, size).reshape(shape) - 0.5)
 
 
+def _finite_noise(params: GammaPlrvParams, scales: np.ndarray,
+                  coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scales, coords) as given; ArithmeticError naming the first draw
+    whose scale or coordinates are not finite. Below k = 1 the Gamma(k)
+    seed is boosted by u^(1/k), which can underflow to 0 (or to a seed
+    whose b = 1/u overflows)."""
+    bad = ~(np.isfinite(scales) & np.isfinite(coords).all(axis=1))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ArithmeticError(
+            f"plrvo noise draw {i} is not finite at k={params.k!r}, theta={params.theta!r}: "
+            f"scale b = {float(scales[i])!r}, from a Gamma(k, theta) seed too close to 0")
+    return scales, coords
+
+
 def sample_plrv_noise_matrix(params: GammaPlrvParams, draws: int, n: int,
                              rng) -> tuple[np.ndarray, np.ndarray]:
     """Batch form: (scales, coords) with coords of shape (draws, n); row i
     shares scales[i]. All draws' gamma seeds come first, then all
-    coordinates."""
+    coordinates. A draw that is not finite raises ArithmeticError."""
     u = sample_gamma_vector(params.k, params.theta, draws, rng)
-    b = 1.0 / u
-    coords = sample_laplace_vector(b[:, None], (draws, n), rng)
-    return b, coords
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = 1.0 / u
+        coords = sample_laplace_vector(b[:, None], (draws, n), rng)
+    return _finite_noise(params, b, coords)
 
 
 @dataclass
@@ -293,7 +309,8 @@ def sample_plrv_noise_rows(params: GammaPlrvParams, rows: int, n: int,
     on a tape of uniforms: a walk finds each row's positions as if every
     Marsaglia-Tsang candidate is accepted, one vector checks the walked
     candidates, and the walk resumes after the first rejected one. The tape
-    only grows by uniforms the draws are certain to consume.
+    only grows by uniforms the draws are certain to consume. A draw that is
+    not finite raises ArithmeticError.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -317,7 +334,8 @@ def sample_plrv_noise_rows(params: GammaPlrvParams, rows: int, n: int,
             ok, gamma = _gamma_candidates(u, checked, params.k, params.theta)
             good = len(checked) if ok.all() else int(np.argmin(ok))
             kept = min(good, len(walked))
-            scales[len(final):len(final) + kept] = 1.0 / gamma[:kept]
+            with np.errstate(divide="ignore", over="ignore"):
+                scales[len(final):len(final) + kept] = 1.0 / gamma[:kept]
             final += walked[:kept]
             if good < len(checked):  # rejected: the next try follows its uniform
                 row = _Row(checked[good].u_at + 1, checked[good].boost_at)
@@ -334,7 +352,9 @@ def sample_plrv_noise_rows(params: GammaPlrvParams, rows: int, n: int,
     for i, r in enumerate(final):
         if not isinstance(r.laplace, int):
             laplace[i] = r.laplace
-    return scales, _laplace(scales[:, None], u[laplace] - 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = _laplace(scales[:, None], u[laplace] - 0.5)
+    return _finite_noise(params, scales, coords)
 
 
 def sample_gaussian_noise(sigma_eff: float, n: int, rng) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -706,8 +707,10 @@ PAPER_JOB = dict(steps_T=250, sampling_rate_zeta=0.01024, clip_C=10.0, delta=2e-
 
 
 def all_moments(branches, x, zeta, lam_cap):
-    """Every block of ``accountant._moments``, stacked: orders 1..lam_cap."""
-    return np.concatenate(list(accountant._moments(branches, x, zeta, lam_cap)))
+    """Every block of ``accountant._moments``, stacked: orders 1..lam_cap.
+    Each block is copied as it is yielded: it is valid only until the next."""
+    return np.concatenate([alpha.copy()
+                           for alpha in accountant._moments(branches, x, zeta, lam_cap)])
 
 
 EXPM1_TERMS = [1.0 / math.factorial(n) for n in range(2, 11)]
@@ -833,8 +836,8 @@ class TestInPlaceKernel:
         branches = accountant._branches(params)
         whole = all_moments(branches, x, zeta, lam_cap)
         for blocks, rows in enumerate(accountant._block_ends(lam_cap), start=1):
-            got = np.concatenate(list(itertools.islice(
-                accountant._moments(branches, x, zeta, lam_cap), blocks)))
+            got = np.concatenate([alpha.copy() for alpha in itertools.islice(
+                accountant._moments(branches, x, zeta, lam_cap), blocks)])
             assert got.tobytes() == whole[:rows].tobytes(), rows
 
 
@@ -911,9 +914,9 @@ class TestBuildOnce:
         def recording_branches(params):
             branches = make_branches(params)
 
-            def recorded(x, etas, bends=False, out=None):
+            def recorded(x, etas, bends=False, out=None, out2=None):
                 built[x.size, bends].extend(etas.astype(int).tolist())
-                return branches(x, etas, bends, out)
+                return branches(x, etas, bends, out, out2)
 
             return recorded
 
@@ -956,6 +959,122 @@ class TestBuildOnce:
         # and the series columns' bend arguments, once
         ((columns, bends), etas), = built.items()
         assert bends and 0 < columns < 489 and etas == rows
+
+
+def per_order_mix(log_w, log_g, ends):
+    """The blocks of ``accountant._mix`` with its exact re-mix as a loop of
+    one log-sum-exp per order over the order's live weights: the form the
+    accountant's blocked log-sum-exp replaced, and the oracle for its bits."""
+    log_w = log_w[:, : log_g.shape[0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rmax = log_w.max(axis=1, keepdims=True)
+        cmax = log_g.max(axis=0)
+        scaled = np.exp(log_w - rmax) @ np.exp(log_g - cmax)
+        redo = ~np.all(scaled >= 1e-250, axis=0)
+        redo |= np.any(np.count_nonzero(log_w != -np.inf, axis=1) == 1)
+    g = log_g[:, redo]
+    blocks = []
+    for lo, hi in zip([0, *ends], ends):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.log(scaled[lo:hi], out=scaled[lo:hi])
+            alpha += cmax
+            alpha += rmax[lo:hi]
+            for row, w in zip(alpha, log_w[lo:hi]) if redo.any() else ():
+                live = w != -np.inf
+                t = w[live, None] + g[live]
+                m = t.max(axis=0)
+                row[redo] = m + np.log(np.sum(np.exp(t - m[None, :]), axis=0))
+        blocks.append(np.maximum(alpha, 0.0, out=alpha))
+    return blocks, int(np.count_nonzero(redo))
+
+
+def log_space_case(name):
+    """(log_w, log_g) of a named log-space mixing case."""
+    if name == "paper-x1":  # the paper job's x_1 = C column, the one it re-mixes
+        return (accountant._log_weight_matrix(0.01024, 119),
+                accountant._log_kernel(accountant._plrv_branches(PAPER), np.array([10.0]), 120))
+    if name == "k=2000":  # L theta x reaches 0.8: near the MGF bound
+        x = MajorizationSet(1.0, 1000).coordinates(1, 1000)
+        branches = accountant._plrv_branches(GammaPlrvParams(k=2000.0, theta=0.05))
+        return accountant._log_weight_matrix(0.07, 16), accountant._log_kernel(branches, x, 17)
+    if name.startswith("zeta="):  # one live weight per order: every column re-mixed
+        x = MajorizationSet(1.5, 300).coordinates(1, 300)
+        branches = accountant._plrv_branches(GammaPlrvParams(k=20.0, theta=0.002))
+        return (accountant._log_weight_matrix(float(name[5:]), 32),
+                accountant._log_kernel(branches, x, 33))
+    if name == "laplace":  # 64 x / b > 575 up to x_343: hundreds of re-mixed columns
+        x = MajorizationSet(10.0, 5000).coordinates(1, 5000)
+        branches = accountant._laplace_branches(LaplaceParams(b=0.03))
+        return accountant._log_weight_matrix(0.1, 64), accountant._log_kernel(branches, x, 65)
+    if name == "cap=200":  # live runs of up to 202 weights; 200 theta x = 0.994
+        x = np.array([10.0])
+        branches = accountant._plrv_branches(GammaPlrvParams(k=141.06, theta=4.97e-4))
+        return accountant._log_weight_matrix(0.01024, 200), accountant._log_kernel(branches, x, 201)
+    # columns whose kernel holds inf or NaN, beside finite ones
+    log_w, log_g = log_space_case("k=2000")
+    log_g = log_g[:, :8].copy()
+    log_g[9, 1] = np.inf
+    log_g[4, 2] = np.nan
+    log_g[2:, 3] = np.inf
+    log_g[2:, 4] = -np.inf
+    log_g[17, 5] = np.nan
+    return log_w, log_g
+
+
+LOG_SPACE_CASES = ["paper-x1", "k=2000", "zeta=0", "zeta=1", "laplace", "cap=200",
+                   "inf-nan"]
+
+
+class TestLogSpaceMix:
+    """``_mix`` re-mixes its log-space columns a block of orders at a time,
+    each order's live run aligned at offset 0; every bit must match the
+    per-order loop it replaced."""
+
+    @pytest.mark.parametrize("name", LOG_SPACE_CASES)
+    def test_bitwise_equal_to_per_order_loop(self, name):
+        log_w, log_g = log_space_case(name)
+        ends = accountant._block_ends(log_w.shape[0])
+        want, redo = per_order_mix(log_w, log_g, ends)
+        assert redo >= 1  # the case reaches the re-mix
+        got = list(accountant._mix(log_w, log_g, ends))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    def test_cases_reach_what_they_are_named_for(self):
+        # several chunks of orders in the block [32, 64), whose live runs are
+        # up to 66 weights long
+        redo = per_order_mix(*log_space_case("laplace"), [64])[1]
+        assert 2 <= accountant._LOG_SUM_EXP_CELLS // (66 * redo) < 32
+        # live runs longer than numpy's 128-term pairwise block, on one column
+        assert per_order_mix(*log_space_case("cap=200"), [200])[1] == 1
+        assert per_order_mix(*log_space_case("paper-x1"), [119])[1] == 1
+        # NaN moments, whose bits include the NaN's sign
+        log_w, log_g = log_space_case("inf-nan")
+        assert np.isnan(np.concatenate(list(accountant._mix(log_w, log_g, [16])))).any()
+
+
+class TestFullGridMemory:
+    """One warm full-grid ``_per_step`` of the paper job at N = 1e5 holds the
+    head's and the tail's K - 1 and one block buffer each, and little else."""
+
+    def test_traced_peak(self):
+        job = AccountingJob(model_dim_N=10**5, **PAPER_JOB)
+        accountant._per_step(PAPER, job)  # the caches are warm
+        tracemalloc.start()
+        try:
+            accountant._per_step(PAPER, job)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cap = job.lambda_max
+        columns = accountant.HEAD_COORDINATES + 32 * (32 + 16)  # head and tail nodes
+        largest = max(np.diff(accountant._block_ends(cap)))
+        # K - 1 (cap + 1 rows) and the block buffer, in float64, plus 0.6 MB
+        bound = 8 * (cap + 1 + largest) * columns + 600_000
+        assert bound < 8.5e6
+        assert peak <= bound, (peak, bound)
 
 
 class TestDeterminism:

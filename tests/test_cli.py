@@ -256,6 +256,20 @@ class TestExitCodes:
         assert "laplace per-step log moment of order 1" in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("k,draw", [("0.003", 9), ("0.001", 2), ("1e-320", 0)])
+    def test_underflowing_gamma_seed_exit_2(self, capsys, k, draw):
+        # below k = 1 the seed's boost u^(1/k) underflows, and b = 1/u overflows
+        argv = ["sample", "--mechanism", "plrvo", "--seed", "1", "--theta", "1", "--n", "2",
+                "--draws", "200", "--k", k]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"numerical error: plrvo noise draw {draw} is not finite at "
+                              f"k={float(k)!r}, theta=1.0: scale b = ")
+        assert "Warning" not in err
+
 
 SMALL_JOB = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 20,
              "clip_C": 1.0, "delta": 1e-5, "lambda_max": 8}

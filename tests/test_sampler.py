@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,25 @@ class TestPlrvNoise:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_plrv_noise_rows(GammaPlrvParams(k=2.0, theta=0.5), 1, 0, make_rng(1))
+
+    @pytest.mark.parametrize("sample", [sample_plrv_noise_matrix, sample_plrv_noise_rows])
+    @pytest.mark.parametrize("k", [0.003, 0.001, 1e-320])
+    def test_underflowing_seed_raises(self, sample, k):
+        # the k < 1 boost u^(1/k) drives the Gamma(k) seed to 0 and b = 1/u past
+        # the float range: an error naming k, theta and the draw, and no warning
+        p = GammaPlrvParams(k=k, theta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError,
+                               match=rf"noise draw \d+ is not finite at k={k!r}, theta=1.0"):
+                sample(p, 200, 2, make_rng(1))
+
+    @pytest.mark.parametrize("sample", [sample_plrv_noise_matrix, sample_plrv_noise_rows])
+    def test_finite_draws_at_small_k(self, sample):
+        # k = 0.05 keeps every draw of this stream finite: no error
+        p = GammaPlrvParams(k=0.05, theta=1.0)
+        scales, coords = sample(p, 200, 2, make_rng(1))
+        assert np.all(np.isfinite(scales)) and np.all(np.isfinite(coords))
 
 
 class TestGaussianAndLaplace:
