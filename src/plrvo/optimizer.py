@@ -16,12 +16,12 @@ s = theta * C; c1 and c4 are lower bounds on theta, free of C. So an s
 feasible at any C in [clip_min, clip_max] is feasible at clip_min, where
 theta = s / clip_min is largest, and J = (k - 1) s ties across the clips.
 The search runs at C = clip_min alone and returns C* = clip_min, the tied
-clip with the smallest distortion; clip_max only bounds c0. Phase A finds
-the exact feasible argmax of J over a logarithmic (k, theta) grid, walked
-by a monotone staircase so that c2 is evaluated only near its boundary.
-Phase B refines k by golden section along the feasibility boundary (each
-probe snaps theta to its largest feasible value) until the relative J
-improvement drops below 1e-4. Nothing is random.
+clip with the smallest distortion; clip_max only bounds c0. At each k the
+best feasible point is then the largest feasible theta, on the privacy
+boundary, and J*(k) = (k - 1) s*(k). The search computes J*(k) at each k of
+one logarithmic grid, then runs a golden section in k between the best
+grid k's neighbours, and returns the best k it evaluated. Nothing is
+random.
 
 c1 and c4 are lower bounds on theta: c1's is a Gamma(k) quantile
 (:func:`_c1_floor`, on the accumulate-summed incomplete gamma series), c4's
@@ -30,16 +30,14 @@ probe accounts epsilon on the full lambda grid, the same computation as the
 final verification, so the returned point's report reuses the probe's
 entry.
 
-Snapping theta to the c2 boundary is defined as a bisection in log theta,
-but :func:`_boundary_theta` replays it rather than running it. Epsilon
-increases with theta, so every midpoint outside the bracket of verdicts
-accounted at its k takes the verdict the bisection would have computed.
-Brent's method narrows that bracket first, after which the replay accounts
-almost no midpoint. The MGF bound, the bracket's top, is first screened by
-a certified lower bound on epsilon (:func:`_mgf_screen`). Where that bound
-is at least twice the target, the top fails without an accountant call,
-which would be the boundary's costliest: its moments are mixed in log
-space.
+The boundary theta at k (:func:`_boundary_theta`) is the largest theta
+accounted as passing at k once Brent's method has narrowed the sign bracket
+of log epsilon - log epsilon* in log theta below 1e-7; an accounted fail,
+or the MGF bound, lies within that factor above it. The MGF bound, the
+bracket's top, is first screened by a certified lower bound on epsilon
+(:func:`_mgf_screen`). Where that bound is at least twice the target, the
+top fails without an accountant call, which would be the boundary's
+costliest: its moments are mixed in log space.
 
 The accounted epsilon also increases with k at fixed s: Gamma(k, theta)
 is stochastically increasing in k, so the inverse noise scale grows. So
@@ -47,19 +45,17 @@ the search reads its accounted verdicts as two staircases over k: the
 largest passing s over k' >= k, and the smallest failing s over k' <= k.
 A point whose s lies at least 1e-9 below (above) them, relative, takes a
 known pass (fail) with no accountant call; the margin absorbs rounding in
-the accounted epsilon. Phase B's k probes thus take most verdicts at their
-MGF bound and floor from other k. A new k's boundary is warm-started
+the accounted epsilon. So most k take the verdicts at their MGF bound and
+floor from other k. A new k's boundary is warm-started
 (:func:`_warm_start`): the boundaries solved at the nearest k,
 interpolated in (log k, log theta), predict its root, which is accounted,
 and so is one Newton step from there, pushed just past that root. Brent
 starts from the bracket accounted at this k; it never interpolates a value
 accounted at another k.
 
-Every inference keeps the bisection's and the grid's bits. Bounds and
-inferred verdicts never enter the c2 cache, so every reported epsilon is
-an accounted one, and the final verification still accounts the returned
-point itself. Exit-3 diagnostics account the grid points whose verdicts
-Phase A inferred, so they report accounted margins.
+Bounds and inferred verdicts never enter the c2 cache, so every reported
+epsilon is an accounted one, and the final verification still accounts the
+returned point itself.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ from .params import (
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-K_GRID_LO, K_GRID_HI, K_GRID_POINTS = 1.0 + 1e-3, 1e6, 60
+K_GRID_LO, K_GRID_HI, K_GRID_POINTS = 1.0 + 1e-3, 1e6, 20
 THETA_GRID_LO, THETA_GRID_POINTS = 1e-7, 60
 
 
@@ -180,14 +176,16 @@ def _c1_floor(k: float, tol: float) -> float:
 
     x_q is the root of f(u) = log P(k, e^u) - log tol, solved by Newton's
     method in u = log x from the Wilson-Hilferty approximation; f' is
-    x * density / P, closed form through lgamma. A step that leaves the sign
-    bracket is replaced by bisection. log X has a log-concave density for
-    X ~ Gamma(k), so f is concave and increasing, and Newton approaches the
-    root from the passing side after at most one step. It stops once a
-    passing iterate's step, or the bracket, is below 1e-13 in log x. 0.1
-    over that iterate is then stepped up an ulp at a time until it passes c1
-    (the computed CDF is not monotone at the ulp scale), so the floor always
-    passes."""
+    x * density / P, closed form through lgamma. log X has a log-concave
+    density for X ~ Gamma(k), so f is concave and increasing, and Newton
+    approaches the root from the passing side after at most one step, and
+    falls short of it. So a step that reaches the failing end of the sign
+    bracket shows that end within rounding of the root, and is replaced by
+    a probe 0.5e-13 below it; any other step that leaves the bracket, by
+    bisection. It stops once a passing iterate's step, or the bracket, is
+    below 1e-13 in log x. 0.1 over that iterate is then stepped up an ulp at
+    a time until it passes c1 (the computed CDF is not monotone at the ulp
+    scale), so the floor always passes."""
     # statistics imports decimal and fractions: load it only when solving
     from statistics import NormalDist
 
@@ -203,11 +201,11 @@ def _c1_floor(k: float, tol: float) -> float:
         x = math.exp(u)
         p = regularized_lower_gamma(k, x)
         if p > 0.0:
+            f = math.log(p) - log_tol
             # -f(u) / f'(u); a step too long to represent leaves the bracket anyway
-            step = (log_tol - math.log(p)) * math.exp(
-                min(x - k * u + log_gamma_k + math.log(p), 700.0))
+            step = -f * math.exp(min(x - k * u + log_gamma_k + math.log(p), 700.0))
         else:  # P underflows far below the root
-            step = math.nan
+            f, step = -math.inf, math.nan
         if p > tol:
             hi = u
         else:
@@ -218,7 +216,9 @@ def _c1_floor(k: float, tol: float) -> float:
             break
         nxt = u + step
         if not lo < nxt < hi:  # NaN fails too
-            if math.isfinite(lo) and math.isfinite(hi):
+            if math.isfinite(hi) and nxt >= hi:
+                nxt = hi - 0.5e-13
+            elif math.isfinite(lo) and math.isfinite(hi):
                 nxt = 0.5 * (lo + hi)
             else:
                 nxt = u + 1.0 if hi == math.inf else u - 1.0
@@ -254,7 +254,7 @@ class _Bracket:
 
     def solved(self) -> bool:
         """Whether the ends are within NARROW of each other, relative: a
-        boundary solved by Brent's method, not a Phase A grid cell."""
+        boundary solved by Brent's method."""
         return self.hi <= self.lo * (1.0 + NARROW)
 
 
@@ -303,8 +303,8 @@ class _SearchState:
     keeps the bracket of accounted verdicts in theta, and across k the
     staircases of passing and failing s = theta * C (epsilon increases with
     k at fixed s). ``solved_ks`` lists, sorted, the k whose bracket is
-    :meth:`_Bracket.solved`. ``inferred`` collects the points whose verdict
-    was known without accounting them; they never enter ``c2_cache``."""
+    :meth:`_Bracket.solved`. Verdicts known without accounting never enter
+    ``c2_cache``."""
 
     cfg: FeasibilityConfig
     c2_cache: dict[tuple[float, float, float], dict] = field(default_factory=dict)
@@ -313,7 +313,6 @@ class _SearchState:
     passing: _Staircase = field(default_factory=lambda: _Staircase(1.0))
     failing: _Staircase = field(default_factory=lambda: _Staircase(-1.0))
     solved_ks: list[float] = field(default_factory=list)
-    inferred: set[tuple[float, float, float]] = field(default_factory=set)
 
     def c2_entry(self, point: tuple[float, float, float]) -> dict:
         entry = self.c2_cache.get(point)
@@ -362,14 +361,10 @@ class _SearchState:
         return None
 
     def passes(self, point: tuple[float, float, float]) -> bool:
-        """c2's verdict at point: the known one if there is one (recorded in
-        ``inferred`` unless accounted), else the accounted one."""
+        """c2's verdict at point: the known one if there is one, else the
+        accounted one."""
         verdict = self.known(point)
-        if verdict is None:
-            return self.c2_entry(point)["passed"]
-        if point not in self.c2_cache:
-            self.inferred.add(point)
-        return verdict
+        return self.c2_entry(point)["passed"] if verdict is None else verdict
 
     def neighbour_boundaries(self, k: float) -> list[tuple[float, float, float]]:
         """(log k', log theta', slope) for the NEAR k' nearest k in log k,
@@ -424,21 +419,17 @@ def _theta_hi(cfg: FeasibilityConfig) -> float:
     return (1.0 - 1e-6) / (cfg.clip_min * (cfg.job_skeleton.lambda_max + 1))
 
 
-def _phase_a_grid(cfg: FeasibilityConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Phase A's grid: the k values, and the ascending theta values up to
-    :func:`_theta_hi` (none when it is under the grid floor)."""
-    ks = np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS)
-    theta_hi = _theta_hi(cfg)
-    if theta_hi <= THETA_GRID_LO:
-        return ks, np.empty(0)
-    return ks, np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS)
+def _k_grid() -> list[float]:
+    """The k values :func:`solve` scans, ascending."""
+    return np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS).tolist()
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float | None, float]:
     """At most 20 golden-section steps in log x maximizing f over [lo, hi];
     f may be -inf.
 
-    Returns the best probed (x, f(x)) including the endpoints.
+    Returns the best probed (x, f(x)), (None, -inf) when every probe is
+    -inf. The endpoints are not probed.
     """
     a, b = math.log(lo), math.log(hi)
     best_x, best_f = None, -math.inf
@@ -451,8 +442,6 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
             best_f, best_x = val, x
         return val
 
-    evaluate(a)
-    evaluate(b)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = evaluate(x1), evaluate(x2)
@@ -520,34 +509,29 @@ def _mgf_screen(cfg: FeasibilityConfig, k: float, theta: float, C: float) -> flo
 
 
 def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None:
-    """Largest feasible theta at k and C = clip_min with all constraints, or
-    None.
+    """Largest feasible theta at k and C = clip_min with all constraints, and
+    its J, or None.
 
     The accounted epsilon is monotone increasing in theta while c1 and c4
-    are lower bounds, so the feasible thetas form an interval whose top is
-    either the MGF bound or the c2 boundary. The result is defined by a
-    bisection of the latter in log theta, from the floor up to the MGF
-    bound, stopping once the bracket is at most 1e-7 wide. Returns
-    (theta, J).
+    are lower bounds, so the feasible thetas form an interval from the floor
+    up, whose top is either the MGF bound or the c2 boundary. When the MGF
+    bound fails c2 the result is the largest theta accounted as passing at
+    k once Brent's method, on log epsilon - log epsilon* in log theta, has
+    narrowed the sign bracket below 1e-7: an accounted fail at k, or the MGF
+    bound failed by :func:`_mgf_screen`, lies within a factor e^(1e-7)
+    above it.
 
-    The bisection is replayed, not run: each midpoint takes its known
-    verdict (:meth:`_SearchState.known`), by monotonicity in theta at k or
-    from the staircases across k, and only a midpoint that no accounted
-    entry decides is accounted. So the replay takes the same verdicts at
-    the same midpoints, and returns the same bits. The MGF bound and the
-    floor take known verdicts too. The MGF bound's entry is not accounted
-    when :func:`_mgf_screen` shows it fails; the screen's log excess then
-    stands in for the accounted one as Brent's value there.
-
-    Before the replay, Brent's method on log epsilon - log epsilon* in
-    log theta narrows the bracket of verdicts accounted at k below 2e-9.
-    When k has no such bracket, :func:`_warm_start` first accounts its
-    predicted root and one Newton step past it. The two usually bracket the boundary, so a Phase B probe
-    costs two or three accountant calls in all. An end still missing,
-    because the floor's or the MGF bound's verdict came from another k, is
-    accounted at this k (or the MGF bound screened). From [floor, MGF bound]
-    Brent takes about 7 accountant calls. A dyadic midpoint rarely falls
-    inside the final bracket, so the replay seldom accounts anything."""
+    The MGF bound and the floor take their known verdicts
+    (:meth:`_SearchState.known`) where another k's staircase decides them.
+    The MGF bound's entry is not accounted when :func:`_mgf_screen` shows it
+    fails; the screen's log excess then stands in for the accounted one as
+    Brent's value there. When k has no bracket of accounted verdicts,
+    :func:`_warm_start` first accounts its predicted root and one Newton
+    step past it. The two usually bracket the boundary, so a new k costs two
+    or three accountant calls in all. An end still missing, because the
+    floor's or the MGF bound's verdict came from another k, is accounted at
+    this k (or the MGF bound screened). From [floor, MGF bound] Brent takes
+    about 7 accountant calls."""
     cfg = state.cfg
     if not k > 1.0:
         return None
@@ -568,13 +552,6 @@ def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None
     if not state.passes((k, floor, C)):
         return None
 
-    def passes(theta: float) -> bool:
-        if theta <= floor:
-            return True
-        if theta >= theta_hi:
-            return False
-        return state.passes((k, theta, C))
-
     at_k = state.brackets.get(k, _NO_BRACKET)
     if at_k.lo_point is None or at_k.hi_point is None:
         _warm_start(state, k, floor, theta_hi)
@@ -593,17 +570,8 @@ def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None
     else:
         hi_excess = state.excess(hi_entry)
     _brent(lambda u: state.excess(state.c2_entry((k, math.exp(u), C))),
-           math.log(lo), state.excess(lo_entry), math.log(hi), hi_excess, 2e-9)
-    theta = floor
-    lo, hi = math.log(floor), math.log(theta_hi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if passes(math.exp(mid)):
-            lo, theta = mid, math.exp(mid)
-        else:
-            hi = mid
-        if hi - lo <= 1e-7:
-            break
+           math.log(lo), state.excess(lo_entry), math.log(hi), hi_excess, 1e-7)
+    theta = state.brackets[k].lo
     return theta, objective(k, theta, C)
 
 
@@ -643,18 +611,19 @@ def _warm_start(state: _SearchState, k: float, floor: float, theta_hi: float) ->
 
 
 def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> dict:
-    """The tightest violated constraint over Phase A's grid, keyed by the
-    clip it searched (none when the grid is empty)."""
-    ks, thetas = _phase_a_grid(cfg)
-    C = cfg.clip_min
+    """The tightest violated constraint over the scanned k and
+    THETA_GRID_POINTS logarithmic theta values up to :func:`_theta_hi`
+    (none when that is under THETA_GRID_LO), keyed by the clip searched. c2
+    enters where the search accounted it."""
+    theta_hi = _theta_hi(cfg)
+    thetas = (np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS).tolist()
+              if theta_hi > THETA_GRID_LO else [])
+    ks, C = _k_grid(), cfg.clip_min
     best = None
-    for point in ((float(k), float(theta), C) for theta in thetas for k in ks):
+    for point in ((k, theta, C) for theta in thetas for k in ks):
         report = _cheap_constraints(*point, cfg)
-        # a verdict Phase A inferred is accounted here, for its margin
-        cached = (state.c2_entry(point) if point in state.inferred
-                  else state.c2_cache.get(point))
-        if cached is not None:
-            report["c2"] = cached
+        if point in state.c2_cache:
+            report["c2"] = state.c2_cache[point]
         failing = {n: e for n, e in report.items() if not e["passed"]}
         if not failing:
             failing = {"c2": {"margin": -math.inf}}
@@ -665,96 +634,51 @@ def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> d
 
 
 def solve(cfg: FeasibilityConfig) -> OptimizationResult:
-    """Two-phase deterministic search for the feasible J maximum.
+    """Deterministic search for the feasible J maximum.
 
     J and every constraint but c0 see theta and C only through
     s = theta * C, or bound theta from below, so clip_min admits every s
     that a clip in the box admits, and J = (k - 1) s ties across them. The
     search runs at clip_min and returns C* = clip_min, the tied clip with
     the smallest distortion; clip_max only bounds c0. (The README's job
-    file, with clip_min 5 and clip_max 10, returns C* = 5.) Phase A computes
-    the exact feasible grid argmax of J over 60 x 60 log points in
-    (k, theta); Phase B refines k by golden section along the feasibility
-    boundary until the relative J improvement drops below 1e-4. The result
-    embeds the returned point's full constraint report (c2 on the full
-    lambda grid, from the search's cache).
+    file, with clip_min 5 and clip_max 10, returns C* = 5.) At each k the
+    best point is the boundary theta (:func:`_boundary_theta`), and the
+    search computes its J at each of the K_GRID_POINTS logarithmic k in
+    [K_GRID_LO, K_GRID_HI]. One golden section in log k then runs between
+    the best scanned k's neighbours, and the best k evaluated, scanned or
+    probed, is returned, so its J is at least every J the scan computed.
+    (On criterion 8's configs and the train-plrvo solve the scan's best k
+    is K_GRID_HI itself: J*(k) still rises there.) The result embeds the
+    returned point's full constraint report (c2 on the full lambda grid,
+    from the search's cache).
     """
     state = _SearchState(cfg=cfg)
+    boundaries: dict[float, tuple[float, float] | None] = {}
 
-    # The accounted epsilon is monotone in k and theta (the mechanism kernel
-    # increases with the inverse scale u, and Gamma(k, theta) is
-    # stochastically increasing in both), so the c2-feasible thetas at a k
-    # are a prefix of the grid whose end is nonincreasing in k. An
-    # ascending-k walk with a descending theta pointer thus finds every
-    # column's exact boundary in amortized O(#k + #theta) checks, skipping
-    # columns whose J at the pointer cannot beat the incumbent: exactly the
-    # feasible grid argmax of J.
-    ks, thetas = _phase_a_grid(cfg)
-    C = cfg.clip_min
-    best, best_j = None, -math.inf
-    pointer = len(thetas) - 1
-    for k in (float(v) for v in ks):
-        if pointer < 0:
-            break
-        if objective(k, float(thetas[pointer]), C) <= best_j:
-            continue
-        # first grid theta passing c1 and c4 (the grid's k are all > 1)
-        bot = int(np.searchsorted(thetas, state.theta_floor(k)))
-        q = pointer
-        if q < bot:
-            continue
-        while q >= bot and not state.passes((k, float(thetas[q]), C)):
-            q -= 1
-        if q < bot:
-            pointer = bot - 1
-            continue
-        pointer = q
-        j = objective(k, float(thetas[q]), C)
-        if j > best_j:
-            best, best_j = (k, float(thetas[q])), j
-    if best is None:
+    def j_at_k(k: float) -> float:
+        boundaries[k] = _boundary_theta(state, k)
+        return -math.inf if boundaries[k] is None else boundaries[k][1]
+
+    ks = _k_grid()
+    js = [j_at_k(k) for k in ks]
+    i = max(range(len(ks)), key=js.__getitem__)
+    if js[i] == -math.inf:
         raise InfeasibleError(
             "no feasible point in the configured box",
             diagnostics=_infeasibility_diagnostics(cfg, state))
-
-    # Phase B: golden section in k along the feasibility boundary. A probe
-    # at k evaluates J with theta snapped to its largest feasible value -
-    # every probe is feasibility-checked - because at the privacy boundary
-    # no single raw-coordinate move can improve J (raising k alone violates
-    # c2; lowering theta alone lowers J). The k bracket widens whenever the
-    # line search lands on its edge, so slow climbs toward the large-k
-    # asymptote converge in a few passes.
-    k_ratio = (K_GRID_HI / K_GRID_LO) ** (1.0 / (K_GRID_POINTS - 1))
-    k_best, theta_best = best
-    snapped = _boundary_theta(state, k_best)
-    if snapped is not None and snapped[1] > best_j:
-        theta_best, best_j = snapped
-
-    def j_at_k(k: float) -> float:
-        r = _boundary_theta(state, k)
-        return r[1] if r is not None else -math.inf
-
-    k_span = k_ratio
-    for _ in range(12):
-        prev_j = best_j
-        lo = max(K_GRID_LO, k_best / k_span)
-        hi = min(K_GRID_HI, k_best * k_span)
-        k_probe, j_probe = _golden_max(j_at_k, lo, hi)
-        if j_probe > best_j:
-            k_best, best_j = k_probe, j_probe
-            theta_best = _boundary_theta(state, k_best)[0]
-        edge = (k_probe >= hi * 0.99 and hi < K_GRID_HI) or \
-               (k_probe <= lo * 1.01 and lo > K_GRID_LO)
-        k_span = min(k_span * k_span, 1e4) if edge else k_ratio
-        if best_j - prev_j < 1e-4 * max(prev_j, 1e-300):
-            break
+    k_best = ks[i]
+    k_probe, j_probe = _golden_max(j_at_k, ks[max(i - 1, 0)], ks[min(i + 1, len(ks) - 1)])
+    if j_probe > js[i]:
+        k_best = k_probe
+    theta_best = boundaries[k_best][0]
+    C = cfg.clip_min
     best = (k_best, theta_best, C)
 
     final_report = state.report(best)
     if not all_pass(final_report):
         # every probe's c2 is the full-grid one, so this can only trip on a
         # bug, or if the computed epsilon were not monotone in theta (the
-        # boundary replay infers verdicts from that); never certify anyway
+        # boundary search infers verdicts from that); never certify anyway
         raise InfeasibleError("refined point failed final verification",
                               diagnostics=final_report)
     return OptimizationResult(

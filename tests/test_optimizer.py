@@ -146,8 +146,9 @@ class TestSolve:
         assert js[0] <= js[1] * (1 + 1e-3) and js[1] <= js[2] * (1 + 1e-3)
 
     def test_widening_clip_box_never_lowers_j(self):
-        # exact feasible-set monotonicity, up to the solver's own 1e-4
-        # relative-improvement stopping rule
+        # the feasible set only grows, so J can fall only by the search's own
+        # resolution in k (the golden section's last step) and in theta (the
+        # boundary's 1e-7 bracket)
         narrow = solve(toy_cfg(clip_min=0.7, clip_max=0.8, N=200, lambda_max=16)).snr
         wide = solve(toy_cfg(clip_min=0.5, clip_max=1.0, N=200, lambda_max=16)).snr
         assert wide >= narrow * (1 - 1e-3)
@@ -159,8 +160,8 @@ class TestSolve:
         assert exc.value.diagnostics  # per-clip tightest constraint report
 
     def test_infeasible_diagnostics_pinned(self):
-        # Phase A's grid order decides which constraint wins a tie; the one
-        # key is the clip the search ran at, clip_min
+        # the diagnostic grid's order decides which constraint wins a tie; the
+        # one key is the clip the search ran at, clip_min
         cfg = toy_cfg(epsilon=1e-6, N=200, T=10_000, zeta=0.5, lambda_max=16)
         with pytest.raises(InfeasibleError) as exc:
             solve(cfg)
@@ -189,6 +190,26 @@ class TestSolve:
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == want
+
+    @pytest.mark.parametrize("name", ["toy", "crit8-7"])
+    def test_j_is_the_best_evaluated(self, monkeypatch, name):
+        # the scan's J at every grid k, and the golden section's, are never
+        # above the returned J
+        cfg = toy_cfg() if name == "toy" else crit8_configs()[7]
+        js = []
+
+        def recording(state, k):
+            got = _boundary_theta(state, k)
+            js.append((k, -math.inf if got is None else got[1]))
+            return got
+
+        monkeypatch.setattr(optimizer, "_boundary_theta", recording)
+        res = solve(cfg)
+        scanned = optimizer._k_grid()
+        assert [k for k, _ in js[:len(scanned)]] == scanned
+        assert len(js) > len(scanned)
+        assert all(res.snr >= j for _, j in js)
+        assert (res.k_star, res.snr) in js
 
 
 def gamma_quantile(k: float, tol: float) -> float:
@@ -242,43 +263,40 @@ def crit8_configs() -> list[FeasibilityConfig]:
 
 
 class TestSolvePinned:
-    # (k*, theta*, C*) returned by the c1 bisection and coarse-search c2
-    # that the quantile floor and the full-grid c2 replaced
+    # (k*, theta*, C*) on the privacy boundary; k* is near K_GRID_HI = 1e6
     @pytest.mark.parametrize("index,want", [
-        (3, (23596.350285372962, 7.3600741468662725e-06, 0.9382267495871688)),
-        (6, (626072.8690469214, 3.0649996241052936e-07, 0.9897095927635631)),
-        (7, (23584.706262575703, 2.574930855310908e-05, 0.3948752880605814)),
+        (3, (999826.1142498321, 1.7370466540789124e-07, 0.9382267495871688)),
+        (6, (999670.6117234769, 1.9195460763349687e-07, 0.9897095927635631)),
+        (7, (999670.6117234769, 6.075023539389851e-07, 0.3948752880605814)),
     ])
     def test_crit8_configs(self, index, want):
         res = solve(crit8_configs()[index])
         assert (res.k_star, res.theta_star, res.C_star) == pytest.approx(want, rel=1e-9)
 
-    # (k*, theta*, C*, achieved epsilon), bit for bit, as solved before the
-    # incomplete gamma series was summed by accumulates and before the
-    # boundary search screened its MGF-bound probe; the clip-range configs
-    # 1, 2, 4, 5, 7 and 8 as solved at C* = clip_min
+    # (k*, theta*, C*, achieved epsilon), bit for bit, as solved by the scan
+    # over k with boundaries bracketed to 1e-7 in log theta
     EXACT = {
-        "crit8-0": (999999.9999999995, 3.931831688576094e-07, 0.4443717168528951,
-                    2.9611564219885524),
-        "crit8-1": (76109.14828423203, 9.882515853794066e-06, 0.38558043488435606,
-                    1.6003849412061184),
-        "crit8-2": (9252.281545707881, 4.190428251926245e-05, 0.556775788916591,
-                    2.6391627950557766),
-        "crit8-3": (23596.350285372962, 7.3600741468658024e-06, 0.9382267495871688,
-                    2.426279489450441),
-        "crit8-4": (999999.9999999995, 1.6003560230386182e-07, 0.5259460668741633,
-                    0.5189704140831961),
-        "crit8-5": (983951.3599688349, 1.194475565057299e-06, 0.5032040922900811,
-                    2.543779232840648),
-        "crit8-6": (626072.8690469214, 3.064999624104227e-07, 0.9897095927635631,
-                    1.6722753729112818),
-        "crit8-7": (23584.706262575703, 2.574930855310908e-05, 0.3948752880605814,
-                    3.144303128566462),
-        "crit8-8": (495378.69641746813, 4.5594309370054367e-07, 0.7624883902370548,
-                    2.630641259375434),
-        "crit8-9": (999999.9999999995, 2.072194075963322e-06, 0.4513285441098126,
-                    2.365106610018757),
-        "train-demo": (29822.05233062761, 6.316619662040844e-05, 1.0, 1.9999999723410862),
+        "crit8-0": (999951.9361367582, 3.932020698297119e-07, 0.4443717168528951,
+                    2.9611564410818296),
+        "crit8-1": (999766.7147151814, 7.523298901943156e-07, 0.38558043488435606,
+                    1.6003850169878628),
+        "crit8-2": (999951.9361367582, 3.877494967955644e-07, 0.556775788916591,
+                    2.6391628133368714),
+        "crit8-3": (999826.1142498321, 1.7370466540789124e-07, 0.9382267495871688,
+                    2.4262794926213127),
+        "crit8-4": (999700.3081948161, 1.6008358350584e-07, 0.5259460668741633,
+                    0.5189704166143827),
+        "crit8-5": (999796.4140413789, 1.1755451915146237e-06, 0.5032040922900811,
+                    2.543779234744849),
+        "crit8-6": (999670.6117234769, 1.9195460763349687e-07, 0.9897095927635631,
+                    1.6722754979285144),
+        "crit8-7": (999670.6117234769, 6.075023539389851e-07, 0.3948752880605814,
+                    3.144303130764926),
+        "crit8-8": (999718.662064532, 2.2592817336998452e-07, 0.7624883902370548,
+                    2.6306412981566254),
+        "crit8-9": (999826.1142498321, 2.07255447368824e-06, 0.4513285441098126,
+                    2.3651066231448556),
+        "train-demo": (999933.5779843554, 1.8839156723482982e-06, 1.0, 1.9999999999999978),
     }
 
     @pytest.mark.parametrize("name", list(EXACT))
@@ -312,32 +330,23 @@ class TestClipTie:
         assert tied >= 2
 
 
-def bisected_boundary_theta(state, k: float) -> tuple[float, float] | None:
-    """The plain bisection that :func:`_boundary_theta` replays, at
-    C = clip_min: one accountant call per level, every midpoint accounted."""
+def assert_on_boundary(state, k: float, got: tuple[float, float]) -> None:
+    """got = _boundary_theta(state, k) below the MGF bound, by its definition:
+    the largest theta accounted as passing at k and C = clip_min, with an
+    accounted fail at k, or the MGF bound failed by the screen, within a
+    factor e^(1e-7) above it (up to the rounding of exp and log)."""
     cfg = state.cfg
-    if not k > 1.0:
-        return None
-    C = cfg.clip_min
-    theta_hi = (1.0 - 1e-6) / (C * (cfg.job_skeleton.lambda_max + 1))
-    floor = state.theta_floor(k)
-    if floor > theta_hi:
-        return None
-    if state.c2_entry((k, theta_hi, C))["passed"]:
-        return theta_hi, objective(k, theta_hi, C)
-    if not state.c2_entry((k, floor, C))["passed"]:
-        return None
-    theta = floor
-    lo, hi = math.log(floor), math.log(theta_hi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if state.c2_entry((k, math.exp(mid), C))["passed"]:
-            lo, theta = mid, math.exp(mid)
-        else:
-            hi = mid
-        if hi - lo <= 1e-7:
-            break
-    return theta, objective(k, theta, C)
+    C, theta_hi = cfg.clip_min, optimizer._theta_hi(cfg)
+    theta, j = got
+    assert j == objective(k, theta, C)
+    assert state.theta_floor(k) <= theta < theta_hi
+    at_k = [(t, e["passed"]) for (k_i, t, _), e in state.c2_cache.items() if k_i == k]
+    assert (theta, True) in at_k
+    assert all(t <= theta for t, passed in at_k if passed)
+    above = [t for t, passed in at_k if not passed]
+    if _mgf_screen(cfg, k, theta_hi, C) is not None:
+        above.append(theta_hi)
+    assert math.log(min(above)) - math.log(theta) <= 1e-7 + 1e-13
 
 
 def train_demo_cfg() -> FeasibilityConfig:
@@ -364,31 +373,34 @@ class TestBoundaryTheta:
         return calls
 
     @pytest.mark.parametrize("name", ["crit8-3", "crit8-6", "crit8-7", "train-demo"])
-    def test_bitwise_equal_to_bisection_on_solve_probes(self, monkeypatch, name):
+    def test_bracketed_on_solve_probes(self, monkeypatch, name):
         cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
         probed = []
 
         def recording(state, k):
-            probed.append(k)
-            return _boundary_theta(state, k)
+            got = _boundary_theta(state, k)
+            probed.append((state, k, got))
+            return got
 
         monkeypatch.setattr(optimizer, "_boundary_theta", recording)
         solve(cfg)
         monkeypatch.undo()
-        probed = list(dict.fromkeys(probed))
+        theta_hi = optimizer._theta_hi(cfg)
+        below = [(state, k, got) for state, k, got in probed
+                 if got is not None and got[0] < theta_hi]
+        assert len(below) >= optimizer.K_GRID_POINTS
+        for state, k, got in below:  # in the search's state, which infers across k
+            assert_on_boundary(state, k, got)
         calls = self.counted_calls(monkeypatch)
         per_boundary = []
-        shared = _SearchState(cfg=cfg)  # infers verdicts across the probes, as solve does
-        for k in probed:
+        for _, k, _ in below:
+            fresh = _SearchState(cfg=cfg)
             before = calls[0]
-            got = _boundary_theta(_SearchState(cfg=cfg), k)
+            assert_on_boundary(fresh, k, _boundary_theta(fresh, k))
             per_boundary.append(calls[0] - before)
-            want = bisected_boundary_theta(_SearchState(cfg=cfg), k)
-            assert got == want, k
-            assert _boundary_theta(shared, k) == want, k
-        assert len(probed) >= 20
         # a fresh state accounts the floor too, and the MGF bound unless the
-        # screen fails it; the plain bisection needs about 33 calls per boundary
+        # screen fails it; a plain bisection to 1e-7 needs about 33 calls
+        # per boundary
         assert sum(per_boundary) / len(per_boundary) <= 12
 
     def test_early_exits(self, monkeypatch):
@@ -409,7 +421,6 @@ class TestBoundaryTheta:
             before = calls[0]
             assert _boundary_theta(state, k) == want
             assert calls[0] - before == want_calls, k
-            assert bisected_boundary_theta(_SearchState(cfg=cfg), k) == want
             # only an accounted top is cached, never a screened one
             assert ((k, theta_hi, 0.7) in state.c2_cache) == (cfg.target.epsilon_star == VACUOUS)
 
@@ -424,8 +435,7 @@ class TestBoundaryTheta:
         got = _boundary_theta(state, k)
         assert not state.c2_cache[(k, theta_hi, C)]["passed"]
         assert calls[0] >= 3  # the top, the floor, and Brent's probes
-        assert got == bisected_boundary_theta(_SearchState(cfg=cfg), k)
-        assert got[0] < theta_hi
+        assert_on_boundary(state, k, got)
 
 
 class TestMgfScreen:
@@ -531,7 +541,6 @@ class TestClipInvariance:
         assert state.known((2.0 * k, theta, C)) is None
         assert state.passes((settled, outside, C)) is passed
         assert calls[0] == 0
-        assert (settled, outside, C) in state.inferred
         assert list(state.c2_cache) == [(k, theta, C)]
 
     @pytest.mark.parametrize("index", [5, 7, 9])
@@ -547,15 +556,17 @@ class TestClipInvariance:
         class Recorded(_SearchState):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self.across_k = set()
+                self.inferred, self.across_k = set(), set()
                 states.append(self)
 
             def known(self, point):
-                # record the verdicts that no accounted point at their own k decides
+                # record the verdicts known without accounting, and those that
+                # no accounted point at their own k decides
                 verdict = super().known(point)
-                if verdict is not None and point not in self.c2_cache \
-                        and not settled_at_own_k(self, point):
-                    self.across_k.add(point)
+                if verdict is not None and point not in self.c2_cache:
+                    self.inferred.add(point)
+                    if not settled_at_own_k(self, point):
+                        self.across_k.add(point)
                 return verdict
 
         monkeypatch.setattr(optimizer, "_c2_report", recording)
@@ -566,20 +577,22 @@ class TestClipInvariance:
         # the cache holds exactly the accounted entries, each accounted once
         assert len(accounted) == len(set(accounted)) == len(state.c2_cache)
         assert set(accounted) == set(state.c2_cache)
-        inferred = sorted((state.inferred | state.across_k) - set(state.c2_cache))
-        assert len(inferred) >= 300
-        # Phase B's boundaries take verdicts from other k (configs 5, 7 and
-        # 9: 279, 49 and 275)
-        assert len(state.across_k) >= 40
+        inferred = sorted(state.inferred - set(state.c2_cache))
+        # the boundaries take their MGF bound's and floor's verdicts from
+        # other k (configs 5, 7 and 9: 59, 60 and 59 points)
+        assert len(inferred) >= 50
+        assert len(state.across_k) >= 50
         # and every inferred verdict is the one the accountant gives
         for point in inferred:
             assert state.known(point) == optimizer._c2_report(point, cfg)["passed"], point
 
-    # accountant calls per solve; before verdicts were inferred across k:
-    # 1,065 / 244 / 271 / 507 / 1,485 / 313 (crit8-7 then searched eight
-    # clip slices and probed C, 391 calls before it ran at clip_min alone)
-    C2_CALLS = {"crit8-0": 437, "crit8-3": 154, "crit8-6": 154, "crit8-7": 161,
-                "crit8-9": 440, "train-demo": 153}
+    # accountant calls per solve; before the search scanned k alone on the
+    # privacy boundary: 437 / 154 / 154 / 161 / 440 / 153; before verdicts
+    # were inferred across k: 1,065 / 244 / 271 / 507 / 1,485 / 313
+    # (crit8-7 then searched eight clip slices and probed C, 391 calls
+    # before it ran at clip_min alone)
+    C2_CALLS = {"crit8-0": 118, "crit8-3": 107, "crit8-6": 112, "crit8-7": 123,
+                "crit8-9": 124, "train-demo": 110}
 
     @pytest.mark.parametrize("name", list(C2_CALLS))
     def test_c2_call_counts_pinned(self, monkeypatch, name):
