@@ -18,10 +18,35 @@ theta = s / clip_min is largest, and J = (k - 1) s ties across the clips.
 The search runs at C = clip_min alone and returns C* = clip_min, the tied
 clip with the smallest distortion; clip_max only bounds c0. At each k the
 best feasible point is then the largest feasible theta, on the privacy
-boundary, and J*(k) = (k - 1) s*(k). The search computes J*(k) at each k of
-one logarithmic grid, then runs a golden section in k between the best
-grid k's neighbours, and returns the best k it evaluated. Nothing is
-random.
+boundary. Nothing is random.
+
+The Laplace limit. The kernel's two branches are moment generating
+functions of g ~ Gamma(k, theta): (1 - (eta-1) theta x)^-k =
+E exp((eta-1) g x) and (1 + eta theta x)^-k = E exp(-eta g x). exp is
+convex, so by Jensen's inequality each is at least the fixed-scale Laplace
+branch at b = 1 / E[g] = 1 / (k theta). The mixing weights are
+nonnegative and plrvo's effective lambda cap is at most Laplace's, so
+account(plrvo(k, theta)) >= account(Laplace(1 / (k theta))). (Above the
+head's 4,096 coordinates the computed tail adds the estimate |I32 - I16|,
+which is not ordered between the two mechanisms.) So a point that passes
+c2 has 1 / (k theta) above every Laplace scale b_fail that fails c2, and
+J = C (k - 1) theta < C / b_fail. :func:`solve` uses this twice, at
+C = clip_min, one accountant call each:
+
+- Optimality. The boundary at k = K_GRID_HI is solved first. If it is the
+  MGF bound, no point of the box has a larger J. Otherwise, if Laplace
+  noise at b_fail = (1 - CERT_TOL) / (K_GRID_HI theta) fails c2, then
+  J = (1 - CERT_TOL)(1 - 1 / K_GRID_HI) C / b_fail: within 1.1e-5 of the
+  largest J over every k > 1, not only over the box.
+- Infeasibility, where c2 fails at K_GRID_HI's floor. c1 with
+  gamma_cdf_tol <= 1/2 puts 0.1 / theta at or below the median of
+  Gamma(k), which lies below its mean k, so 1 / (k theta) < 10; c4 gives
+  1 / (k theta) < distortion_cap. If Laplace noise at the smaller of the
+  two (at distortion_cap alone for a larger tolerance) fails c2, no k is
+  feasible.
+
+Where neither settles the solve, it computes the boundary at each of
+K_GRID_POINTS logarithmic k in [K_GRID_LO, K_GRID_HI] and returns the best.
 
 c1 and c4 are lower bounds on theta: c1's is a Gamma(k) quantile
 (:func:`_c1_floor`, on the accumulate-summed incomplete gamma series), c4's
@@ -39,29 +64,14 @@ bracket's top, is first screened by a certified lower bound on epsilon
 top fails without an accountant call, which would be the boundary's
 costliest: its moments are mixed in log space.
 
-The accounted epsilon also increases with k at fixed s: Gamma(k, theta)
-is stochastically increasing in k, so the inverse noise scale grows. So
-the search reads its accounted verdicts as two staircases over k: the
-largest passing s over k' >= k, and the smallest failing s over k' <= k.
-A point whose s lies at least 1e-9 below (above) them, relative, takes a
-known pass (fail) with no accountant call; the margin absorbs rounding in
-the accounted epsilon. So most k take the verdicts at their MGF bound and
-floor from other k. A new k's boundary is warm-started
-(:func:`_warm_start`): the boundaries solved at the nearest k,
-interpolated in (log k, log theta), predict its root, which is accounted,
-and so is one Newton step from there, pushed just past that root. Brent
-starts from the bracket accounted at this k; it never interpolates a value
-accounted at another k.
-
-Bounds and inferred verdicts never enter the c2 cache, so every reported
-epsilon is an accounted one, and the final verification still accounts the
-returned point itself.
+Laplace epsilons and the screen's bounds never enter the c2 cache, so every
+reported epsilon is an accounted one, and the returned point's report is
+its own accounted entry.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,14 +82,13 @@ from .params import (
     AccountingJob,
     GammaPlrvParams,
     InfeasibleError,
+    LaplaceParams,
     OptimizationResult,
     PrivacyTarget,
 )
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 K_GRID_LO, K_GRID_HI, K_GRID_POINTS = 1.0 + 1e-3, 1e6, 20
-THETA_GRID_LO, THETA_GRID_POINTS = 1e-7, 60
+CERT_TOL = 1e-5  # relative step in the Laplace scale of the optimality certificate
 
 
 @dataclass(frozen=True)
@@ -229,12 +238,6 @@ def _c1_floor(k: float, tol: float) -> float:
     return theta
 
 
-S_MARGIN = 1e-9  # relative margin in s = theta * C of a c2 verdict inferred across k
-NARROW = 1e-6  # relative width in theta of a k's bracket that is a solved boundary
-NEAR = 3  # solved boundaries, the nearest in log k, that predict a new k's
-OVERSHOOT = 2.5e-10  # in log theta: the Newton step's push past the root it predicts
-
-
 @dataclass
 class _Bracket:
     """The accounted points with the largest passing and the smallest failing
@@ -252,46 +255,8 @@ class _Bracket:
         elif not passed and theta < self.hi:
             self.hi, self.hi_point = theta, point
 
-    def solved(self) -> bool:
-        """Whether the ends are within NARROW of each other, relative: a
-        boundary solved by Brent's method."""
-        return self.hi <= self.lo * (1.0 + NARROW)
-
 
 _NO_BRACKET = _Bracket()
-
-
-@dataclass
-class _Staircase:
-    """The accounted (k, s) of one c2 verdict that no other of the same
-    verdict settles. The accounted epsilon increases with k at fixed s, so a
-    pass at (k', s') settles every k <= k' and s <= s', and a fail every
-    k >= k' and s >= s' (:meth:`_SearchState.known` keeps S_MARGIN clear of
-    both). Stored as (sign k, sign s) with sign +1 for passes
-    and -1 for fails, sorted by the first coordinate, the second then falls
-    strictly along the list."""
-
-    sign: float
-    keys: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def add(self, k: float, s: float) -> None:
-        key, value = self.sign * k, self.sign * s
-        i = bisect_left(self.keys, key)
-        if i < len(self.keys) and self.values[i] >= value:
-            return  # settled by a kept point
-        j = i + (i < len(self.keys) and self.keys[i] == key)
-        while i > 0 and self.values[i - 1] <= value:
-            i -= 1
-        self.keys[i:j] = [key]
-        self.values[i:j] = [value]
-
-    def bound(self, k: float) -> float:
-        """The largest passing s over the accounted k' >= k (passes), or the
-        smallest failing s over the accounted k' <= k (fails); -inf (+inf)
-        when there is none."""
-        i = bisect_left(self.keys, self.sign * k)
-        return self.sign * (self.values[i] if i < len(self.values) else -math.inf)
 
 
 @dataclass
@@ -300,32 +265,19 @@ class _SearchState:
 
     Every point the search accounts lies at one clip, ``cfg.clip_min``
     (:func:`check_feasible`'s state holds a single point). Per k the state
-    keeps the bracket of accounted verdicts in theta, and across k the
-    staircases of passing and failing s = theta * C (epsilon increases with
-    k at fixed s). ``solved_ks`` lists, sorted, the k whose bracket is
-    :meth:`_Bracket.solved`. Verdicts known without accounting never enter
-    ``c2_cache``."""
+    keeps the bracket of accounted verdicts in theta. Verdicts known without
+    accounting never enter ``c2_cache``."""
 
     cfg: FeasibilityConfig
     c2_cache: dict[tuple[float, float, float], dict] = field(default_factory=dict)
     theta_floors: dict[float, float] = field(default_factory=dict)
     brackets: dict[float, _Bracket] = field(default_factory=dict)
-    passing: _Staircase = field(default_factory=lambda: _Staircase(1.0))
-    failing: _Staircase = field(default_factory=lambda: _Staircase(-1.0))
-    solved_ks: list[float] = field(default_factory=list)
 
     def c2_entry(self, point: tuple[float, float, float]) -> dict:
         entry = self.c2_cache.get(point)
         if entry is None:
             entry = self.c2_cache[point] = _c2_report(point, self.cfg)
-            k, theta, C = point
-            passed = entry["passed"]
-            at_k = self.brackets.setdefault(k, _Bracket())
-            solved = at_k.solved()
-            at_k.add(point, passed)
-            if not solved and at_k.solved():
-                insort(self.solved_ks, k)
-            (self.passing if passed else self.failing).add(k, theta * C)
+            self.brackets.setdefault(point[0], _Bracket()).add(point, entry["passed"])
         return entry
 
     def excess(self, entry: dict) -> float:
@@ -338,25 +290,17 @@ class _SearchState:
         return min(g, -math.ulp(0.0)) if entry["passed"] else max(g, math.ulp(0.0))
 
     def known(self, point: tuple[float, float, float]) -> bool | None:
-        """c2's verdict at point when the accounted entries decide it, else
-        None: its own entry; a theta at or beyond an accounted one at the
-        same k, exactly; or an s = theta * C at least S_MARGIN beyond the
-        staircases at k, relative: beyond a pass at some k' >= k or a fail
-        at some k' <= k. That margin is over 10^5 times the accounted
-        epsilon's departures from monotonicity in k."""
+        """c2's verdict at point when the accounted entries at its k decide
+        it, else None: its own entry, or a theta at or beyond an accounted
+        one at the same k."""
         entry = self.c2_cache.get(point)
         if entry is not None:
             return entry["passed"]
-        k, theta, C = point
+        k, theta, _ = point
         at_k = self.brackets.get(k, _NO_BRACKET)
         if theta <= at_k.lo:
             return True
         if theta >= at_k.hi:
-            return False
-        s = theta * C
-        if s <= self.passing.bound(k) * (1.0 - S_MARGIN):
-            return True
-        if s >= self.failing.bound(k) * (1.0 + S_MARGIN):
             return False
         return None
 
@@ -365,31 +309,6 @@ class _SearchState:
         accounted one."""
         verdict = self.known(point)
         return self.c2_entry(point)["passed"] if verdict is None else verdict
-
-    def neighbour_boundaries(self, k: float) -> list[tuple[float, float, float]]:
-        """(log k', log theta', slope) for the NEAR k' nearest k in log k,
-        with distinct logs, whose bracket is solved (``solved_ks``): the
-        secant root theta' of log epsilon - log epsilon* in log theta between
-        its two ends, and the secant's slope (not finite where an end's
-        excess is not, and the root is then the ends' geometric mean).
-        Nearest first."""
-        i = bisect_left(self.solved_ks, k)
-        window = self.solved_ks[max(i - NEAR, 0):i + NEAR]
-        window.sort(key=lambda near: abs(math.log(near / k)))
-        out = []
-        for near in window:
-            if len(out) == NEAR:
-                break
-            if any(math.log(near) == log_k for log_k, _, _ in out):
-                continue  # Lagrange interpolation needs distinct nodes
-            at_k = self.brackets[near]
-            g_lo = self.excess(self.c2_cache[at_k.lo_point])
-            g_hi = self.excess(self.c2_cache[at_k.hi_point])
-            u_lo, u_hi = math.log(at_k.lo), math.log(at_k.hi)
-            slope = (g_hi - g_lo) / (u_hi - u_lo) if u_hi > u_lo else math.nan
-            root = u_lo - g_lo / slope if math.isfinite(slope) else 0.5 * (u_lo + u_hi)
-            out.append((math.log(near), root, slope))
-        return out
 
     def theta_floor(self, k: float) -> float:
         """Smallest theta passing c1 and c4 at k > 1. Both are lower bounds
@@ -420,43 +339,8 @@ def _theta_hi(cfg: FeasibilityConfig) -> float:
 
 
 def _k_grid() -> list[float]:
-    """The k values :func:`solve` scans, ascending."""
+    """The k values the fallback scan of :func:`solve` visits, ascending."""
     return np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS).tolist()
-
-
-def _golden_max(f, lo: float, hi: float) -> tuple[float | None, float]:
-    """At most 20 golden-section steps in log x maximizing f over [lo, hi];
-    f may be -inf.
-
-    Returns the best probed (x, f(x)), (None, -inf) when every probe is
-    -inf. The endpoints are not probed.
-    """
-    a, b = math.log(lo), math.log(hi)
-    best_x, best_f = None, -math.inf
-
-    def evaluate(t):
-        nonlocal best_x, best_f
-        x = math.exp(t)
-        val = f(x)
-        if val > best_f:
-            best_f, best_x = val, x
-        return val
-
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = evaluate(x1), evaluate(x2)
-    for _ in range(20):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = evaluate(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = evaluate(x1)
-        if abs(b - a) <= 1e-7 * max(1.0, abs(a) + abs(b)):
-            break
-    return best_x, best_f
 
 
 def _brent(g, a: float, ga: float, b: float, gb: float, xtol: float) -> None:
@@ -521,17 +405,10 @@ def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None
     bound failed by :func:`_mgf_screen`, lies within a factor e^(1e-7)
     above it.
 
-    The MGF bound and the floor take their known verdicts
-    (:meth:`_SearchState.known`) where another k's staircase decides them.
     The MGF bound's entry is not accounted when :func:`_mgf_screen` shows it
     fails; the screen's log excess then stands in for the accounted one as
-    Brent's value there. When k has no bracket of accounted verdicts,
-    :func:`_warm_start` first accounts its predicted root and one Newton
-    step past it. The two usually bracket the boundary, so a new k costs two
-    or three accountant calls in all. An end still missing, because the
-    floor's or the MGF bound's verdict came from another k, is accounted at
-    this k (or the MGF bound screened). From [floor, MGF bound] Brent takes
-    about 7 accountant calls."""
+    Brent's value there. From [floor, MGF bound] Brent takes about 7
+    accountant calls."""
     cfg = state.cfg
     if not k > 1.0:
         return None
@@ -552,85 +429,43 @@ def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None
     if not state.passes((k, floor, C)):
         return None
 
-    at_k = state.brackets.get(k, _NO_BRACKET)
-    if at_k.lo_point is None or at_k.hi_point is None:
-        _warm_start(state, k, floor, theta_hi)
-        at_k = state.brackets.get(k, _NO_BRACKET)
-    # an end with no accounted point is (+-inf, None)
-    lo, lo_entry = at_k.lo, state.c2_cache.get(at_k.lo_point)
-    hi, hi_entry = at_k.hi, state.c2_cache.get(at_k.hi_point)
-    if lo_entry is None:  # the floor's verdict came from another k
-        lo, lo_entry = floor, state.c2_entry((k, floor, C))
-    if hi_entry is None and screened is None:  # so did the top's
-        screened = _mgf_screen(cfg, k, theta_hi, C)
-        if screened is None:
-            hi, hi_entry = theta_hi, state.c2_entry(top)
-    if screened is not None and theta_hi < hi:
+    at_k = state.brackets[k]
+    if at_k.hi_point is None:  # the screen failed the top
         hi, hi_excess = theta_hi, screened
     else:
-        hi_excess = state.excess(hi_entry)
+        hi, hi_excess = at_k.hi, state.excess(state.c2_cache[at_k.hi_point])
     _brent(lambda u: state.excess(state.c2_entry((k, math.exp(u), C))),
-           math.log(lo), state.excess(lo_entry), math.log(hi), hi_excess, 1e-7)
-    theta = state.brackets[k].lo
-    return theta, objective(k, theta, C)
+           math.log(at_k.lo), state.excess(state.c2_cache[at_k.lo_point]),
+           math.log(hi), hi_excess, 1e-7)
+    return at_k.lo, objective(k, at_k.lo, C)
 
 
-def _warm_start(state: _SearchState, k: float, floor: float, theta_hi: float) -> None:
-    """Account c2 at k on both sides of its boundary, predicted from the
-    boundaries solved at the nearest k (:meth:`_SearchState.neighbour_boundaries`).
-
-    Their roots, interpolated in (log k, log theta) through the Lagrange
-    polynomial, predict the root at k, which is accounted. One Newton step
-    from there, with the nearest k's slope of log epsilon in log theta, is
-    pushed OVERSHOOT past the root it predicts and accounted too, so the two
-    usually bracket the boundary closely. Both thetas are clamped into the
-    band the staircases leave open, within [floor, theta_hi]."""
-    near = state.neighbour_boundaries(k)
-    log_k = math.log(k)
-    root = 0.0
-    for i, (log_ki, root_i, _) in enumerate(near):
-        weight = 1.0
-        for j, (log_kj, _, _) in enumerate(near):
-            if j != i:
-                weight *= (log_k - log_kj) / (log_ki - log_kj)
-        root += weight * root_i
-    if not (near and math.isfinite(root)):
-        return
-    C = state.cfg.clip_min
-    s_lo = state.passing.bound(k) * (1.0 - S_MARGIN)
-    s_hi = state.failing.bound(k) * (1.0 + S_MARGIN)
-    u_lo = max(math.log(floor), math.log(s_lo / C) if s_lo > 0.0 else -math.inf)
-    u_hi = min(math.log(theta_hi), math.log(s_hi / C))
-    u = min(max(root, u_lo), u_hi)
-    g = state.excess(state.c2_entry((k, math.exp(u), C)))
-    slope = near[0][2]
-    if math.isfinite(g) and math.isfinite(slope) and slope > 0.0:
-        step = min(max(u - g / slope + math.copysign(OVERSHOOT, -g), u_lo), u_hi)
-        if step != u:
-            state.c2_entry((k, math.exp(step), C))
+def _laplace_epsilon(cfg: FeasibilityConfig, b: float) -> float:
+    """The accounted epsilon of fixed-scale Laplace noise at scale b and
+    clip_min: at most plrvo's at every (k, theta) with k theta = 1 / b (the
+    module docstring's Laplace limit)."""
+    return account(LaplaceParams(b=b), cfg.job_for(cfg.clip_min)).epsilon
 
 
-def _infeasibility_diagnostics(cfg: FeasibilityConfig, state: _SearchState) -> dict:
-    """The tightest violated constraint over the scanned k and
-    THETA_GRID_POINTS logarithmic theta values up to :func:`_theta_hi`
-    (none when that is under THETA_GRID_LO), keyed by the clip searched. c2
-    enters where the search accounted it."""
-    theta_hi = _theta_hi(cfg)
-    thetas = (np.geomspace(THETA_GRID_LO, theta_hi, THETA_GRID_POINTS).tolist()
-              if theta_hi > THETA_GRID_LO else [])
-    ks, C = _k_grid(), cfg.clip_min
+def _infeasible(cfg: FeasibilityConfig, constraint: str, margin: float) -> InfeasibleError:
+    return InfeasibleError("no feasible point in the configured box",
+                           diagnostics={f"clip={cfg.clip_min:g}": {"constraint": constraint,
+                                                                   "margin": margin}})
+
+
+def _scan(state: _SearchState) -> tuple[float, float]:
+    """The best (k, theta) over the boundaries at :func:`_k_grid`'s k.
+
+    Raises :class:`InfeasibleError` when no k has one, naming c2 with its
+    largest margin over the points the scan accounted."""
     best = None
-    for point in ((k, theta, C) for theta in thetas for k in ks):
-        report = _cheap_constraints(*point, cfg)
-        if point in state.c2_cache:
-            report["c2"] = state.c2_cache[point]
-        failing = {n: e for n, e in report.items() if not e["passed"]}
-        if not failing:
-            failing = {"c2": {"margin": -math.inf}}
-        name, entry = max(failing.items(), key=lambda kv: kv[1]["margin"])
-        if best is None or entry["margin"] > best["margin"]:
-            best = {"constraint": name, "margin": entry["margin"]}
-    return {} if best is None else {f"clip={C:g}": best}
+    for k in _k_grid():
+        boundary = _boundary_theta(state, k)
+        if boundary is not None and (best is None or boundary[1] > best[2]):
+            best = (k, *boundary)
+    if best is None:
+        raise _infeasible(state.cfg, "c2", max(e["margin"] for e in state.c2_cache.values()))
+    return best[:2]
 
 
 def solve(cfg: FeasibilityConfig) -> OptimizationResult:
@@ -641,37 +476,45 @@ def solve(cfg: FeasibilityConfig) -> OptimizationResult:
     that a clip in the box admits, and J = (k - 1) s ties across them. The
     search runs at clip_min and returns C* = clip_min, the tied clip with
     the smallest distortion; clip_max only bounds c0. (The README's job
-    file, with clip_min 5 and clip_max 10, returns C* = 5.) At each k the
-    best point is the boundary theta (:func:`_boundary_theta`), and the
-    search computes its J at each of the K_GRID_POINTS logarithmic k in
-    [K_GRID_LO, K_GRID_HI]. One golden section in log k then runs between
-    the best scanned k's neighbours, and the best k evaluated, scanned or
-    probed, is returned, so its J is at least every J the scan computed.
-    (On criterion 8's configs and the train-plrvo solve the scan's best k
-    is K_GRID_HI itself: J*(k) still rises there.) The result embeds the
-    returned point's full constraint report (c2 on the full lambda grid,
-    from the search's cache).
+    file, with clip_min 5 and clip_max 10, returns C* = 5.)
+
+    In order, as the module docstring argues from the Laplace limit:
+
+    0. If c1's and c4's floor at K_GRID_HI lies above the MGF bound, so do
+       the floors of every smaller k: the diagnostics name mgf with the
+       floor's relative margin below :func:`_theta_hi`.
+    1. The boundary theta at K_GRID_HI (:func:`_boundary_theta`). If it is
+       the MGF bound, or Laplace noise at the scale (1 - CERT_TOL) times
+       1 / (K_GRID_HI theta) fails c2, that point is returned: its J is
+       within 1.1e-5 of the best over every k > 1.
+    2. Where c2 fails at K_GRID_HI's floor, one Laplace call at the
+       largest scale c1 and c4 admit; if it fails c2, no k is feasible, and
+       the diagnostics name c2 with its margin.
+    3. Otherwise the best boundary over :func:`_k_grid`'s k.
+
+    The result embeds the returned point's full constraint report (c2 on
+    the full lambda grid, from the search's cache).
     """
+    C, epsilon_star = cfg.clip_min, cfg.target.epsilon_star
     state = _SearchState(cfg=cfg)
-    boundaries: dict[float, tuple[float, float] | None] = {}
-
-    def j_at_k(k: float) -> float:
-        boundaries[k] = _boundary_theta(state, k)
-        return -math.inf if boundaries[k] is None else boundaries[k][1]
-
-    ks = _k_grid()
-    js = [j_at_k(k) for k in ks]
-    i = max(range(len(ks)), key=js.__getitem__)
-    if js[i] == -math.inf:
-        raise InfeasibleError(
-            "no feasible point in the configured box",
-            diagnostics=_infeasibility_diagnostics(cfg, state))
-    k_best = ks[i]
-    k_probe, j_probe = _golden_max(j_at_k, ks[max(i - 1, 0)], ks[min(i + 1, len(ks) - 1)])
-    if j_probe > js[i]:
-        k_best = k_probe
-    theta_best = boundaries[k_best][0]
-    C = cfg.clip_min
+    theta_hi = _theta_hi(cfg)
+    floor = state.theta_floor(K_GRID_HI)
+    if floor > theta_hi:  # the floors fall as k grows: no k has a feasible theta
+        raise _infeasible(cfg, "mgf", 1.0 - floor / theta_hi)
+    edge = _boundary_theta(state, K_GRID_HI)
+    if edge is not None and (
+            edge[0] == theta_hi
+            or _laplace_epsilon(cfg, (1.0 - CERT_TOL) / (K_GRID_HI * edge[0])) > epsilon_star):
+        k_best, theta_best = K_GRID_HI, edge[0]
+    else:
+        if edge is None:
+            ceiling = (cfg.distortion_cap if cfg.gamma_cdf_tol > 0.5
+                       else min(10.0, cfg.distortion_cap))
+            margin = (epsilon_star - _laplace_epsilon(cfg, ceiling)
+                      if math.isfinite(ceiling) else 0.0)
+            if margin < 0.0:
+                raise _infeasible(cfg, "c2", margin)
+        k_best, theta_best = _scan(state)
     best = (k_best, theta_best, C)
 
     final_report = state.report(best)

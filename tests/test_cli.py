@@ -187,7 +187,9 @@ class TestExitCodes:
                              target={"epsilon_star": 1e-6, "delta_star": 1e-5},
                              optimizer={"clip_min": 0.5, "clip_max": 1.0})])
         assert rc == 3
-        assert "infeasible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "infeasible" in err
+        assert '"constraint": "c2"' in err  # Laplace noise at the ceiling fails c2
 
 
     def test_mgf_domain_error_names_c_theta(self, tmp_path, capsys):
