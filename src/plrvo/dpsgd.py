@@ -22,7 +22,7 @@ from .accountant import MECHANISM_TAGS, account
 from .params import AccountingJob, GammaPlrvParams, GaussianParams, to_json_dict
 from .sampler import make_rng, sample_gaussian_noise, sample_plrv_noise_rows
 
-BLOCK_STEPS = 64  # training steps per block of batch-mask and noise draws
+BLOCK_STEPS = 64  # training steps per block: one batch draw and one noise-row draw
 SIGMA_LO, SIGMA_HI = 1e-2, 1e3  # calibrate_gaussian_sigma bisects this to 1e-4 in log
 
 
@@ -91,14 +91,35 @@ def make_blobs(n: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
 def poisson_subsample(n: int, zeta: float, steps: int, rng) -> list[np.ndarray]:
     """Indices of ``steps`` successive Poisson-subsampled batches: each of
     the n examples joins each batch independently with probability zeta.
-    A batch may be empty. One ``uniform(steps * n)`` call draws every mask,
-    which is ``steps`` successive ``uniform(n)`` masks; zeta = 1 draws
-    nothing."""
+    A batch may be empty; zeta = 1 draws nothing.
+
+    The gaps between a batch's successive indices (and from -1 to its
+    first) are i.i.d. Geometric(zeta), drawn by inversion as
+    1 + floor(log1p(-u) / log1p(-zeta)) (Devroye 1986, *Non-Uniform Random
+    Variate Generation*). A step draws its uniforms in chunks of a size
+    fixed by (n, zeta), about n zeta + 4 sqrt(n zeta) + 16 and never above
+    n + 1, and stops at the first chunk whose gaps pass n; the rest of that
+    chunk is dropped. That stop depends only on the step's own gaps, so the
+    batch keeps its distribution, up to the rounding of log, and ``steps``
+    steps draw exactly what ``steps`` one-step calls draw."""
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"zeta must be in (0, 1], got {zeta}")
     if zeta == 1.0:
         return [np.arange(n)] * steps
-    return [np.flatnonzero(u < zeta) for u in rng.uniform(steps * n).reshape(steps, n)]
+    log_q = np.log1p(-zeta)
+    chunk = min(n + 1, math.ceil(n * zeta + 4.0 * math.sqrt(n * zeta)) + 16)
+    batches = []
+    # At a subnormal zeta, log1p(-u) / log_q can overflow to inf: a gap past n.
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            taken, last = [], -1.0  # last: the last index drawn
+            while last < n:
+                gaps = np.floor(np.log1p(-rng.uniform(chunk)) / log_q) + 1.0
+                taken.append(last + np.cumsum(gaps))
+                last = taken[-1][-1]
+            idx = np.concatenate(taken)
+            batches.append(idx[:np.searchsorted(idx, n)].astype(np.intp))
+    return batches
 
 
 def _loss_slopes(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,8 +171,9 @@ def train(run: TrainingRun) -> dict:
 
     Three streams of the seed drive the loop: 0 the data, 1 the batches, 2
     the noise. The loop runs in blocks of ``BLOCK_STEPS`` steps, each
-    drawing its batch masks and its noise rows at once; every step's draws
-    keep the bits they have one step at a time."""
+    drawing its batches (by geometric gaps, see ``poisson_subsample``) and
+    its noise rows at once; every step's draws keep the bits they have one
+    step at a time."""
     if run.mechanism is None:
         raise ValueError("train needs a mechanism")
     data_rng = make_rng(run.seed, stream=0)

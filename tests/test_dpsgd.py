@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from plrvo.accountant import account
 from plrvo.cli import main
@@ -83,6 +84,105 @@ class TestPoissonSubsample:
         for idx in block:
             assert np.array_equal(idx, poisson_subsample(300, 0.02, 1, single)[0])
         assert np.array_equal(blocked.uniform(5), single.uniform(5))
+
+    # The checks below are seeded, so each verdict repeats; a fresh seed
+    # fails a p > 1e-3 check about once in a thousand draws.
+
+    def test_sizes_are_binomial(self):
+        n, zeta, trials = 200, 0.05, 20000
+        sizes = np.array([len(idx) for idx in poisson_subsample(n, zeta, trials, make_rng(5))])
+        # bins with an expected count of at least 5; the two tails pooled
+        binom = scipy.stats.binom(n, zeta)
+        lo, hi = int(binom.ppf(2e-4)), int(binom.isf(2e-4))
+        observed = np.concatenate([[np.sum(sizes <= lo)],
+                                   np.bincount(sizes, minlength=n + 1)[lo + 1:hi],
+                                   [np.sum(sizes >= hi)]])
+        p = np.concatenate([[binom.cdf(lo)], binom.pmf(np.arange(lo + 1, hi)),
+                            [binom.sf(hi - 1)]])
+        assert np.all(trials * p >= 5)
+        assert scipy.stats.chisquare(observed, trials * p).pvalue > 1e-3
+
+    def test_each_index_joins_at_rate_zeta(self):
+        n, zeta, trials = 50, 0.3, 20000
+        counts = np.zeros(n)
+        for idx in poisson_subsample(n, zeta, trials, make_rng(6)):
+            counts[idx] += 1
+        z = (counts - trials * zeta) / math.sqrt(trials * zeta * (1 - zeta))
+        assert np.max(np.abs(z)) <= 4.5
+        assert scipy.stats.chi2.sf(float(z @ z), n) > 1e-3
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (7, 8), (3, 16)])
+    def test_two_indices_join_independently(self, i, j):
+        n, zeta, trials = 20, 0.4, 20000
+        table = np.zeros((2, 2))
+        for idx in poisson_subsample(n, zeta, trials, make_rng(7)):
+            table[int(i in idx), int(j in idx)] += 1
+        assert scipy.stats.chi2_contingency(table, correction=False).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n, zeta", [(1, 0.5), (7, 0.999), (300, 0.02), (1000, 0.3),
+                                         (20000, 0.0025), (20000, 1e-7)])
+    def test_batches_sorted_unique_in_range(self, n, zeta):
+        for source in (make_rng(8, stream=1), make_rng(secure=True)):
+            for idx in poisson_subsample(n, zeta, 300, source):
+                assert idx.dtype == np.intp
+                assert np.all(np.diff(idx) > 0)
+                assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < n)
+
+    @pytest.mark.parametrize("zeta", [1e-300, 5e-324])
+    def test_vanishing_rate_gives_empty_batches_quietly(self, zeta):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            batches = poisson_subsample(1000, zeta, 200, make_rng(9))
+        assert all(idx.size == 0 for idx in batches)
+
+    @pytest.mark.parametrize("zeros", [0, 40, 95, 1000, 5000])
+    def test_matches_a_scalar_gap_walk(self, zeros):
+        # ``zeros`` leading zero uniforms give gaps of 1, so the step runs
+        # over several chunks; the batch is still the gap walk over the
+        # uniforms in the order drawn
+        n, zeta = 1000, 0.01
+        for seed in range(20):
+            source = Recorded(make_rng(seed, stream=1), zeros)
+            idx = poisson_subsample(n, zeta, 1, source)[0]
+            want, used = gap_walk(n, zeta, np.concatenate(source.drawn))
+            assert idx.tolist() == want
+            # no chunk is drawn after the one where the walk passes n
+            assert used > sum(map(len, source.drawn[:-1]))
+        everything = poisson_subsample(n, zeta, 1, Recorded(make_rng(0), 10**4))[0]
+        assert everything.tolist() == list(range(n))
+
+    def test_a_step_draws_about_b_uniforms(self):
+        n, zeta, steps = 20000, 0.0025, 2000
+        source = Recorded(make_rng(10, stream=1))
+        poisson_subsample(n, zeta, steps, source)
+        assert sum(map(len, source.drawn)) / steps < 2 * n * zeta + 48
+
+
+class Recorded:
+    """A source that hands out ``zeros`` exact zeros, then ``rng``'s
+    uniforms, and keeps every array it hands out."""
+
+    def __init__(self, rng, zeros: int = 0):
+        self.rng, self.zeros, self.drawn = rng, zeros, []
+
+    def uniform(self, size: int) -> np.ndarray:
+        head = min(size, self.zeros)
+        self.zeros -= head
+        self.drawn.append(np.concatenate([np.zeros(head), self.rng.uniform(size - head)]))
+        return self.drawn[-1]
+
+
+def gap_walk(n: int, zeta: float, us: np.ndarray) -> tuple[list[int], int]:
+    """The batch of one step, one uniform at a time: index i joins after a
+    Geometric(zeta) gap of 1 + floor(log1p(-u) / log1p(-zeta)), until an
+    index passes n - 1. Also returns how many uniforms the walk used."""
+    out, i = [], -1
+    for used, u in enumerate(us, 1):
+        i += 1 + math.floor(np.log1p(-u) / np.log1p(-zeta))
+        if i >= n:
+            return out, used
+        out.append(i)
+    raise AssertionError("the uniforms drawn never pass n")
 
 
 class TestGradients:
@@ -239,9 +339,10 @@ PINS = json.loads((Path(__file__).parent / "train_demo_pins.json").read_text())
 
 
 class TestPinnedLedgers:
-    """train-demo ledgers recorded when the loop drew one batch mask and one
-    noise row per step. Blocks keep every draw's bits; the clipping and
-    averaging arithmetic may move the weights at the ulp level only."""
+    """train-demo ledgers recorded when the loop drew each step's batch by
+    geometric gaps and one noise row per step. Blocks keep every draw's
+    bits; the clipping and averaging arithmetic may move the weights at the
+    ulp level only."""
 
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_ledger_matches_pin(self, name, capsys):
