@@ -20,7 +20,8 @@ import numpy as np
 
 from .accountant import MECHANISM_TAGS, account
 from .params import AccountingJob, GammaPlrvParams, GaussianParams, to_json_dict
-from .sampler import make_rng, sample_gaussian_noise, sample_plrv_noise_rows
+from .sampler import (make_rng, sample_gaussian_noise, sample_plrv_noise_rows,
+                      standard_normal)
 
 BLOCK_STEPS = 64  # training steps per block: one batch draw and one noise-row draw
 SIGMA_LO, SIGMA_HI = 1e-2, 1e3  # calibrate_gaussian_sigma bisects this to 1e-4 in log
@@ -79,8 +80,6 @@ def make_blobs(n: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
     The separation scales like 1/sqrt(dim) per coordinate so the total
     signal stays comparable across dimensions.
     """
-    from .sampler import standard_normal
-
     mu = 2.5 / math.sqrt(dim)
     y = np.where(rng.uniform(n) < 0.5, -1.0, 1.0)
     x = standard_normal(rng, n * dim).reshape(n, dim)
@@ -170,10 +169,12 @@ def train(run: TrainingRun) -> dict:
     (T, zeta, C, d) used by the loop.
 
     Three streams of the seed drive the loop: 0 the data, 1 the batches, 2
-    the noise. The loop runs in blocks of ``BLOCK_STEPS`` steps, each
-    drawing its batches (by geometric gaps, see ``poisson_subsample``) and
-    its noise rows at once; every step's draws keep the bits they have one
-    step at a time."""
+    the noise. Stream 0 draws the train set, then the test set; the test
+    set is drawn after the last step, once the train set is released, so a
+    run holds one data set at a time. The loop runs in blocks of
+    ``BLOCK_STEPS`` steps, each drawing its batches (by geometric gaps, see
+    ``poisson_subsample``) and its noise rows at once; every step's draws
+    keep the bits they have one step at a time."""
     if run.mechanism is None:
         raise ValueError("train needs a mechanism")
     data_rng = make_rng(run.seed, stream=0)
@@ -181,7 +182,6 @@ def train(run: TrainingRun) -> dict:
     noise_rng = make_rng(run.seed, stream=2)
 
     train_x, train_y = make_blobs(run.n_examples, run.model_dim, data_rng)
-    test_x, test_y = make_blobs(max(200, run.n_examples // 2), run.model_dim, data_rng)
     train_norms = np.sqrt(np.einsum("ij,ij->i", train_x, train_x))
 
     job = run.job
@@ -191,6 +191,10 @@ def train(run: TrainingRun) -> dict:
         batches = poisson_subsample(run.n_examples, job.sampling_rate_zeta, steps, batch_rng)
         for idx, noise in zip(batches, _noise_rows(run, steps, noise_rng)):
             w = noisy_step(w, train_x[idx], train_y[idx], train_norms[idx], noise, run)
+    del train_x, train_y, train_norms
+
+    test_accuracy = accuracy(w, *make_blobs(max(200, run.n_examples // 2), run.model_dim,
+                                            data_rng))
 
     report = account(run.mechanism, job)
     return {
@@ -208,7 +212,7 @@ def train(run: TrainingRun) -> dict:
         "steps_T": job.steps_T,
         "sampling_rate_zeta": job.sampling_rate_zeta,
         "final_weights": [float(v) for v in w],
-        "test_accuracy": accuracy(w, test_x, test_y),
+        "test_accuracy": test_accuracy,
         "epsilon_report": report.to_json_dict(),
     }
 

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .accountant import account, plrv_epsilon_lower_bound
-from .numerics import regularized_lower_gamma
+from .numerics import normal_inv_cdf, regularized_lower_gamma
 from .params import (
     AccountingJob,
     GammaPlrvParams,
@@ -195,12 +195,9 @@ def _c1_floor(k: float, tol: float) -> float:
     below 1e-13 in log x. 0.1 over that iterate is then stepped up an ulp at
     a time until it passes c1 (the computed CDF is not monotone at the ulp
     scale), so the floor always passes."""
-    # statistics imports decimal and fractions: load it only when solving
-    from statistics import NormalDist
-
     log_tol = math.log(tol)
     log_gamma_k = math.lgamma(k)
-    base = 1.0 - 1.0 / (9.0 * k) + NormalDist().inv_cdf(tol) / (3.0 * math.sqrt(k))
+    base = 1.0 - 1.0 / (9.0 * k) + normal_inv_cdf(tol) / (3.0 * math.sqrt(k))
     if base > 0.0:
         u = math.log(k) + 3.0 * math.log(base)
     else:  # small k and tol: P(k, x) ~ x^k / Gamma(k + 1)

@@ -169,6 +169,25 @@ class TestExitCodes:
     def test_schema_error_missing_file(self):
         assert main(["account", "/nonexistent/job.json"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["train-demo", "--mechanism", "gaussian", "--examples", "100", "--dim", "2",
+         "--epsilon", "2", "--batch", "50", "--epochs", "1"],
+        ["sample", "--mechanism", "laplace", "--b", "1", "--n", "10", "--draws", "1"],
+    ])
+    def test_out_of_memory_is_an_input_error(self, monkeypatch, capsys, argv):
+        # stands in for an oversized job's draw; a real one could be
+        # overcommitted and then killed
+        from plrvo import sampler
+
+        def uniform(self, size):
+            raise MemoryError(f"Unable to allocate {8 * size} bytes")
+
+        monkeypatch.setattr(sampler.DeterministicSource, "uniform", uniform)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: out of memory: Unable to allocate")
+
     def test_mgf_domain_error_exit_2(self, tmp_path, capsys):
         # C * theta >= 1: no admissible moment order at all
         job = {"steps_T": 10, "sampling_rate_zeta": 0.1, "model_dim_N": 5,
@@ -604,6 +623,26 @@ class TestOptimizeCommand:
 
     def test_missing_sections_rejected(self, tmp_path):
         assert main(["optimize", write_job(tmp_path)]) == 1
+
+    def test_optimize_leaves_statistics_unloaded(self, tmp_path):
+        # criterion 8's first config, drawn as it draws it; the c1 floor's
+        # normal quantile comes from numerics, not from statistics
+        import numpy as np
+        rng = np.random.default_rng(88)
+        clip = float(rng.uniform(0.3, 1.0))
+        target = {"epsilon_star": float(rng.uniform(0.5, 4.0)), "delta_star": 1e-5}
+        job = {"steps_T": int(rng.integers(20, 400)),
+               "sampling_rate_zeta": float(rng.uniform(0.01, 0.2)),
+               "model_dim_N": int(rng.integers(50, 1000)), "clip_C": 1.0, "delta": 1e-5,
+               "lambda_max": int(rng.choice([16, 32]))}
+        path = write_job(tmp_path, job=job, target=target,
+                         optimizer={"clip_min": clip, "clip_max": clip})
+        code = ("import sys; from plrvo.cli import main; "
+                "assert main(['optimize', sys.argv[1]]) == 0; "
+                "print([m for m in ('statistics', 'decimal', 'fractions') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code, path],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("section,key,value,message", [
         # c2 accounts at the job's delta, so another delta_star would be ignored

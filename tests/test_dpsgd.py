@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -315,6 +316,21 @@ class TestTrain:
             assert ledger["epsilon_report"]["epsilon"] <= 2.0
             accs[name] = ledger["test_accuracy"]
         assert accs["gaussian"] > 0.9 and accs["plrvo"] > 0.9
+
+
+class TestOneDataSet:
+    def test_peak_below_both_data_sets(self):
+        # the test set is drawn after the loop, once the train set is released
+        n, d = 4000, 256
+        run = TrainingRun(mechanism=GaussianParams(sigma=1.0), model_dim=d, n_examples=n,
+                          epochs=1, batch_size=50, seed=0)
+        tracemalloc.start()
+        try:
+            train(run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * d + 8 * (n // 2) * d
 
 
 class TestCalibration:

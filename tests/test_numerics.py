@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.special
 from hypothesis import given
 
 from binomial import log_binomial
-from plrvo.numerics import log_gamma, regularized_lower_gamma
+from plrvo.numerics import log_gamma, normal_inv_cdf, regularized_lower_gamma
 from quadrature import QuadratureError, integrate_decaying
 
 
@@ -288,6 +289,26 @@ class TestSeriesOracle:
                 scalar_series(k, x)
             with pytest.raises(ArithmeticError, match="series did not converge"):
                 regularized_lower_gamma(k, x)
+
+
+class TestNormalInvCdf:
+    """The copy of CPython's AS241 keeps the bits of NormalDist().inv_cdf,
+    so the c1 floors that start from it keep theirs."""
+
+    EDGES = [0.075, 0.425, 0.5, 0.575, 0.925, math.exp(-25.0)]  # region edges
+
+    @staticmethod
+    def mismatches(ps) -> list[float]:
+        inv_cdf = statistics.NormalDist().inv_cdf
+        return [p for p in ps if normal_inv_cdf(p).hex() != inv_cdf(p).hex()]
+
+    def test_tails_and_edges_bitwise(self):
+        ps = ([10.0 ** -i for i in range(1, 301)] + [1.0 - 10.0 ** -i for i in range(1, 16)]
+              + [math.nextafter(e, t) for e in self.EDGES for t in (0.0, e, 1.0)])
+        assert self.mismatches(ps) == []
+
+    def test_seeded_draw_bitwise(self):
+        assert self.mismatches(np.random.default_rng(24).random(100_000).tolist()) == []
 
 
 class TestIntegrateDecaying:
