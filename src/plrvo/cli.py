@@ -218,7 +218,12 @@ def cmd_sample(args) -> int:
         if args.b is None:
             raise ValueError("laplace sampling requires --b")
         b = LaplaceParams(b=args.b).b
-        coords = sampler.sample_laplace_vector(b, (draws, n), rng)
+        with np.errstate(over="ignore"):
+            coords = sampler.sample_laplace_vector(b, (draws, n), rng)
+        bad = ~np.isfinite(coords).all(axis=1)
+        if bad.any():
+            raise ArithmeticError(f"laplace noise draw {int(bad.argmax())} is not finite "
+                                  f"at b={b!r}")
         scales = np.full(draws, b)
 
     header = "draw_index,scale_b," + ",".join(f"coord_{j}" for j in range(n))

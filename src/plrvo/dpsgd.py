@@ -24,6 +24,7 @@ from .sampler import (make_rng, sample_gaussian_noise, sample_plrv_noise_rows,
                       standard_normal)
 
 BLOCK_STEPS = 64  # training steps per block: one batch draw and one noise-row draw
+SCORE_ROWS = 1024  # test rows scored at once: a float64 copy of at most 4 MiB at dim 512
 SIGMA_LO, SIGMA_HI = 1e-2, 1e3  # calibrate_gaussian_sigma bisects this to 1e-4 in log
 
 
@@ -78,12 +79,15 @@ def make_blobs(n: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Two unit-variance Gaussian blobs at +/- mu, labels in {-1, +1}.
 
     The separation scales like 1/sqrt(dim) per coordinate so the total
-    signal stays comparable across dimensions.
+    signal stays comparable across dimensions. The features are float32
+    (4 n dim bytes): the normals are drawn straight into float32, and the
+    offset y mu, rounded to float32, is added in float32. The labels are
+    float64.
     """
     mu = 2.5 / math.sqrt(dim)
     y = np.where(rng.uniform(n) < 0.5, -1.0, 1.0)
-    x = standard_normal(rng, n * dim).reshape(n, dim)
-    x += y[:, None] * mu
+    x = standard_normal(rng, n * dim, np.float32).reshape(n, dim)
+    x += (y * mu).astype(np.float32)[:, None]
     return x, y
 
 
@@ -160,7 +164,14 @@ def _noise_rows(run: TrainingRun, steps: int, rng) -> np.ndarray:
 
 
 def accuracy(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.sign(x @ w) == y))
+    """Share of rows whose sign(<w, x_i>) is y_i. The rows are scored
+    ``SCORE_ROWS`` at a time, so float32 rows are never all copied to
+    float64 at once."""
+    hits = 0
+    for lo in range(0, len(y), SCORE_ROWS):
+        rows = slice(lo, lo + SCORE_ROWS)
+        hits += int(np.count_nonzero(np.sign(x[rows] @ w) == y[rows]))
+    return hits / len(y)
 
 
 def train(run: TrainingRun) -> dict:
@@ -174,7 +185,12 @@ def train(run: TrainingRun) -> dict:
     run holds one data set at a time. The loop runs in blocks of
     ``BLOCK_STEPS`` steps, each drawing its batches (by geometric gaps, see
     ``poisson_subsample``) and its noise rows at once; every step's draws
-    keep the bits they have one step at a time."""
+    keep the bits they have one step at a time.
+
+    The features are float32 (see ``make_blobs``): 4 n d bytes while
+    training, half that while scoring. Their row norms are summed in
+    float64, and labels, weights, gradients, noise and accounting are
+    float64."""
     if run.mechanism is None:
         raise ValueError("train needs a mechanism")
     data_rng = make_rng(run.seed, stream=0)
@@ -182,7 +198,7 @@ def train(run: TrainingRun) -> dict:
     noise_rng = make_rng(run.seed, stream=2)
 
     train_x, train_y = make_blobs(run.n_examples, run.model_dim, data_rng)
-    train_norms = np.sqrt(np.einsum("ij,ij->i", train_x, train_x))
+    train_norms = np.sqrt(np.einsum("ij,ij->i", train_x, train_x, dtype=np.float64))
 
     job = run.job
     w = np.zeros(run.model_dim)

@@ -14,9 +14,13 @@ are implemented here so both sources share one code path:
 
 A source's ``uniform(a)`` followed by ``uniform(b)`` returns the bits of
 ``uniform(a + b)``, and numpy's elementwise ufuncs return the same bits at
-any array length. Block samplers rely on both: ``standard_normal`` works
-through a pass in cache-sized blocks, and ``sample_plrv_noise_rows`` returns
-the bits of successive one-row draws, from exactly their uniforms. (Python's
+any array length. A source also has a second cursor: ``ahead(a)`` is a
+source that reads the uniforms after the next ``a`` and leaves this one
+where it is, and ``skip(a)`` moves this one past them. Block samplers rely
+on all three: ``standard_normal`` works through a pass in cache-sized
+blocks, reading a large pass's y uniforms through the second cursor while
+it reads the x uniforms, and ``sample_plrv_noise_rows`` returns the bits of
+successive one-row draws, from exactly their uniforms. (Python's
 ``math.log`` differs from numpy's ``log`` on some inputs, so no transform
 here uses it.)
 
@@ -28,6 +32,7 @@ sampling are out of scope and documented as a known gap.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass
@@ -46,13 +51,32 @@ class DeterministicSource:
     def uniform(self, size: int) -> np.ndarray:
         return self._gen.random(size)
 
+    def ahead(self, count: int) -> "DeterministicSource":
+        """A second cursor: a copy of this source moved past its next
+        ``count`` uniforms (each uniform is one 64-bit PCG64 output)."""
+        twin = copy.deepcopy(self)
+        twin.skip(count)
+        return twin
+
+    def skip(self, count: int) -> None:
+        """Move past the next ``count`` uniforms without drawing them."""
+        self._gen.bit_generator.advance(count)
+
 
 class CryptoSource:
-    """os.urandom-backed uniforms; not seedable, not reproducible."""
+    """os.urandom-backed uniforms; not seedable, not reproducible. Its
+    uniforms are independent wherever they are read, so a second cursor is
+    the source itself and there is nothing to skip."""
 
     def uniform(self, size: int) -> np.ndarray:
         raw = np.frombuffer(os.urandom(8 * size), dtype=np.uint64)
         return (raw >> np.uint64(11)) * (2.0 ** -53)
+
+    def ahead(self, count: int) -> "CryptoSource":
+        return self
+
+    def skip(self, count: int) -> None:
+        pass
 
 
 def make_rng(seed: int | None = None, stream: int = 0, secure: bool = False):
@@ -87,43 +111,57 @@ def _polar_factor(s: np.ndarray) -> np.ndarray:
     return f
 
 
-def standard_normal(rng, size: int) -> np.ndarray:
+def standard_normal(rng, size: int, dtype=np.float64) -> np.ndarray:
     """Marsaglia polar method; consumes uniforms in pairs until filled.
 
     Each pass draws all of its x uniforms, then all of its y uniforms, and
     keeps the normals x f of the accepted pairs followed by as many y f as
-    still fit. A pass works in blocks of ``_NORMAL_BLOCK`` pairs: its x
-    uniforms wait in the part of ``out`` the pass fills, its kept y f
-    products in the part after that, so no full-size temporary is built.
+    still fit. The normals are computed in float64 and stored as ``dtype``,
+    so a float32 draw holds the float64 draw's values rounded, and consumes
+    the same uniforms. A pass works in blocks of ``_NORMAL_BLOCK`` pairs; a
+    pass of more than one block reads its y uniforms through a second
+    cursor, ``rng.ahead(pairs)``, and then ``rng.skip(pairs)`` moves the
+    source past them, so consumption is as in one pass's x then y draws.
+    A block's accepted pairs are compacted by index into block buffers, and
+    the pass's kept y f products wait in the part of ``out`` after its
+    pairs, so no full-size temporary is built.
     """
-    out = np.empty(size)
+    out = np.empty(size, dtype)
+    block = min(_NORMAL_BLOCK, (size + 1) // 2)
+    sq, kept_s, kept = np.empty(block), np.empty(block), np.empty(block)
     filled = 0
     while filled < size:
         need = size - filled
         pairs = (need + 1) // 2
-        xs = out[filled:filled + pairs]
-        for lo in range(0, pairs, _NORMAL_BLOCK):
-            xs[lo:lo + _NORMAL_BLOCK] = rng.uniform(min(_NORMAL_BLOCK, pairs - lo))
-        # x f of the m accepted pairs so far go to xs[:m] (m never passes the
-        # block being read); the first need - pairs y f products, which is
-        # every one the pass keeps, go to ys
+        y_rng = rng if pairs <= _NORMAL_BLOCK else rng.ahead(pairs)
+        # x f of the m accepted pairs so far go to out[filled:filled + m]; the
+        # first need - pairs y f products, which is every one the pass keeps,
+        # go to ys
         ys = out[filled + pairs:filled + need]
         m = kept_y = 0
         for lo in range(0, pairs, _NORMAL_BLOCK):
-            x = xs[lo:lo + _NORMAL_BLOCK] * 2.0
+            count = min(_NORMAL_BLOCK, pairs - lo)
+            x = rng.uniform(count)
+            x *= 2.0
             x -= 1.0
-            y = rng.uniform(x.size)
+            y = y_rng.uniform(count)
             y *= 2.0
             y -= 1.0
-            s = x * x
-            s += y * y
-            ok = (s > 0.0) & (s < 1.0)
-            f = _polar_factor(s[ok])
-            np.multiply(x[ok], f, out=xs[m:m + f.size])
-            m += f.size
-            take = min(f.size, ys.size - kept_y)
-            np.multiply(y[ok][:take], f[:take], out=ys[kept_y:kept_y + take])
+            s = np.multiply(x, x, out=sq[:count])
+            s += np.multiply(y, y, out=kept[:count])
+            ok = s < 1.0
+            ok &= s > 0.0
+            idx = np.flatnonzero(ok)
+            k = idx.size
+            f = _polar_factor(np.take(s, idx, out=kept_s[:k]))
+            np.multiply(np.take(x, idx, out=kept[:k]), f, out=out[filled + m:filled + m + k])
+            m += k
+            take = min(k, ys.size - kept_y)
+            np.multiply(np.take(y, idx[:take], out=kept[:take]), f[:take],
+                        out=ys[kept_y:kept_y + take])
             kept_y += take
+        if y_rng is not rng:
+            rng.skip(pairs)
         tail = min(m, need - m)
         out[filled + m:filled + m + tail] = ys[:tail]
         filled += m + tail
@@ -170,8 +208,15 @@ def sample_gamma_vector(k: float, theta: float, size: int, rng) -> np.ndarray:
 
 
 def _laplace(b, v: np.ndarray) -> np.ndarray:
-    """Laplace(0, b) from uniforms v on (-1/2, 1/2)."""
-    return -np.asarray(b) * np.sign(v) * np.log1p(-2.0 * np.abs(v))
+    """Laplace(0, b) from uniforms v on (-1/2, 1/2), computed in place in v
+    as ((-b) sign(v)) log1p(-2 |v|)."""
+    t = np.abs(v)
+    t *= -2.0
+    np.log1p(t, out=t)
+    np.sign(v, out=v)
+    v *= -np.asarray(b)
+    v *= t
+    return v
 
 
 def sample_laplace_vector(b: np.ndarray | float, shape: tuple[int, ...], rng) -> np.ndarray:
@@ -347,18 +392,25 @@ def sample_plrv_noise_rows(params: GammaPlrvParams, rows: int, n: int,
         row = _Row(row.begin, row.boost_at)
         more = short.need + 1 - u.size + (rows - len(final) - 1) * row_min
         u = np.concatenate([u, rng.uniform(more)])
-    starts = [r.laplace if isinstance(r.laplace, int) else 0 for r in final]
-    laplace = np.array(starts, dtype=np.intp)[:, None] + np.arange(n)
-    for i, r in enumerate(final):
-        if not isinstance(r.laplace, int):
-            laplace[i] = r.laplace
+    v = np.empty((rows, n))
+    for vrow, r in zip(v, final):
+        if isinstance(r.laplace, int):
+            vrow[:] = u[r.laplace:r.laplace + n]
+        else:
+            np.take(u, r.laplace, out=vrow)
+    v -= 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = _laplace(scales[:, None], u[laplace] - 0.5)
+        coords = _laplace(scales[:, None], v)
     return _finite_noise(params, scales, coords)
 
 
 def sample_gaussian_noise(sigma_eff: float, n: int, rng) -> np.ndarray:
-    """n i.i.d. normal draws with standard deviation sigma_eff."""
+    """n i.i.d. normal draws with standard deviation sigma_eff. A draw that
+    overflows (sigma_eff near the float maximum) raises ArithmeticError."""
     if not (math.isfinite(sigma_eff) and sigma_eff >= 0):
         raise ValueError(f"sigma_eff must be finite and >= 0, got {sigma_eff}")
-    return sigma_eff * standard_normal(rng, n)
+    with np.errstate(over="ignore"):
+        z = sigma_eff * standard_normal(rng, n)
+    if not np.isfinite(z).all():
+        raise ArithmeticError(f"gaussian noise draw is not finite at sigma_eff={sigma_eff!r}")
+    return z

@@ -277,6 +277,19 @@ class TestExitCodes:
         assert "laplace per-step log moment of order 1" in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("argv,err", [
+        (["--mechanism", "laplace", "--b", "1e308", "--n", "12", "--draws", "1"],
+         "laplace noise draw 0 is not finite at b=1e+308"),
+        (["--mechanism", "gaussian", "--sigma-eff", "1.5e308", "--n", "12", "--draws", "2"],
+         "gaussian noise draw is not finite at sigma_eff=1.5e+308"),
+    ])
+    def test_overflowing_sample_exit_2(self, capsys, argv, err):
+        # a scale near the float maximum times a Laplace or normal variate past 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", *argv]) == 2
+        assert capsys.readouterr() == ("", f"numerical error: {err}\n")
+
     @pytest.mark.parametrize("k,draw", [("0.003", 9), ("0.001", 2), ("1e-320", 0)])
     def test_underflowing_gamma_seed_exit_2(self, capsys, k, draw):
         # below k = 1 the seed's boost u^(1/k) underflows, and b = 1/u overflows

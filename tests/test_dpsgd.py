@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from plrvo import dpsgd
 from plrvo.accountant import account
 from plrvo.cli import main
 from plrvo.dpsgd import (
@@ -235,7 +236,9 @@ class TestNoisyStep:
         g *= np.minimum(1.0, 0.5 / np.maximum(np.linalg.norm(g, axis=1), 1e-300))[:, None]
         noise = np.zeros(16)
         want = w - run.learning_rate * (g.sum(axis=0) / 40)
-        got = noisy_step(w, x, y, np.linalg.norm(x, axis=1), noise, run)
+        # the float32 rows' norms in float64, as ``train`` takes them
+        norms = np.linalg.norm(x.astype(np.float64), axis=1)
+        got = noisy_step(w, x, y, norms, noise, run)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(w))
 
     def test_empty_batch_is_noise_only(self):
@@ -319,18 +322,42 @@ class TestTrain:
 
 
 class TestOneDataSet:
-    def test_peak_below_both_data_sets(self):
-        # the test set is drawn after the loop, once the train set is released
-        n, d = 4000, 256
-        run = TrainingRun(mechanism=GaussianParams(sigma=1.0), model_dim=d, n_examples=n,
-                          epochs=1, batch_size=50, seed=0)
+    N, D = 4000, 256
+
+    @pytest.fixture(scope="class")
+    def peak(self):
+        run = TrainingRun(mechanism=GaussianParams(sigma=1.0), model_dim=self.D,
+                          n_examples=self.N, epochs=1, batch_size=50, seed=0)
         tracemalloc.start()
         try:
             train(run)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_below_both_data_sets(self, peak):
+        # the test set is drawn after the loop, once the train set is released
+        n, d = self.N, self.D
         assert peak < 8 * n * d + 8 * (n // 2) * d
+
+    def test_peak_below_one_and_a_half_float32_sets(self, peak):
+        # no float64 copy of either set: not while drawing the train set,
+        # taking its norms or scoring the test set
+        assert peak < 1.5 * 4 * self.N * self.D
+
+    def test_features_float32_labels_and_norms_float64(self, monkeypatch):
+        x, y = make_blobs(300, 7, make_rng(2))
+        assert x.dtype == np.float32 and y.dtype == np.float64
+        seen = []
+
+        def step(w, batch_x, batch_y, batch_norms, noise, run):
+            seen.append((batch_x.dtype.name, batch_y.dtype.name, batch_norms.dtype.name))
+            return noisy_step(w, batch_x, batch_y, batch_norms, noise, run)
+
+        monkeypatch.setattr(dpsgd, "noisy_step", step)
+        train(TrainingRun(mechanism=GaussianParams(sigma=1.0), model_dim=7, n_examples=300,
+                          epochs=1, batch_size=30, seed=1))
+        assert seen and set(seen) == {("float32", "float64", "float64")}
 
 
 class TestCalibration:
@@ -355,10 +382,10 @@ PINS = json.loads((Path(__file__).parent / "train_demo_pins.json").read_text())
 
 
 class TestPinnedLedgers:
-    """train-demo ledgers recorded when the loop drew each step's batch by
-    geometric gaps and one noise row per step. Blocks keep every draw's
-    bits; the clipping and averaging arithmetic may move the weights at the
-    ulp level only."""
+    """train-demo ledgers recorded with float32 features, each step's batch
+    drawn by geometric gaps and one noise row per step. Blocks keep every
+    draw's bits; the clipping and averaging arithmetic may move the weights
+    at the ulp level only."""
 
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_ledger_matches_pin(self, name, capsys):

@@ -210,6 +210,32 @@ class TestBlockedStreams:
         a, b = DeterministicSource(3, 1), DeterministicSource(3, 1)
         assert np.array_equal(np.concatenate([a.uniform(7), a.uniform(12)]), b.uniform(19))
 
+    @pytest.mark.parametrize("k,m", [(0, 5), (1, 1), (8192, 3), (100_001, 17)])
+    def test_second_cursor(self, k, m):
+        # ahead(k) reads the uniforms after the next k and leaves the source
+        # where it was; skip(k) moves the source past those k
+        source, twin = DeterministicSource(5, 2), DeterministicSource(5, 2)
+        run = twin.uniform(k + m)
+        assert np.array_equal(source.ahead(k).uniform(m), run[k:])
+        assert np.array_equal(source.uniform(k + m), run)
+        source, twin = DeterministicSource(5, 2), DeterministicSource(5, 2)
+        source.skip(k)
+        assert np.array_equal(source.uniform(m), twin.uniform(k + m)[k:])
+        # a cryptographic source's uniforms are independent wherever read
+        crypto = CryptoSource()
+        assert crypto.ahead(k) is crypto
+
+    @pytest.mark.parametrize("seed,size", [(0, 1), (2, 3), (4, 16383), (5, 16384), (6, 16385),
+                                           (7, 16386), (8, 32769), (9, 100_001),
+                                           (10, 1_000_000)])
+    def test_float32_normals_are_rounded_float64_normals(self, seed, size):
+        wide, narrow = make_rng(seed, stream=seed % 3), make_rng(seed, stream=seed % 3)
+        x64 = standard_normal(wide, size)
+        x32 = standard_normal(narrow, size, np.float32)
+        assert x32.dtype == np.float32
+        assert np.array_equal(x32.view(np.uint32), x64.astype(np.float32).view(np.uint32))
+        assert np.array_equal(wide.uniform(5), narrow.uniform(5))
+
     @pytest.mark.parametrize("k,theta", [(0.8, 0.5), (1.0, 0.2), (2.5, 0.1),
                                          (141.06, 8.32e-4), (29822.05, 3.4e-5)])
     @pytest.mark.parametrize("n", [1, 7, 512])
