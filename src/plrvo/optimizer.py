@@ -20,33 +20,38 @@ clip with the smallest distortion; clip_max only bounds c0. At each k the
 best feasible point is then the largest feasible theta, on the privacy
 boundary. Nothing is random.
 
-The Laplace limit. The kernel's two branches are moment generating
-functions of g ~ Gamma(k, theta): (1 - (eta-1) theta x)^-k =
-E exp((eta-1) g x) and (1 + eta theta x)^-k = E exp(-eta g x). exp is
-convex, so by Jensen's inequality each is at least the fixed-scale Laplace
-branch at b = 1 / E[g] = 1 / (k theta). The mixing weights are
-nonnegative and plrvo's effective lambda cap is at most Laplace's, so
-account(plrvo(k, theta)) >= account(Laplace(1 / (k theta))). (Above the
-head's 4,096 coordinates the computed tail adds the estimate |I32 - I16|,
-which is not ordered between the two mechanisms.) So a point that passes
-c2 has 1 / (k theta) above every Laplace scale b_fail that fails c2, and
-J = C (k - 1) theta < C / b_fail. :func:`solve` uses this twice, at
-C = clip_min, one accountant call each:
+The top of the k range. Fix the mean scale b = 1 / (k theta) of the
+inverse scale g ~ Gamma(k, theta). As k grows, g decreases in convex order,
+since Gamma(t) / t of a gamma process is a reverse martingale (Shaked &
+Shanthikumar 2007, Stochastic Orders, ch. 3). The kernel's two branches are
+E phi(g) with phi convex: (1 - (eta-1) theta x)^-k = E exp((eta-1) g x) and
+(1 + eta theta x)^-k = E exp(-eta g x). The mixing weights are nonnegative,
+and plrvo's effective lambda cap, floor(k b / C) - 1, grows with k. So at
+fixed b the exact epsilon is nonincreasing in k, and so is b_c2(k), the
+smallest b that passes c2 at k; fixed-scale Laplace noise at b is the limit
+k -> infinity. (Above the head's 4,096 coordinates the computed tail adds
+the estimate |I32 - I16|, which is not ordered in k.) J = (C / b)(1 - 1/k)
+then settles the box from its top, k = K_GRID_HI:
 
-- Optimality. The boundary at k = K_GRID_HI is solved first. If it is the
-  MGF bound, no point of the box has a larger J. Otherwise, if Laplace
-  noise at b_fail = (1 - CERT_TOL) / (K_GRID_HI theta) fails c2, then
-  J = (1 - CERT_TOL)(1 - 1 / K_GRID_HI) C / b_fail: within 1.1e-5 of the
-  largest J over every k > 1, not only over the box.
-- Infeasibility, where c2 fails at K_GRID_HI's floor. c1 with
-  gamma_cdf_tol <= 1/2 puts 0.1 / theta at or below the median of
-  Gamma(k), which lies below its mean k, so 1 / (k theta) < 10; c4 gives
-  1 / (k theta) < distortion_cap. If Laplace noise at the smaller of the
-  two (at distortion_cap alone for a larger tolerance) fails c2, no k is
-  feasible.
-
-Where neither settles the solve, it computes the boundary at each of
-K_GRID_POINTS logarithmic k in [K_GRID_LO, K_GRID_HI] and returns the best.
+- Optimality. Any feasible (k, b) with k < K_GRID_HI has
+  b >= b_c2(k) >= b_c2(K_GRID_HI) and a smaller 1 - 1/k, so the boundary at
+  K_GRID_HI, where it exists, has the largest J in the box (to its 1e-7
+  bracket). If that boundary is the MGF bound, every k shares the bound on
+  theta, and J = C (k - 1) theta is largest at the top too.
+- Infeasibility, where c2 fails at K_GRID_HI's floor. At fixed b, c1 holds
+  iff b <= 10 x_q(k) / k, with x_q(k) the gamma_cdf_tol-quantile of
+  Gamma(k, 1). For tol <= 1/2 that ceiling is nondecreasing in k. Gamma
+  shapes are ordered in van Zwet's convex-transform order (van Zwet 1964),
+  which implies the star order: q_k1(u) / q_k2(u) is nondecreasing in u for
+  k1 <= k2, with q_k the quantile function of Gamma(k, 1). Berg & Pedersen
+  (2006, the Chen-Rubin conjecture) show that k - m(k) decreases, with
+  m(k) < k the median, so m(k) / k increases. So for u <= 1/2,
+  q_k1(u) / k1 <= (m(k1) / m(k2)) q_k2(u) / k1 <= q_k2(u) / k2. c4's
+  ceiling, distortion_cap (1 - 1/k), and the MGF bound's floor,
+  (lambda_max + 1) C / k, also loosen with k. So where no b passes every
+  constraint at K_GRID_HI, none does at a smaller k. Above tol 1/2, c1's
+  ceiling can fall with k (at tol 0.55 it rises, then falls), and
+  :func:`solve` scans K_GRID_POINTS logarithmic k in [K_GRID_LO, K_GRID_HI].
 
 c1 and c4 are lower bounds on theta: c1's is a Gamma(k) quantile
 (:func:`_c1_floor`, on the accumulate-summed incomplete gamma series), c4's
@@ -64,9 +69,9 @@ bracket's top, is first screened by a certified lower bound on epsilon
 top fails without an accountant call, which would be the boundary's
 costliest: its moments are mixed in log space.
 
-Laplace epsilons and the screen's bounds never enter the c2 cache, so every
-reported epsilon is an accounted one, and the returned point's report is
-its own accounted entry.
+The screen's bounds never enter the c2 cache, so every reported epsilon is
+an accounted one, and the returned point's report is its own accounted
+entry.
 """
 
 from __future__ import annotations
@@ -82,13 +87,11 @@ from .params import (
     AccountingJob,
     GammaPlrvParams,
     InfeasibleError,
-    LaplaceParams,
     OptimizationResult,
     PrivacyTarget,
 )
 
 K_GRID_LO, K_GRID_HI, K_GRID_POINTS = 1.0 + 1e-3, 1e6, 20
-CERT_TOL = 1e-5  # relative step in the Laplace scale of the optimality certificate
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,7 @@ def _theta_hi(cfg: FeasibilityConfig) -> float:
 
 
 def _k_grid() -> list[float]:
-    """The k values the fallback scan of :func:`solve` visits, ascending."""
+    """The k values :func:`_scan` visits, ascending."""
     return np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS).tolist()
 
 
@@ -437,13 +440,6 @@ def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None
     return at_k.lo, objective(k, at_k.lo, C)
 
 
-def _laplace_epsilon(cfg: FeasibilityConfig, b: float) -> float:
-    """The accounted epsilon of fixed-scale Laplace noise at scale b and
-    clip_min: at most plrvo's at every (k, theta) with k theta = 1 / b (the
-    module docstring's Laplace limit)."""
-    return account(LaplaceParams(b=b), cfg.job_for(cfg.clip_min)).epsilon
-
-
 def _infeasible(cfg: FeasibilityConfig, constraint: str, margin: float) -> InfeasibleError:
     return InfeasibleError("no feasible point in the configured box",
                            diagnostics={f"clip={cfg.clip_min:g}": {"constraint": constraint,
@@ -475,42 +471,34 @@ def solve(cfg: FeasibilityConfig) -> OptimizationResult:
     the smallest distortion; clip_max only bounds c0. (The README's job
     file, with clip_min 5 and clip_max 10, returns C* = 5.)
 
-    In order, as the module docstring argues from the Laplace limit:
+    In order, as the module docstring argues from the top of the k range:
 
     0. If c1's and c4's floor at K_GRID_HI lies above the MGF bound, so do
        the floors of every smaller k: the diagnostics name mgf with the
        floor's relative margin below :func:`_theta_hi`.
-    1. The boundary theta at K_GRID_HI (:func:`_boundary_theta`). If it is
-       the MGF bound, or Laplace noise at the scale (1 - CERT_TOL) times
-       1 / (K_GRID_HI theta) fails c2, that point is returned: its J is
-       within 1.1e-5 of the best over every k > 1.
-    2. Where c2 fails at K_GRID_HI's floor, one Laplace call at the
-       largest scale c1 and c4 admit; if it fails c2, no k is feasible, and
-       the diagnostics name c2 with its margin.
-    3. Otherwise the best boundary over :func:`_k_grid`'s k.
+    1. The boundary theta at K_GRID_HI (:func:`_boundary_theta`), where it
+       exists, is returned: no k in the box has a larger J.
+    2. Otherwise c2 fails at K_GRID_HI's floor. At gamma_cdf_tol <= 1/2 no
+       k is feasible, and the diagnostics name c2 with the floor's
+       accounted margin.
+    3. Above tol 1/2, the best boundary over :func:`_k_grid`'s k
+       (:func:`_scan`).
 
     The result embeds the returned point's full constraint report (c2 on
     the full lambda grid, from the search's cache).
     """
-    C, epsilon_star = cfg.clip_min, cfg.target.epsilon_star
+    C = cfg.clip_min
     state = _SearchState(cfg=cfg)
     theta_hi = _theta_hi(cfg)
     floor = state.theta_floor(K_GRID_HI)
     if floor > theta_hi:  # the floors fall as k grows: no k has a feasible theta
         raise _infeasible(cfg, "mgf", 1.0 - floor / theta_hi)
     edge = _boundary_theta(state, K_GRID_HI)
-    if edge is not None and (
-            edge[0] == theta_hi
-            or _laplace_epsilon(cfg, (1.0 - CERT_TOL) / (K_GRID_HI * edge[0])) > epsilon_star):
+    if edge is not None:
         k_best, theta_best = K_GRID_HI, edge[0]
+    elif cfg.gamma_cdf_tol <= 0.5:
+        raise _infeasible(cfg, "c2", state.c2_cache[(K_GRID_HI, floor, C)]["margin"])
     else:
-        if edge is None:
-            ceiling = (cfg.distortion_cap if cfg.gamma_cdf_tol > 0.5
-                       else min(10.0, cfg.distortion_cap))
-            margin = (epsilon_star - _laplace_epsilon(cfg, ceiling)
-                      if math.isfinite(ceiling) else 0.0)
-            if margin < 0.0:
-                raise _infeasible(cfg, "c2", margin)
         k_best, theta_best = _scan(state)
     best = (k_best, theta_best, C)
 

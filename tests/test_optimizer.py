@@ -14,13 +14,11 @@ from plrvo.accountant import account, plrv_epsilon_lower_bound
 from plrvo.dpsgd import training_job
 from plrvo.numerics import regularized_lower_gamma
 from plrvo.optimizer import (
-    CERT_TOL,
     K_GRID_HI,
     FeasibilityConfig,
     InfeasibleError,
     _boundary_theta,
     _c1_floor,
-    _laplace_epsilon,
     _mgf_screen,
     _SearchState,
     all_pass,
@@ -33,6 +31,20 @@ from plrvo.params import AccountingJob, GammaPlrvParams, LaplaceParams, PrivacyT
 VACUOUS = sys.float_info.max  # an epsilon* no accounted epsilon exceeds
 
 
+def laplace_epsilon(cfg: FeasibilityConfig, b: float) -> float:
+    """The accounted epsilon of fixed-scale Laplace noise at scale b and
+    clip_min: the Laplace limit, at most plrvo's at every (k, theta) with
+    k theta = 1 / b."""
+    return account(LaplaceParams(b=b), cfg.job_for(cfg.clip_min)).epsilon
+
+
+def edge_floor_margin(cfg: FeasibilityConfig) -> float:
+    """c2's accounted margin at K_GRID_HI's floor and clip_min."""
+    floor = _SearchState(cfg=cfg).theta_floor(K_GRID_HI)
+    return cfg.target.epsilon_star - account(GammaPlrvParams(k=K_GRID_HI, theta=floor),
+                                             cfg.job_for(cfg.clip_min)).epsilon
+
+
 def solve(cfg: FeasibilityConfig):
     """optimizer.solve, checked against the Laplace limit: plrvo's epsilon at
     (k, theta) is at least Laplace's at 1 / (k theta), so J = C (k - 1) theta
@@ -40,7 +52,7 @@ def solve(cfg: FeasibilityConfig):
     accounted Laplace epsilon falls as b grows, so that holds exactly when
     Laplace noise at C / J passes c2."""
     res = optimizer.solve(cfg)
-    assert _laplace_epsilon(cfg, cfg.clip_min / res.snr) <= cfg.target.epsilon_star
+    assert laplace_epsilon(cfg, cfg.clip_min / res.snr) <= cfg.target.epsilon_star
     return res
 
 
@@ -172,16 +184,16 @@ class TestSolve:
         assert exc.value.diagnostics  # per-clip tightest constraint report
 
     def test_infeasible_diagnostics_pinned(self):
-        # Laplace noise at the largest scale c1 and c4 admit, 10, fails c2, so
-        # no k is feasible: the margin is epsilon* - 24.51457920972598, the
-        # Laplace epsilon there; the one key is the clip the search ran at
+        # c2 fails at K_GRID_HI's floor, so no k is feasible: the margin is
+        # epsilon* minus the accounted epsilon there; the one key is the clip
+        # the search ran at
         cfg = toy_cfg(epsilon=1e-6, N=200, T=10_000, zeta=0.5, lambda_max=16)
         with pytest.raises(InfeasibleError) as exc:
             solve(cfg)
-        want = {"clip=0.5": {"constraint": "c2", "margin": -24.51457820972598}}
+        want = {"clip=0.5": {"constraint": "c2", "margin": -24.65155128033889}}
         assert exc.value.diagnostics == want
         assert list(exc.value.diagnostics) == list(want)
-        assert want["clip=0.5"]["margin"] == 1e-6 - _laplace_epsilon(cfg, 10.0)
+        assert want["clip=0.5"]["margin"] == edge_floor_margin(cfg)
 
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
@@ -207,15 +219,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("name", ["toy", "crit8-7"])
     def test_j_is_the_best_evaluated(self, monkeypatch, name):
-        # with the fast path's boundary withheld, the scan probes exactly the
-        # grid and returns the largest J it computed
+        # the scan probes exactly the grid and returns the largest J it
+        # computed
         cfg = toy_cfg() if name == "toy" else crit8_configs()[7]
-        probed = forced_scan(monkeypatch)
-        res = solve(cfg)
+        probed, (k_best, theta_best) = scan_probes(monkeypatch, cfg)
         assert [k for _, k, _ in probed] == optimizer._k_grid()
         js = [got[1] for _, _, got in probed if got is not None]
-        assert res.snr == max(js)
-        assert res.k_star == K_GRID_HI  # the boundary J still rises at the edge
+        assert objective(k_best, theta_best, cfg.clip_min) == max(js)
+        assert k_best == K_GRID_HI  # the boundary J still rises at the edge
 
 
 def gamma_quantile(k: float, tol: float) -> float:
@@ -246,6 +257,17 @@ class TestC1Floor:
                 assert regularized_lower_gamma(k, 0.1 / (floor * (1 - 1e-12))) > tol, k
             assert floor == pytest.approx(0.1 / gamma_quantile(k, tol), rel=1e-9), k
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.55, 0.9])
+    def test_ceiling_on_b_rises_with_k_up_to_tol_half(self, tol):
+        # the module docstring's lemma: at tol <= 1/2, c1's ceiling on the
+        # mean scale b = 1 / (k theta), 10 x_q(k) / k, is nondecreasing in k.
+        # Above 1/2 it is not (227 and 299 of the 299 steps fall at 0.55 and
+        # 0.9), which is where solve still scans k
+        ks = np.geomspace(1.001, 1e6, 300).tolist()
+        ceilings = [1.0 / (k * _c1_floor(k, tol)) for k in ks]
+        drops = sum(b < a for a, b in zip(ceilings, ceilings[1:]))
+        assert (drops == 0) == (tol <= 0.5), drops
+
 
 def crit8_configs() -> list[FeasibilityConfig]:
     """Acceptance criterion 8's configs, drawn in its order from seed 88."""
@@ -268,21 +290,20 @@ def crit8_configs() -> list[FeasibilityConfig]:
     return configs
 
 
-def forced_scan(monkeypatch) -> list:
-    """Withhold the fast path's boundary at K_GRID_HI, so solve falls back to
-    the scan, and record the scan's (state, k, boundary) probes."""
-    probed, withheld = [], []
+def scan_probes(monkeypatch, cfg: FeasibilityConfig) -> tuple[list, tuple[float, float]]:
+    """The scan's (state, k, boundary) probes from a fresh search state, and
+    the (k, theta) it returns."""
+    probed = []
 
     def recording(state, k):
-        if not withheld:
-            withheld.append(k)
-            return None
         got = _boundary_theta(state, k)
         probed.append((state, k, got))
         return got
 
     monkeypatch.setattr(optimizer, "_boundary_theta", recording)
-    return probed
+    best = optimizer._scan(_SearchState(cfg=cfg))
+    monkeypatch.undo()
+    return probed, best
 
 
 class TestSolvePinned:
@@ -296,9 +317,8 @@ class TestSolvePinned:
         res = solve(crit8_configs()[index])
         assert (res.k_star, res.theta_star, res.C_star) == pytest.approx(want, rel=1e-9)
 
-    # (k*, theta*, C*, achieved epsilon), bit for bit, as certified against
-    # the Laplace limit at K_GRID_HI with the boundary bracketed to 1e-7 in
-    # log theta
+    # (k*, theta*, C*, achieved epsilon), bit for bit: the boundary at
+    # K_GRID_HI, bracketed to 1e-7 in log theta
     EXACT = {
         "crit8-0": (1000000.0, 3.9318315138155623e-07, 0.4443717168528951,
                     2.9611562682847143),
@@ -398,11 +418,9 @@ class TestBoundaryTheta:
 
     @pytest.mark.parametrize("name", ["crit8-3", "crit8-6", "crit8-7", "train-demo"])
     def test_bracketed_on_solve_probes(self, monkeypatch, name):
-        # every boundary of the fallback scan, forced on these configs
+        # every boundary of the scan, run on these configs
         cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
-        probed = forced_scan(monkeypatch)
-        solve(cfg)
-        monkeypatch.undo()
+        probed, _ = scan_probes(monkeypatch, cfg)
         theta_hi = optimizer._theta_hi(cfg)
         below = [(state, k, got) for state, k, got in probed
                  if got is not None and got[0] < theta_hi]
@@ -503,7 +521,8 @@ class TestMgfScreen:
 class TestLaplaceLimit:
     """Jensen's inequality on the gamma MGF: plrvo's accounted epsilon at
     (k, theta) is at least fixed-scale Laplace's at b = 1 / (k theta). solve
-    certifies its J, or the box's infeasibility, against that limit."""
+    makes no Laplace call; the tests check its J, and its infeasible
+    verdicts, against that limit."""
 
     # N <= 4,096: the head sum is exact, with no tail estimate; the examples
     # put k = 1e6 at the MGF bound with every order, and near-Laplace k at
@@ -532,47 +551,51 @@ class TestLaplaceLimit:
 
     @staticmethod
     def laplace_calls(monkeypatch) -> list[int]:
+        """Count solve's accountant calls on Laplace noise from now on."""
         calls = [0]
-        laplace_epsilon = optimizer._laplace_epsilon
 
-        def counting(cfg, b):
-            calls[0] += 1
-            return laplace_epsilon(cfg, b)
+        def counting(params, job):
+            calls[0] += isinstance(params, LaplaceParams)
+            return account(params, job)
 
-        monkeypatch.setattr(optimizer, "_laplace_epsilon", counting)
+        monkeypatch.setattr(optimizer, "account", counting)
         return calls
 
     @pytest.mark.parametrize("name", [f"crit8-{i}" for i in range(10)] + ["train-demo"])
     def test_edge_is_certified(self, monkeypatch, name):
+        # Laplace noise just below the edge's mean scale fails c2, so the
+        # edge's J is within 1.1e-5 of the best over every k > 1
         cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
         calls, laplace = c2_calls(monkeypatch), self.laplace_calls(monkeypatch)
         res = solve(cfg)
-        assert calls[0] <= 13 and laplace[0] == 1
+        assert calls[0] <= 13 and laplace[0] == 0
         assert res.k_star == K_GRID_HI
-        b_fail = (1.0 - CERT_TOL) / (K_GRID_HI * res.theta_star)
-        assert _laplace_epsilon(cfg, b_fail) > cfg.target.epsilon_star
+        b_fail = (1.0 - 1e-5) / (K_GRID_HI * res.theta_star)
+        assert laplace_epsilon(cfg, b_fail) > cfg.target.epsilon_star
         assert res.snr >= (1.0 - 1.1e-5) * cfg.clip_min / b_fail
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-3, 0.02, 0.05])
     def test_unreachable_targets_name_c2(self, monkeypatch, epsilon):
-        # the screen fails the edge's MGF bound and one call its floor; one
-        # Laplace call at the ceiling, 10, then settles every k
+        # the screen fails the edge's MGF bound and one call its floor, which
+        # settles every k; Laplace noise at c1's ceiling on b, 10, fails too
         cfg = toy_cfg(epsilon=epsilon, N=200, lambda_max=16)
         calls, laplace = c2_calls(monkeypatch), self.laplace_calls(monkeypatch)
         with pytest.raises(InfeasibleError) as exc:
             solve(cfg)
-        assert (calls[0], laplace[0]) == (1, 1)
-        margin = epsilon - _laplace_epsilon(cfg, 10.0)
-        assert margin < 0.0
+        assert (calls[0], laplace[0]) == (1, 0)
+        margin = edge_floor_margin(cfg)
+        assert margin < 0.0 and laplace_epsilon(cfg, 10.0) > epsilon
         assert exc.value.diagnostics == {"clip=0.5": {"constraint": "c2", "margin": margin}}
+        if epsilon == 0.05:
+            assert margin == -0.44420707941371296
 
-    def test_band_below_the_ceiling_runs_the_scan(self, monkeypatch):
+    def test_band_below_c1_ceiling_needs_no_scan(self, monkeypatch):
         # Laplace meets epsilon* from b = 9.97 up: above the edge floor's
         # 1 / (k theta) = 10 x_q / 1e6, with x_q the 1e-6-quantile of
-        # Gamma(1e6), and below the ceiling 10. So the ceiling passes, every
-        # floor fails c2, and the scan reports the least-failing one
+        # Gamma(1e6), and below 10. So the edge's floor fails c2, and by the
+        # lemma every k's floor does
         assert 10.0 * gamma_quantile(K_GRID_HI, 1e-6) / K_GRID_HI < 9.96
-        cfg = toy_cfg(epsilon=_laplace_epsilon(toy_cfg(), 9.97))
+        cfg = toy_cfg(epsilon=laplace_epsilon(toy_cfg(), 9.97))
         probed = []
 
         def recording(state, k):
@@ -582,15 +605,15 @@ class TestLaplaceLimit:
         monkeypatch.setattr(optimizer, "_boundary_theta", recording)
         with pytest.raises(InfeasibleError) as exc:
             solve(cfg)
-        assert probed == [K_GRID_HI, *optimizer._k_grid()]
-        diagnostics = exc.value.diagnostics["clip=0.5"]
-        assert diagnostics["constraint"] == "c2" and -1e-3 < diagnostics["margin"] < 0.0
+        assert probed == [K_GRID_HI]
+        assert exc.value.diagnostics == {"clip=0.5": {
+            "constraint": "c2", "margin": -9.191874133582245e-05}}
+        assert edge_floor_margin(cfg) == -9.191874133582245e-05
 
     @pytest.mark.parametrize("clip,cap", [(1e7, 10.0), (0.5, 1e-307)])
     def test_floors_above_the_mgf_bound_name_mgf(self, monkeypatch, clip, cap):
         # the search's largest theta, 1 / (33 C), lies below every k's floor:
-        # at C = 1e7 below c1's, and at distortion_cap 1e-307 below c4's,
-        # where Laplace noise at the cap would overflow the accountant. No
+        # at C = 1e7 below c1's, and at distortion_cap 1e-307 below c4's. No
         # call is made; the diagnostics compare the lowest floor, K_GRID_HI's,
         # with that theta
         cfg = toy_cfg(epsilon=VACUOUS, clip_min=clip, clip_max=clip, distortion_cap=cap)
@@ -605,20 +628,35 @@ class TestLaplaceLimit:
 
     def test_forced_scan_matches_the_fast_path(self, monkeypatch):
         fast = solve(toy_cfg())
-        forced_scan(monkeypatch)
-        assert solve(toy_cfg()).snr == pytest.approx(fast.snr, rel=1e-6)
+        _, (k, theta) = scan_probes(monkeypatch, toy_cfg())
+        assert objective(k, theta, 0.5) == pytest.approx(fast.snr, rel=1e-6)
+
+    def test_solve_never_scans_at_tol_up_to_half(self, monkeypatch):
+        # at gamma_cdf_tol <= 1/2 the edge settles every solve: criterion 8's
+        # configs and train-demo return it, the unreachable targets name c2
+        def no_scan(state):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(optimizer, "_scan", no_scan)
+        for tol in (1e-6, 0.5):
+            for cfg in [*crit8_configs(), train_demo_cfg()]:
+                assert solve(replace(cfg, gamma_cdf_tol=tol)).k_star == K_GRID_HI
+            for epsilon in (1e-6, 1e-3, 0.02, 0.05):
+                with pytest.raises(InfeasibleError) as exc:
+                    solve(toy_cfg(epsilon=epsilon, N=200, lambda_max=16, gamma_cdf_tol=tol))
+                assert exc.value.diagnostics["clip=0.5"]["constraint"] == "c2"
 
     def test_ceiling_above_half_is_the_distortion_cap(self):
         # Laplace meets epsilon* from b = 12 up, with distortion_cap 20. At
-        # gamma_cdf_tol <= 1/2, c1 keeps 1 / (k theta) below 10, so the
-        # ceiling is 10 and fails; at 0.9 only c4's 20 bounds it, and the
-        # scan finds k with 1 / (k theta) above 12
-        epsilon = _laplace_epsilon(toy_cfg(distortion_cap=20.0), 12.0)
+        # gamma_cdf_tol <= 1/2, c1 keeps 1 / (k theta) below 10: the edge's
+        # floor fails c2, and so does every k's. At 0.9 only c4's 20 bounds
+        # it, and the scan finds k with 1 / (k theta) above 12
+        epsilon = laplace_epsilon(toy_cfg(distortion_cap=20.0), 12.0)
         strict = toy_cfg(epsilon=epsilon, distortion_cap=20.0, gamma_cdf_tol=0.5)
         with pytest.raises(InfeasibleError) as exc:
             solve(strict)
         assert exc.value.diagnostics == {"clip=0.5": {
-            "constraint": "c2", "margin": epsilon - _laplace_epsilon(strict, 10.0)}}
+            "constraint": "c2", "margin": edge_floor_margin(strict)}}
         res = solve(toy_cfg(epsilon=epsilon, distortion_cap=20.0, gamma_cdf_tol=0.9))
         assert res.k_star < K_GRID_HI
         assert 12.0 < 1.0 / (res.k_star * res.theta_star) < 20.0
@@ -697,10 +735,40 @@ class TestClipInvariance:
 
 class TestKMonotonicity:
     """At fixed s = theta * C the accounted epsilon increases with k: a larger
-    mean inverse scale is less noise. It does so up to rounding, which a
-    relative step of S_MARGIN in s covers."""
+    mean inverse scale is less noise. At fixed mean scale b = 1 / (k theta)
+    it decreases with k: the inverse scale decreases in convex order (the
+    optimizer's module docstring). Both hold up to rounding, which a
+    relative step of S_MARGIN in s, or of B_MARGIN in b, covers."""
 
     S_MARGIN = 1e-9
+    B_MARGIN = 1e-9
+
+    # N <= 4,096: the head sum is exact, with no tail estimate, which is not
+    # ordered in k; b runs down to the smaller k's MGF bound
+    @settings(max_examples=80, deadline=None)
+    @example(log_k=math.log(1.001), k_fraction=1.0, log_fraction=0.0, C=0.37, zeta=0.05,
+             T=100, N=4096, L=64, log_delta=math.log(1e-5))
+    @given(log_k=st.floats(math.log(1.001), math.log(1e6)),
+           k_fraction=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 1.0)),
+           log_fraction=st.one_of(st.just(0.0), st.floats(math.log(1e-8), 0.0)),
+           C=st.floats(0.1, 10.0),
+           zeta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+           T=st.integers(1, 1000),
+           N=st.integers(1, 4096),
+           L=st.integers(1, 64),
+           log_delta=st.floats(math.log(1e-10), math.log(0.1)))
+    def test_epsilon_falls_with_k_at_fixed_mean_scale(self, log_k, k_fraction, log_fraction,
+                                                      C, zeta, T, N, L, log_delta):
+        k = math.exp(log_k)
+        k2 = math.exp(log_k + k_fraction * (math.log(1e6) - log_k))  # k <= k2 <= 1e6
+        b = C * (L + 1) / ((1.0 - 1e-6) * k * math.exp(log_fraction))
+        job = AccountingJob(steps_T=T, sampling_rate_zeta=zeta, model_dim_N=N, clip_C=C,
+                            delta=math.exp(log_delta), lambda_max=L)
+
+        def epsilon(k, b):
+            return account(GammaPlrvParams(k=k, theta=1.0 / (k * b)), job).epsilon
+
+        assert epsilon(k2, b * (1.0 + self.B_MARGIN)) <= epsilon(k, b)
 
     # examples: the series path (every branch log within 1/16) over most of
     # the head; the log-space mix on its first coordinates (near the MGF
