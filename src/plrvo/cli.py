@@ -10,6 +10,10 @@ deterministic given (input file, flags, seed). ``--threads`` (or the
 PLRV_THREADS environment variable), ``--mode`` and ``--lambda-search`` are
 compatibility flags: validated and, for ``account``, echoed, but the
 library takes none of them and no result depends on them.
+
+Each command imports its own module: the top level loads only ``accountant``
+and ``params``, so ``account``, ``sweep-t`` and ``optimize`` never load the
+sampler, the training loop or the distortion calculus.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import accountant, distortion, dpsgd, sampler
+from . import accountant
 from .params import (
     AccountingJob,
     GammaPlrvParams,
@@ -145,7 +149,7 @@ def cmd_sweep_t(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from . import optimizer  # compiled only by the commands that solve
+    from . import optimizer
 
     spec = load_job_file(args.job_file)
     if spec["target"] is None or spec["optimizer"] is None:
@@ -166,6 +170,8 @@ _TABLE2_CHECKS = [
 
 
 def cmd_distortion(args) -> int:
+    from . import distortion
+
     if args.table2:
         rows = []
         ok = True
@@ -197,6 +203,8 @@ def cmd_distortion(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import sampler
+
     for flag, value, least in (("--n", args.n, 1), ("--draws", args.draws, 1),
                                ("--seed", args.seed, 0)):
         if value < least:
@@ -241,6 +249,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train_demo(args) -> int:
+    from . import dpsgd
+
     # every training input is checked before the noise is calibrated
     loop = dpsgd.TrainingRun(
         mechanism=None, model_dim=args.dim, n_examples=args.examples,

@@ -44,13 +44,3 @@ class MajorizationSet:
         if not (1 <= lo <= hi <= self.dim_n):
             raise IndexError(f"range [{lo}, {hi}] outside [1, {self.dim_n}]")
         return majorizing_coordinates(self.clip_C, np.arange(lo, hi + 1, dtype=np.float64))
-
-    def weakly_majorizes(self, g: np.ndarray) -> bool:
-        """True iff the sorted |g| is weakly majorized from below by the set,
-        i.e. every descending partial sum of |g| stays under C * sqrt(i)."""
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (self.dim_n,):
-            raise ValueError(f"expected a vector of length {self.dim_n}, got shape {g.shape}")
-        partial = np.cumsum(np.sort(np.abs(g))[::-1])
-        bound = self.clip_C * np.sqrt(np.arange(1, self.dim_n + 1, dtype=np.float64))
-        return bool(np.all(partial <= bound + 1e-12))

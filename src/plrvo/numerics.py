@@ -248,8 +248,30 @@ def normal_inv_cdf(p: float) -> float:
     return -x if q < 0.0 else x
 
 
-# 32-point Gauss-Legendre nodes/weights on [-1, 1], reused per panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# The 32-point Gauss-Legendre rule on [-1, 1], reused per panel: the 16
+# positive nodes and their weights, the bits of
+# np.polynomial.legendre.leggauss(32), whose rule is symmetric to the bit.
+# Stored, so that no process loads numpy.polynomial or solves its eigenproblem.
+_GL_HALF = np.array([
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 
 
 def gauss_legendre(a: float, b: float, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:

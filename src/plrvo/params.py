@@ -14,6 +14,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Type, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 GAUSSIAN_LAPLACE_DEFAULT_LAMBDA_MAX = 64
@@ -240,6 +242,17 @@ class LogMomentCurve:
     def __post_init__(self):
         _require(len(self.alpha_per_step) > 0, "curve must contain at least one moment")
         ordered = dict(sorted((int(l), float(a)) for l, a in self.alpha_per_step.items()))
+        a = np.fromiter(ordered.values(), np.float64, len(ordered))
+        prev = a[:-1]
+        if not (next(iter(ordered)) >= 1 and np.isfinite(a).all() and (a >= 0.0).all()
+                and (a[1:] >= prev - 1e-10 * np.maximum(1.0, np.abs(prev))).all()):
+            self._raise_first_fault(ordered)
+        object.__setattr__(self, "alpha_per_step", ordered)
+
+    def _raise_first_fault(self, ordered: dict[int, float]) -> None:
+        """Run the construction checks one order at a time and raise at the
+        first that fails, so that the message names that order. They make
+        the comparisons of the vector pass in ``__post_init__``."""
         prev = None
         for lam, a in ordered.items():
             _require(lam >= 1, "moment orders must be >= 1, got {}", lam)
@@ -252,7 +265,6 @@ class LogMomentCurve:
                          "alpha must be nondecreasing in lambda; "
                          "alpha({}) = {} < {}", lam, a, prev)
             prev = a
-        object.__setattr__(self, "alpha_per_step", ordered)
 
     @property
     def lambdas(self) -> list[int]:

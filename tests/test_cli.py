@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -25,6 +26,20 @@ def write_job(tmp_path, name="job.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def write_crit8_job(tmp_path):
+    """Criterion 8's first config, drawn as it draws it, as a job file."""
+    import numpy as np
+    rng = np.random.default_rng(88)
+    clip = float(rng.uniform(0.3, 1.0))
+    target = {"epsilon_star": float(rng.uniform(0.5, 4.0)), "delta_star": 1e-5}
+    job = {"steps_T": int(rng.integers(20, 400)),
+           "sampling_rate_zeta": float(rng.uniform(0.01, 0.2)),
+           "model_dim_N": int(rng.integers(50, 1000)), "clip_C": 1.0, "delta": 1e-5,
+           "lambda_max": int(rng.choice([16, 32]))}
+    return write_job(tmp_path, job=job, target=target,
+                     optimizer={"clip_min": clip, "clip_max": clip})
 
 
 class TestAccount:
@@ -638,18 +653,8 @@ class TestOptimizeCommand:
         assert main(["optimize", write_job(tmp_path)]) == 1
 
     def test_optimize_leaves_statistics_unloaded(self, tmp_path):
-        # criterion 8's first config, drawn as it draws it; the c1 floor's
-        # normal quantile comes from numerics, not from statistics
-        import numpy as np
-        rng = np.random.default_rng(88)
-        clip = float(rng.uniform(0.3, 1.0))
-        target = {"epsilon_star": float(rng.uniform(0.5, 4.0)), "delta_star": 1e-5}
-        job = {"steps_T": int(rng.integers(20, 400)),
-               "sampling_rate_zeta": float(rng.uniform(0.01, 0.2)),
-               "model_dim_N": int(rng.integers(50, 1000)), "clip_C": 1.0, "delta": 1e-5,
-               "lambda_max": int(rng.choice([16, 32]))}
-        path = write_job(tmp_path, job=job, target=target,
-                         optimizer={"clip_min": clip, "clip_max": clip})
+        # the c1 floor's normal quantile comes from numerics, not from statistics
+        path = write_crit8_job(tmp_path)
         code = ("import sys; from plrvo.cli import main; "
                 "assert main(['optimize', sys.argv[1]]) == 0; "
                 "print([m for m in ('statistics', 'decimal', 'fractions') if m in sys.modules])")
@@ -721,6 +726,56 @@ class TestSampleAndDistortion:
         out = capsys.readouterr().out.strip().split("\n")
         assert out[0] == "mechanism,l1_per_coord,finite"
         assert out[1].startswith("plrvo,2.5")
+
+
+class TestFreshProcessImports:
+    """Each command imports its own module, so a fresh process running an
+    accounting command loads neither the sampler, the training loop, the
+    distortion calculus nor numpy.polynomial, and the other commands still
+    print the bytes they printed when cli imported every module up front."""
+
+    LAZY = ("numpy.polynomial", "plrvo.sampler", "plrvo.dpsgd", "plrvo.distortion",
+            "plrvo.optimizer")
+
+    def run_fresh(self, argv: list[str]) -> tuple[bytes, list[str]]:
+        """stdout of ``plrvo argv`` in a fresh interpreter, and the modules
+        of LAZY that it loaded."""
+        code = ("import json, sys; from plrvo.cli import main; rc = main(sys.argv[1:]); "
+                f"print(json.dumps([m for m in {self.LAZY!r} if m in sys.modules]), "
+                "file=sys.stderr); sys.exit(rc)")
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             check=True)
+        return out.stdout, json.loads(out.stderr.decode().strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("command,flags,loaded", [
+        ("account", [], []),
+        ("account", ["--mode", "accelerated", "--curve", "curve.csv"], []),
+        ("sweep-t", ["--t-values", "1,10,250"], []),
+        ("optimize", [], ["plrvo.optimizer"]),
+    ], ids=["account", "account-accelerated-curve", "sweep-t", "optimize"])
+    def test_accounting_commands_load_only_the_accountant(self, tmp_path, command, flags,
+                                                          loaded):
+        path = write_crit8_job(tmp_path) if command == "optimize" else write_job(tmp_path)
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        stdout, got = self.run_fresh([command, path, *flags])
+        assert stdout and got == loaded
+
+    @pytest.mark.parametrize("argv,loaded,digest", [
+        (["sample", "--mechanism", "plrvo", "--k", "10", "--theta", "0.1", "--n", "4",
+          "--draws", "3", "--seed", "33"], ["plrvo.sampler"],
+         "c1db53eed8a8f2fca7de2bf9eaffa931e370e3fd713b9d3d6e61230a82465d5b"),
+        (["distortion", "--table2"], ["plrvo.distortion"],
+         "35fa3d8bb44c3b2d8deea05acbdfad55b99150dc9094de2746ce8a0a24cfc556"),
+        (["train-demo", "--mechanism", "plrvo", "--epsilon", "2.0", "--epochs", "1",
+          "--batch", "25", "--examples", "100", "--dim", "2", "--seed", "9"],
+         ["plrvo.sampler", "plrvo.dpsgd", "plrvo.optimizer"],
+         "61d97246b90b6580f0f1927184e04e3b20846b2dfd2250e3e80ac996f016bd66"),
+    ], ids=["sample", "distortion-table2", "train-demo"])
+    def test_other_commands_import_their_own_module(self, argv, loaded, digest):
+        # the digests are of the stdout printed when cli imported every module
+        stdout, got = self.run_fresh(argv)
+        assert got == loaded
+        assert hashlib.sha256(stdout).hexdigest() == digest
 
 
 class TestThreads:

@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import given
 
 from binomial import log_binomial
+from plrvo import numerics
 from plrvo.numerics import log_gamma, normal_inv_cdf, regularized_lower_gamma
 from quadrature import QuadratureError, integrate_decaying
 
@@ -330,3 +331,24 @@ class TestIntegrateDecaying:
     def test_divergent_raises(self):
         with pytest.raises(QuadratureError):
             integrate_decaying(lambda z: (1.0 + z) ** -1, 0.0, max_panels=200)
+
+
+class TestGaussLegendreConstants:
+    """The stored 32-point rule is numpy's, so every tail integral keeps its
+    bits while the library never imports numpy.polynomial."""
+
+    def test_bits_of_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert numerics._GL_NODES.tobytes() == nodes.tobytes()
+        assert numerics._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_symmetric_rule(self):
+        nodes, weights = numerics._GL_NODES, numerics._GL_WEIGHTS
+        assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+        assert np.array_equal(weights, weights[::-1]) and np.all(weights > 0)
+        assert math.fsum(weights) == pytest.approx(2.0, rel=1e-15)
+
+    def test_panels_integrate_a_polynomial_exactly(self):
+        # a 32-point rule is exact to degree 63, on every panel
+        x, w = numerics.gauss_legendre(0.0, 2.0, panels=3)
+        assert w @ x**63 == pytest.approx(2.0**64 / 64, rel=1e-13)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -142,6 +143,29 @@ class TestLogMomentCurve:
     def test_decreasing_alpha_rejected(self):
         with pytest.raises(ValueError):
             LogMomentCurve("plrvo", {1: 0.5, 2: 0.1})
+
+    # values at and across the 1e-10 nondecreasing slack, both sides of 1
+    VALUES = [0.0, -0.0, 5e-324, -5e-324, 0.5, 0.5 - 1e-10, 0.5 - 1.1e-10, 2.0,
+              2.0 - 2e-10, 2.0 - 2.2e-10, 1e308, math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def outcome(build):
+        try:
+            build()
+        except (ValueError, FloatingPointError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_vector_pass_agrees_with_the_scalar_checks(self):
+        # every adjacent pair the checks compare: the vector pass accepts
+        # exactly the curves the one-order-at-a-time checks accept, and a
+        # rejected curve raises what those checks raise
+        checker = LogMomentCurve("plrvo", {1: 0.0})
+        for lams, values in itertools.product([(1, 2), (0, 1), (3, 9)],
+                                              itertools.product(self.VALUES, repeat=2)):
+            alphas = dict(zip(lams, values))
+            want = self.outcome(lambda: checker._raise_first_fault(alphas))
+            assert self.outcome(lambda: LogMomentCurve("plrvo", alphas)) == want, alphas
 
     def test_csv_shape(self):
         csv = LogMomentCurve("laplace", {1: 0.25, 2: 0.5}).to_csv()
