@@ -722,13 +722,12 @@ def _tangent_bound(lower: np.ndarray, lam_cap: int, steps_T: int,
                    delta: float) -> np.ndarray:
     """Lower bounds on the conversion at the orders m + 1..lam_cap from the
     tangent to ``lower`` (orders 1..m) through its last two orders; inf
-    past the float range. numpy's log is within the search's 1e-9 margin."""
+    past the float range."""
     m, last = lower.size, float(lower[-1])
-    lam = np.arange(m + 1, lam_cap + 1, dtype=np.float64)
+    orders, log_ratio, log_tail = _order_terms(range(m + 1, lam_cap + 1), delta)
     with np.errstate(over="ignore"):
-        alpha = steps_T * (last + (lam - m) * (last - float(lower[-2])))
-        return (alpha / lam + np.log(lam / (lam + 1.0))
-                - (math.log(delta) + np.log(lam + 1.0)) / lam)
+        alpha = steps_T * (last + (orders - m) * (last - float(lower[-2])))
+        return alpha / orders + log_ratio - log_tail
 
 
 def account(params: MechanismParams, job: AccountingJob) -> AccountResult:

@@ -50,12 +50,12 @@ then settles the box from its top, k = K_GRID_HI:
   ceiling, distortion_cap (1 - 1/k), and the MGF bound's floor,
   (lambda_max + 1) C / k, also loosen with k. So where no b passes every
   constraint at K_GRID_HI, none does at a smaller k. Above tol 1/2, c1's
-  ceiling can fall with k (at tol 0.55 it rises, then falls), and
-  :func:`solve` scans K_GRID_POINTS logarithmic k in [K_GRID_LO, K_GRID_HI].
+  ceiling can fall with k (at tol 0.55 it rises, then falls), so
+  :class:`FeasibilityConfig` accepts tol in (0, 1/2] only.
 
 c1 and c4 are lower bounds on theta: c1's is a Gamma(k) quantile
 (:func:`_c1_floor`, on the accumulate-summed incomplete gamma series), c4's
-is closed form, and the search takes their maximum once per k. Every c2
+is closed form, and the search takes their maximum once. Every c2
 probe accounts epsilon on the full lambda grid, the same computation as the
 final verification, so the returned point's report reuses the probe's
 entry.
@@ -79,8 +79,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .accountant import account, plrv_epsilon_lower_bound
 from .numerics import normal_inv_cdf, regularized_lower_gamma
 from .params import (
@@ -91,7 +89,7 @@ from .params import (
     PrivacyTarget,
 )
 
-K_GRID_LO, K_GRID_HI, K_GRID_POINTS = 1.0 + 1e-3, 1e6, 20
+K_GRID_HI = 1e6
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,8 @@ class FeasibilityConfig:
     ``job_skeleton`` supplies (T, zeta, N, delta, lambda_max); its clip value
     is ignored and replaced by each point's C. c2 accounts at the job's
     delta, so the target's delta_star must equal it. ``gamma_cdf_tol``
-    operationalizes the "approximately zero" Gamma CDF in c1;
+    operationalizes the "approximately zero" Gamma CDF in c1, and lies in
+    (0, 1/2], where the module docstring's lemma lets one k settle the box;
     ``distortion_cap`` is c4's ceiling on 1 / ((k-1) * theta).
     """
 
@@ -124,8 +123,8 @@ class FeasibilityConfig:
         if self.target.delta_star != self.job_skeleton.delta:
             raise ValueError(f"target delta_star must equal the job's delta "
                              f"{self.job_skeleton.delta}, got {self.target.delta_star}")
-        if not 0.0 < self.gamma_cdf_tol < 1.0:
-            raise ValueError(f"gamma_cdf_tol must be in (0, 1), got {self.gamma_cdf_tol}")
+        if not 0.0 < self.gamma_cdf_tol <= 0.5:
+            raise ValueError(f"gamma_cdf_tol must be in (0, 1/2], got {self.gamma_cdf_tol}")
         if not self.distortion_cap > 0:
             raise ValueError(f"distortion_cap must be > 0, got {self.distortion_cap}")
 
@@ -239,45 +238,20 @@ def _c1_floor(k: float, tol: float) -> float:
 
 
 @dataclass
-class _Bracket:
-    """The accounted points with the largest passing and the smallest failing
-    theta at one k: the accounted epsilon increases with theta."""
-
-    lo: float = -math.inf
-    hi: float = math.inf
-    lo_point: tuple[float, float, float] | None = None
-    hi_point: tuple[float, float, float] | None = None
-
-    def add(self, point: tuple[float, float, float], passed: bool) -> None:
-        theta = point[1]
-        if passed and theta > self.lo:
-            self.lo, self.lo_point = theta, point
-        elif not passed and theta < self.hi:
-            self.hi, self.hi_point = theta, point
-
-
-_NO_BRACKET = _Bracket()
-
-
-@dataclass
 class _SearchState:
-    """The search's accounted c2 entries, and the verdicts they imply.
+    """The search's accounted c2 entries, and its theta floors per k.
 
     Every point the search accounts lies at one clip, ``cfg.clip_min``
-    (:func:`check_feasible`'s state holds a single point). Per k the state
-    keeps the bracket of accounted verdicts in theta. Verdicts known without
-    accounting never enter ``c2_cache``."""
+    (:func:`check_feasible`'s state holds a single point)."""
 
     cfg: FeasibilityConfig
     c2_cache: dict[tuple[float, float, float], dict] = field(default_factory=dict)
     theta_floors: dict[float, float] = field(default_factory=dict)
-    brackets: dict[float, _Bracket] = field(default_factory=dict)
 
     def c2_entry(self, point: tuple[float, float, float]) -> dict:
         entry = self.c2_cache.get(point)
         if entry is None:
             entry = self.c2_cache[point] = _c2_report(point, self.cfg)
-            self.brackets.setdefault(point[0], _Bracket()).add(point, entry["passed"])
         return entry
 
     def excess(self, entry: dict) -> float:
@@ -288,27 +262,6 @@ class _SearchState:
         g = (math.log(eps) - math.log(self.cfg.target.epsilon_star) if eps > 0.0
              else -math.inf)
         return min(g, -math.ulp(0.0)) if entry["passed"] else max(g, math.ulp(0.0))
-
-    def known(self, point: tuple[float, float, float]) -> bool | None:
-        """c2's verdict at point when the accounted entries at its k decide
-        it, else None: its own entry, or a theta at or beyond an accounted
-        one at the same k."""
-        entry = self.c2_cache.get(point)
-        if entry is not None:
-            return entry["passed"]
-        k, theta, _ = point
-        at_k = self.brackets.get(k, _NO_BRACKET)
-        if theta <= at_k.lo:
-            return True
-        if theta >= at_k.hi:
-            return False
-        return None
-
-    def passes(self, point: tuple[float, float, float]) -> bool:
-        """c2's verdict at point: the known one if there is one, else the
-        accounted one."""
-        verdict = self.known(point)
-        return self.c2_entry(point)["passed"] if verdict is None else verdict
 
     def theta_floor(self, k: float) -> float:
         """Smallest theta passing c1 and c4 at k > 1. Both are lower bounds
@@ -336,11 +289,6 @@ class _SearchState:
 def _theta_hi(cfg: FeasibilityConfig) -> float:
     """The search's largest theta: just under the MGF bound at clip_min."""
     return (1.0 - 1e-6) / (cfg.clip_min * (cfg.job_skeleton.lambda_max + 1))
-
-
-def _k_grid() -> list[float]:
-    """The k values :func:`_scan` visits, ascending."""
-    return np.geomspace(K_GRID_LO, K_GRID_HI, K_GRID_POINTS).tolist()
 
 
 def _brent(g, a: float, ga: float, b: float, gb: float, xtol: float) -> None:
@@ -399,10 +347,10 @@ def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None
     The accounted epsilon is monotone increasing in theta while c1 and c4
     are lower bounds, so the feasible thetas form an interval from the floor
     up, whose top is either the MGF bound or the c2 boundary. When the MGF
-    bound fails c2 the result is the largest theta accounted as passing at
-    k once Brent's method, on log epsilon - log epsilon* in log theta, has
-    narrowed the sign bracket below 1e-7: an accounted fail at k, or the MGF
-    bound failed by :func:`_mgf_screen`, lies within a factor e^(1e-7)
+    bound fails c2 the result is the largest theta this search accounted as
+    passing once Brent's method, on log epsilon - log epsilon* in log theta,
+    has narrowed the sign bracket below 1e-7: an accounted fail at k, or the
+    MGF bound failed by :func:`_mgf_screen`, lies within a factor e^(1e-7)
     above it.
 
     The MGF bound's entry is not accounted when :func:`_mgf_screen` shows it
@@ -418,47 +366,34 @@ def _boundary_theta(state: _SearchState, k: float) -> tuple[float, float] | None
     if floor > theta_hi:
         return None
 
-    top = (k, theta_hi, C)
-    screened = None
-    top_passes = state.known(top)
-    if top_passes is None:
-        screened = _mgf_screen(cfg, k, theta_hi, C)
-        top_passes = screened is None and state.c2_entry(top)["passed"]
-    if top_passes:
-        return theta_hi, objective(k, theta_hi, C)
-    if not state.passes((k, floor, C)):
+    hi_excess = _mgf_screen(cfg, k, theta_hi, C)
+    if hi_excess is None:
+        top_entry = state.c2_entry((k, theta_hi, C))
+        if top_entry["passed"]:
+            return theta_hi, objective(k, theta_hi, C)
+        hi_excess = state.excess(top_entry)
+    floor_entry = state.c2_entry((k, floor, C))
+    if not floor_entry["passed"]:
         return None
 
-    at_k = state.brackets[k]
-    if at_k.hi_point is None:  # the screen failed the top
-        hi, hi_excess = theta_hi, screened
-    else:
-        hi, hi_excess = at_k.hi, state.excess(state.c2_cache[at_k.hi_point])
-    _brent(lambda u: state.excess(state.c2_entry((k, math.exp(u), C))),
-           math.log(at_k.lo), state.excess(state.c2_cache[at_k.lo_point]),
-           math.log(hi), hi_excess, 1e-7)
-    return at_k.lo, objective(k, at_k.lo, C)
+    best = floor
+
+    def g(u: float) -> float:
+        nonlocal best
+        theta = math.exp(u)
+        entry = state.c2_entry((k, theta, C))
+        if entry["passed"] and theta > best:
+            best = theta
+        return state.excess(entry)
+
+    _brent(g, math.log(floor), state.excess(floor_entry), math.log(theta_hi), hi_excess, 1e-7)
+    return best, objective(k, best, C)
 
 
 def _infeasible(cfg: FeasibilityConfig, constraint: str, margin: float) -> InfeasibleError:
     return InfeasibleError("no feasible point in the configured box",
                            diagnostics={f"clip={cfg.clip_min:g}": {"constraint": constraint,
                                                                    "margin": margin}})
-
-
-def _scan(state: _SearchState) -> tuple[float, float]:
-    """The best (k, theta) over the boundaries at :func:`_k_grid`'s k.
-
-    Raises :class:`InfeasibleError` when no k has one, naming c2 with its
-    largest margin over the points the scan accounted."""
-    best = None
-    for k in _k_grid():
-        boundary = _boundary_theta(state, k)
-        if boundary is not None and (best is None or boundary[1] > best[2]):
-            best = (k, *boundary)
-    if best is None:
-        raise _infeasible(state.cfg, "c2", max(e["margin"] for e in state.c2_cache.values()))
-    return best[:2]
 
 
 def solve(cfg: FeasibilityConfig) -> OptimizationResult:
@@ -478,11 +413,9 @@ def solve(cfg: FeasibilityConfig) -> OptimizationResult:
        floor's relative margin below :func:`_theta_hi`.
     1. The boundary theta at K_GRID_HI (:func:`_boundary_theta`), where it
        exists, is returned: no k in the box has a larger J.
-    2. Otherwise c2 fails at K_GRID_HI's floor. At gamma_cdf_tol <= 1/2 no
-       k is feasible, and the diagnostics name c2 with the floor's
+    2. Otherwise c2 fails at K_GRID_HI's floor, so no k is feasible
+       (gamma_cdf_tol <= 1/2), and the diagnostics name c2 with the floor's
        accounted margin.
-    3. Above tol 1/2, the best boundary over :func:`_k_grid`'s k
-       (:func:`_scan`).
 
     The result embeds the returned point's full constraint report (c2 on
     the full lambda grid, from the search's cache).
@@ -494,19 +427,15 @@ def solve(cfg: FeasibilityConfig) -> OptimizationResult:
     if floor > theta_hi:  # the floors fall as k grows: no k has a feasible theta
         raise _infeasible(cfg, "mgf", 1.0 - floor / theta_hi)
     edge = _boundary_theta(state, K_GRID_HI)
-    if edge is not None:
-        k_best, theta_best = K_GRID_HI, edge[0]
-    elif cfg.gamma_cdf_tol <= 0.5:
+    if edge is None:
         raise _infeasible(cfg, "c2", state.c2_cache[(K_GRID_HI, floor, C)]["margin"])
-    else:
-        k_best, theta_best = _scan(state)
+    k_best, theta_best = K_GRID_HI, edge[0]
     best = (k_best, theta_best, C)
 
     final_report = state.report(best)
     if not all_pass(final_report):
-        # every probe's c2 is the full-grid one, so this can only trip on a
-        # bug, or if the computed epsilon were not monotone in theta (the
-        # boundary search infers verdicts from that); never certify anyway
+        # the returned point is an accounted pass between the floor and the
+        # MGF bound, so this can only trip on a bug; never certify anyway
         raise InfeasibleError("refined point failed final verification",
                               diagnostics=final_report)
     return OptimizationResult(

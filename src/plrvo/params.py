@@ -106,11 +106,6 @@ class GammaPlrvParams:
         _require(_finite(self.theta) and self.theta > 0,
                  "theta must be > 0, got {}", self.theta)
 
-    @property
-    def finite_distortion(self) -> bool:
-        """Expected |noise| per coordinate is finite iff k > 1."""
-        return self.k > 1.0
-
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -265,10 +260,6 @@ class LogMomentCurve:
                          "alpha must be nondecreasing in lambda; "
                          "alpha({}) = {} < {}", lam, a, prev)
             prev = a
-
-    @property
-    def lambdas(self) -> list[int]:
-        return list(self.alpha_per_step.keys())
 
     def to_json_dict(self) -> dict:
         return {

@@ -546,7 +546,7 @@ class TestAccountDriver:
         p = GaussianParams(sigma=1.5)
         job = make_job(lambda_max=16)
         curve = build_curve(p, job)
-        assert curve.lambdas == list(range(1, 17))
+        assert list(curve.alpha_per_step) == list(range(1, 17))
         assert curve.mechanism == "gaussian"
         d = curve.to_json_dict()
         assert set(d) == {"mechanism", "alpha_per_step", "job"}

@@ -652,6 +652,28 @@ class TestOptimizeCommand:
     def test_missing_sections_rejected(self, tmp_path):
         assert main(["optimize", write_job(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("tol", [0.9, math.nextafter(0.5, 1.0)])
+    def test_gamma_cdf_tol_above_half_rejected(self, tmp_path, capsys, tol):
+        # above 1/2 c1's ceiling on b can fall with k, so the k = 1e6 edge
+        # would not settle the box
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(with_value(BASE_JOBS["plrvo"], "optimizer",
+                                              "gamma_cdf_tol", tol)))
+        assert main(["optimize", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"input error: gamma_cdf_tol must be in (0, 1/2], got {tol!r}")
+        assert "Traceback" not in captured.err
+
+    def test_gamma_cdf_tol_half_solves(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(with_value(BASE_JOBS["plrvo"], "optimizer",
+                                              "gamma_cdf_tol", 0.5)))
+        assert main(["optimize", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["k_star"] == 1e6 and result["constraint_report"]["c1"]["passed"]
+
     def test_optimize_leaves_statistics_unloaded(self, tmp_path):
         # the c1 floor's normal quantile comes from numerics, not from statistics
         path = write_crit8_job(tmp_path)

@@ -211,22 +211,17 @@ class TestSolve:
             target=PrivacyTarget(epsilon_star=2.0, delta_star=0.5),
             job_skeleton=toy_cfg().job_skeleton),
          "target delta_star must equal the job's delta 1e-05, got 0.5"),
+        # above 1/2 c1's ceiling on b can fall with k, and the edge no longer
+        # settles the box
+        (lambda: toy_cfg(gamma_cdf_tol=math.nextafter(0.5, 1.0)),
+         "gamma_cdf_tol must be in (0, 1/2], got 0.5000000000000001"),
+        (lambda: toy_cfg(gamma_cdf_tol=0.0), "gamma_cdf_tol must be in (0, 1/2], got 0.0"),
+        (lambda: toy_cfg(gamma_cdf_tol=math.nan), "gamma_cdf_tol must be in (0, 1/2], got nan"),
     ])
     def test_config_messages(self, make, want):
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == want
-
-    @pytest.mark.parametrize("name", ["toy", "crit8-7"])
-    def test_j_is_the_best_evaluated(self, monkeypatch, name):
-        # the scan probes exactly the grid and returns the largest J it
-        # computed
-        cfg = toy_cfg() if name == "toy" else crit8_configs()[7]
-        probed, (k_best, theta_best) = scan_probes(monkeypatch, cfg)
-        assert [k for _, k, _ in probed] == optimizer._k_grid()
-        js = [got[1] for _, _, got in probed if got is not None]
-        assert objective(k_best, theta_best, cfg.clip_min) == max(js)
-        assert k_best == K_GRID_HI  # the boundary J still rises at the edge
 
 
 def gamma_quantile(k: float, tol: float) -> float:
@@ -262,7 +257,7 @@ class TestC1Floor:
         # the module docstring's lemma: at tol <= 1/2, c1's ceiling on the
         # mean scale b = 1 / (k theta), 10 x_q(k) / k, is nondecreasing in k.
         # Above 1/2 it is not (227 and 299 of the 299 steps fall at 0.55 and
-        # 0.9), which is where solve still scans k
+        # 0.9), which is why FeasibilityConfig rejects tol above 1/2
         ks = np.geomspace(1.001, 1e6, 300).tolist()
         ceilings = [1.0 / (k * _c1_floor(k, tol)) for k in ks]
         drops = sum(b < a for a, b in zip(ceilings, ceilings[1:]))
@@ -288,22 +283,6 @@ def crit8_configs() -> list[FeasibilityConfig]:
                 lambda_max=int(rng.choice([16, 32]))),
         ))
     return configs
-
-
-def scan_probes(monkeypatch, cfg: FeasibilityConfig) -> tuple[list, tuple[float, float]]:
-    """The scan's (state, k, boundary) probes from a fresh search state, and
-    the (k, theta) it returns."""
-    probed = []
-
-    def recording(state, k):
-        got = _boundary_theta(state, k)
-        probed.append((state, k, got))
-        return got
-
-    monkeypatch.setattr(optimizer, "_boundary_theta", recording)
-    best = optimizer._scan(_SearchState(cfg=cfg))
-    monkeypatch.undo()
-    return probed, best
 
 
 class TestSolvePinned:
@@ -418,25 +397,23 @@ class TestBoundaryTheta:
 
     @pytest.mark.parametrize("name", ["crit8-3", "crit8-6", "crit8-7", "train-demo"])
     def test_bracketed_on_solve_probes(self, monkeypatch, name):
-        # every boundary of the scan, run on these configs
+        # the boundary at 20 logarithmic k across the box, each in a fresh
+        # state, on these configs
         cfg = train_demo_cfg() if name == "train-demo" else crit8_configs()[int(name[6:])]
-        probed, _ = scan_probes(monkeypatch, cfg)
         theta_hi = optimizer._theta_hi(cfg)
-        below = [(state, k, got) for state, k, got in probed
-                 if got is not None and got[0] < theta_hi]
-        # 13, 14, 16 and 13 of the 20 grid k; the rest have no feasible theta
-        # or, on train-demo's two, pass c2 at the MGF bound
-        assert len(below) >= optimizer.K_GRID_POINTS // 2
-        for state, k, got in below:  # in the scan's state
-            assert_on_boundary(state, k, got)
         calls = self.counted_calls(monkeypatch)
         per_boundary = []
-        for _, k, _ in below:
-            fresh = _SearchState(cfg=cfg)
+        for k in np.geomspace(1.001, 1e6, 20).tolist():
+            state = _SearchState(cfg=cfg)
             before = calls[0]
-            assert_on_boundary(fresh, k, _boundary_theta(fresh, k))
-            per_boundary.append(calls[0] - before)
-        # a fresh state accounts the floor too, and the MGF bound unless the
+            got = _boundary_theta(state, k)
+            if got is not None and got[0] < theta_hi:
+                assert_on_boundary(state, k, got)
+                per_boundary.append(calls[0] - before)
+        # 13, 14, 16 and 13 of the 20 k; the rest have no feasible theta or,
+        # on train-demo's two, pass c2 at the MGF bound
+        assert len(per_boundary) >= 10
+        # each state accounts the floor too, and the MGF bound unless the
         # screen fails it; a plain bisection to 1e-7 needs about 33 calls
         # per boundary
         assert sum(per_boundary) / len(per_boundary) <= 12
@@ -626,40 +603,19 @@ class TestLaplaceLimit:
             "constraint": "mgf", "margin": 1.0 - floor / optimizer._theta_hi(cfg)}}
         assert exc.value.diagnostics[f"clip={clip:g}"]["margin"] < -30.0
 
-    def test_forced_scan_matches_the_fast_path(self, monkeypatch):
-        fast = solve(toy_cfg())
-        _, (k, theta) = scan_probes(monkeypatch, toy_cfg())
-        assert objective(k, theta, 0.5) == pytest.approx(fast.snr, rel=1e-6)
-
-    def test_solve_never_scans_at_tol_up_to_half(self, monkeypatch):
-        # at gamma_cdf_tol <= 1/2 the edge settles every solve: criterion 8's
-        # configs and train-demo return it, the unreachable targets name c2
-        def no_scan(state):
-            raise AssertionError("scanned")
-
-        monkeypatch.setattr(optimizer, "_scan", no_scan)
-        for tol in (1e-6, 0.5):
-            for cfg in [*crit8_configs(), train_demo_cfg()]:
-                assert solve(replace(cfg, gamma_cdf_tol=tol)).k_star == K_GRID_HI
-            for epsilon in (1e-6, 1e-3, 0.02, 0.05):
-                with pytest.raises(InfeasibleError) as exc:
-                    solve(toy_cfg(epsilon=epsilon, N=200, lambda_max=16, gamma_cdf_tol=tol))
-                assert exc.value.diagnostics["clip=0.5"]["constraint"] == "c2"
-
     def test_ceiling_above_half_is_the_distortion_cap(self):
         # Laplace meets epsilon* from b = 12 up, with distortion_cap 20. At
         # gamma_cdf_tol <= 1/2, c1 keeps 1 / (k theta) below 10: the edge's
-        # floor fails c2, and so does every k's. At 0.9 only c4's 20 bounds
-        # it, and the scan finds k with 1 / (k theta) above 12
+        # floor fails c2, and so does every k's. At 0.9 only c4's 20 would
+        # bound it, at a k below the edge, so that tolerance is rejected
         epsilon = laplace_epsilon(toy_cfg(distortion_cap=20.0), 12.0)
         strict = toy_cfg(epsilon=epsilon, distortion_cap=20.0, gamma_cdf_tol=0.5)
         with pytest.raises(InfeasibleError) as exc:
             solve(strict)
         assert exc.value.diagnostics == {"clip=0.5": {
             "constraint": "c2", "margin": edge_floor_margin(strict)}}
-        res = solve(toy_cfg(epsilon=epsilon, distortion_cap=20.0, gamma_cdf_tol=0.9))
-        assert res.k_star < K_GRID_HI
-        assert 12.0 < 1.0 / (res.k_star * res.theta_star) < 20.0
+        with pytest.raises(ValueError, match=r"gamma_cdf_tol must be in \(0, 1/2\]"):
+            toy_cfg(epsilon=epsilon, distortion_cap=20.0, gamma_cdf_tol=0.9)
 
 
 def c2_calls(monkeypatch) -> list[int]:
@@ -700,25 +656,6 @@ class TestClipInvariance:
                                      lambda_max=L)).epsilon
                for c in (C, C2)]
         assert eps[1] == pytest.approx(eps[0], rel=1e-12)
-
-    def test_known_verdicts_keep_the_margin(self, monkeypatch):
-        # a verdict is known only from an accounted point at the same k, at or
-        # beyond its theta (the accounted epsilon increases with theta); no
-        # other k infers it, whatever the margin in s = theta * C
-        cfg = toy_cfg()
-        k, theta, C = 50.0, 1e-3, 0.5
-        state = _SearchState(cfg=cfg)
-        passed = state.c2_entry((k, theta, C))["passed"]
-        calls = c2_calls(monkeypatch)
-        beyond = math.nextafter(theta, 0.0 if passed else math.inf)
-        inside = theta * (1.0 + 1e-3) if passed else theta * (1.0 - 1e-3)
-        assert state.known((k, beyond, C)) is passed
-        assert state.known((k, inside, C)) is None
-        for other in (k / 2.0, 2.0 * k):
-            assert state.known((other, beyond, C)) is None
-        assert state.passes((k, beyond, C)) is passed
-        assert calls[0] == 0
-        assert list(state.c2_cache) == [(k, theta, C)]
 
     # accountant calls behind c2 per solve: the boundary at K_GRID_HI alone
     # (the Laplace call is not among them)

@@ -39,10 +39,6 @@ class TestInvariants:
         with pytest.raises(ValueError):
             GammaPlrvParams(**kwargs)
 
-    def test_finite_distortion_flag(self):
-        assert GammaPlrvParams(k=1.5, theta=1.0).finite_distortion
-        assert not GammaPlrvParams(k=1.0, theta=1.0).finite_distortion
-
     def test_scalar_params_rejected(self):
         with pytest.raises(ValueError):
             GaussianParams(sigma=0.0)
@@ -134,7 +130,7 @@ class TestValidate:
 class TestLogMomentCurve:
     def test_orders_sorted_and_typed(self):
         c = LogMomentCurve("plrvo", {3: 0.3, 1: 0.1, 2: 0.2})
-        assert c.lambdas == [1, 2, 3]
+        assert list(c.alpha_per_step) == [1, 2, 3]
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
